@@ -3,7 +3,9 @@
 two independent Floquet routes, the reduced pulse coefficients, and a Newton
 polish of the asymptotic seed slightly below onset.
 
-Writes report.txt and seed/polished snapshots into --out.
+Writes report.txt and seed/polished snapshots into --out.  By default the
+domain is 80*pi, doubled until it spans 16 pulse widths (1/inv_width), on
+the grid spacing of 512 points over 80*pi.
 """
 
 import argparse
@@ -19,6 +21,23 @@ from oscillab.reduction import strong_ac_coeffs, strong_sech_pde
 
 
 POLISH_HARMONICS = tuple(range(-7, 8, 2))
+BASE_LENGTH = 80.0 * math.pi
+BASE_N = 512
+WIDTHS = 16.0
+
+
+def default_grid(inv_width, length=None, n=None):
+    """Fill in a domain of at least WIDTHS pulse widths and a power-of-two
+    grid no coarser than BASE_N points over BASE_LENGTH."""
+    if length is None:
+        length = BASE_LENGTH
+        while length * inv_width < WIDTHS:
+            length *= 2.0
+    if n is None:
+        n = 2
+        while length / n > BASE_LENGTH / BASE_N:
+            n *= 2
+    return length, n
 
 
 def main() -> int:
@@ -26,8 +45,12 @@ def main() -> int:
     ap.add_argument("--out", default="strong-case")
     ap.add_argument("--offset", type=float, default=0.03,
                     help="fractional distance below onset for the seed")
-    ap.add_argument("--n", type=int, default=512)
-    ap.add_argument("--length", type=float, default=80.0 * math.pi)
+    ap.add_argument("--n", type=int, default=None,
+                    help="grid points (default: the smallest power of two "
+                         "with L/n <= 80*pi/512)")
+    ap.add_argument("--length", type=float, default=None,
+                    help="domain length L (default: 80*pi, doubled until "
+                         "it spans 16 pulse widths)")
     args = ap.parse_args()
     os.makedirs(args.out, exist_ok=True)
 
@@ -42,8 +65,10 @@ def main() -> int:
           f"cub={ac.cub:.6f}")
 
     f = (1.0 - args.offset) * fp.f_c
-    profile = strong_sech_pde(ac, fp, f, center=args.length / 2)
-    seed_field = profile.as_field(args.n, args.length, t=0.0)
+    length, n = default_grid(strong_sech_pde(ac, fp, f).inv_width,
+                             args.length, args.n)
+    profile = strong_sech_pde(ac, fp, f, center=length / 2)
+    seed_field = profile.as_field(n, length, t=0.0)
     fileio.write_snapshot(os.path.join(args.out, "seed.txt"), seed_field)
 
     # polish as a time-periodic state in the harmonic representation; on the
@@ -51,7 +76,7 @@ def main() -> int:
     # converged one, so a seed closer to onset would lie above it there.
     # On +-1..+-7 the flat onset has converged.
     times = 2.0 * math.pi * np.arange(16) / 16
-    snaps = [profile.as_field(args.n, args.length, t=t) for t in times]
+    snaps = [profile.as_field(n, length, t=t) for t in times]
     guess = ct.project_snapshots(snaps, times, POLISH_HARMONICS, f=f)
     state = ct.newton_pde(guess, f, mp)
     fileio.write_snapshot(os.path.join(args.out, "polished.txt"), state)
@@ -62,7 +87,8 @@ def main() -> int:
 
     report = [("f_c_hill", fp.f_c), ("f_c_monodromy", f_mono),
               ("lin", ac.lin), ("diff", ac.diff), ("cub", ac.cub),
-              ("f_seed", f), ("seed_amp", profile.amp),
+              ("f_seed", f), ("length", length), ("n", n),
+              ("seed_amp", profile.amp),
               ("seed_inv_width", profile.inv_width),
               ("polished_norm", state.norm),
               ("polished_residual", state.residual_norm),

@@ -318,10 +318,11 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
                                              tol=controls.tol)
         branch, stalled = _trace_both(problem, z0, p.gamma, controls)
         if cfg.continuation.classify:
-            continuation.classify_branch(
-                branch,
-                lambda z, g: continuation.classify_stability_fcgl(problem, z, g),
-                cfg.continuation.classify_stride)
+            def classify(z, g):
+                label = continuation.classify_stability_fcgl(problem, z, g)
+                return str(label), label.rate
+            continuation.classify_branch(branch, classify,
+                                         cfg.continuation.classify_stride)
         _write_branch_outputs(out, branch,
                               lambda pt: problem.field_of(pt.z),
                               cfg.continuation.snapshot_stride)
@@ -354,8 +355,7 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
                 st = continuation.HarmonicPdeState(
                     length=problem.length, harmonics=problem.harmonics,
                     profiles=problem.unpack(z), f=f_val)
-                label, _ = continuation.classify_stability_pde(st, mp)
-                return label
+                return continuation.classify_stability_pde(st, mp)
             continuation.classify_branch(branch, classify,
                                          cfg.continuation.classify_stride)
         _write_branch_outputs(
@@ -430,7 +430,23 @@ def _classify_endstate(field: ComplexField) -> str:
     return "localized" if edge < 0.2 * peak else "flat"
 
 
+def _worker_count() -> int:
+    """Sweep pool size: OSCILLON_THREADS if set, else the CPU count."""
+    raw = os.environ.get("OSCILLON_THREADS")
+    if not raw:
+        return os.cpu_count() or 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(
+            f"OSCILLON_THREADS must be a positive integer, got {raw!r}")
+    return workers
+
+
 def cmd_sweep(cfg: RunConfig, out: str) -> int:
+    workers = _worker_count()
     base = {"mu": cfg.params.mu, "alpha": cfg.params.alpha,
             "beta": cfg.params.beta, "c_re": cfg.params.c_re,
             "c_im": cfg.params.c_im, "epsilon": cfg.params.epsilon}
@@ -440,8 +456,6 @@ def cmd_sweep(cfg: RunConfig, out: str) -> int:
     jobs = [(i, j, cfg.system.kind, base, float(nu), float(pv), cfg.grid.n,
              cfg.grid.length, cfg.timestepping.dt, s.t_probe)
             for i, nu in enumerate(nus) for j, pv in enumerate(ps)]
-    workers = os.environ.get("OSCILLON_THREADS")
-    workers = int(workers) if workers else (os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_probe, jobs))

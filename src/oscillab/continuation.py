@@ -18,11 +18,13 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse.linalg
 
 from . import etd, spectral
 from .core import FcglParams, ModelParams
-from .errors import DivergenceError, ParameterError, StalledBranchError
+from .errors import (DivergenceError, InvalidFieldError, OscillabError,
+                     ParameterError, StalledBranchError)
 from .fields import ComplexField
 
 TWO_PI = 2.0 * math.pi
@@ -238,11 +240,6 @@ class PdeHarmonicProblem:
         return scipy.sparse.linalg.LinearOperator(
             (self.size, self.size), matvec=apply, dtype=float)
 
-    def reconstruct(self, z: np.ndarray, t: float = 0.0) -> ComplexField:
-        p = self.unpack(z)
-        phases = np.exp(1j * self.harmonics * t)
-        return ComplexField(self.length, phases @ p)
-
 
 # ---- converged state containers ----
 
@@ -388,6 +385,7 @@ class BranchPoint:
     arclength: float = 0.0
     stability: str = "unclassified"
     fold: bool = False
+    leading_rate: float = math.nan
 
 
 @dataclass
@@ -539,15 +537,12 @@ def _mark_folds(branch: Branch) -> None:
 
 def merge_branches(back: Branch, forward: Branch) -> Branch:
     """Join two branches traced in opposite directions from one seed point."""
-    pts = [replace_pt for replace_pt in reversed(back.points[1:])] + forward.points
-    merged = []
-    arc = 0.0
-    prev = None
+    pts = list(reversed(back.points[1:])) + forward.points
+    merged, arc, prev = [], 0.0, None
     for i, pt in enumerate(pts):
         if prev is not None:
             arc += _wnorm(pt.z - prev.z, pt.param - prev.param)
-        merged.append(BranchPoint(index=i, param=pt.param, norm=pt.norm, z=pt.z,
-                                  arclength=arc, stability=pt.stability))
+        merged.append(replace(pt, index=i, arclength=arc, fold=False))
         prev = pt
     out = Branch(points=merged, folds=[])
     _mark_folds(out)
@@ -556,48 +551,52 @@ def merge_branches(back: Branch, forward: Branch) -> Branch:
 
 # ---- stability ----
 
-def leading_rates_fcgl(problem: FcglSteadyProblem, z: np.ndarray, gamma: float,
-                       k: int = 4, horizon: float = 1.0, dt: float = 0.005,
-                       seed: int = 0) -> np.ndarray:
-    """Leading eigenvalue growth rates of the linearization about a steady
-    state, from Arnoldi iteration on the time-horizon propagator (the
-    linearized equation is integrated with the same exponential scheme)."""
-    p = problem.params
-    a_hat = np.fft.fft(problem.unpack(z))
-    fine = problem._fine(a_hat)
-    two_abs2 = 2.0 * np.abs(fine) ** 2
-    sq = fine**2
-    c = p.c
-    scheme = etd.make_scheme(etd.fcgl_linear_symbol(p, problem.n, problem.length), dt)
-    n_steps = int(round(horizon / dt))
+def leading_rates_fcgl(problem: FcglSteadyProblem, z: np.ndarray,
+                       gamma: float) -> np.ndarray:
+    """Eigenvalue real parts of the discrete Jacobian about a reflection-
+    symmetric steady state, largest first.  The Jacobian maps even fields to
+    even and odd to odd; each block is assembled on half the grid, column i
+    being the Jacobian of e_i +- e_mirror(i), and solved densely on its own."""
+    z = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(z)):
+        raise InvalidFieldError("steady state has non-finite samples")
+    a = problem.unpack(z)
+    if np.max(np.abs(a - reflect(a))) > 1e-12 * max(1.0, np.max(np.abs(a))):
+        raise ParameterError("steady state is not reflection-symmetric")
+    jac = problem.jacobian(z, gamma)
+    n, half = problem.n, problem.n // 2
+    e = np.zeros(problem.size)
+    rates = []
+    for sign, idx in ((1.0, np.arange(half + 1)), (-1.0, np.arange(1, half))):
+        rows = np.concatenate([idx, n + idx])
+        mirrors = np.concatenate([(n - idx) % n, n + (n - idx) % n])
+        block = np.empty((rows.size, rows.size), order="F")
+        for col, (i, m) in enumerate(zip(rows, mirrors)):
+            e[m], e[i] = sign, 1.0
+            block[:, col] = jac.matvec(e)[rows]
+            e[m] = e[i] = 0.0
+        rates.append(scipy.linalg.eigvals(block, overwrite_a=True,
+                                          check_finite=False).real)
+        del block
+    return np.sort(np.concatenate(rates))[::-1]
 
-    def nonlinear(d_hat, t):
-        d_fine = problem._fine(d_hat)
-        w = c * (two_abs2 * d_fine + sq * np.conj(d_fine)) + gamma * np.conj(d_fine)
-        return problem._coarse_hat(w)
 
-    def propagate(v):
-        d_hat = np.fft.fft(problem.unpack(np.asarray(v)))
-        stepper = etd.Etd2Stepper(scheme, nonlinear, d_hat)
-        stepper.run(n_steps)
-        return problem.pack(np.fft.ifft(stepper.u))
+class Label(str):
+    """A stability label that also carries the leading rate behind it."""
 
-    op = scipy.sparse.linalg.LinearOperator((problem.size, problem.size),
-                                            matvec=propagate, dtype=float)
-    v0 = np.random.default_rng(seed).standard_normal(problem.size)
-    vals = scipy.sparse.linalg.eigs(op, k=k, which="LM", v0=v0, tol=1e-9,
-                                    return_eigenvectors=False)
-    rates = np.log(np.abs(vals)) / horizon
-    return np.sort(rates)[::-1]
+    def __new__(cls, label: str, rate: float = math.nan):
+        obj = super().__new__(cls, label)
+        obj.rate = rate
+        return obj
 
 
 def classify_stability_fcgl(problem: FcglSteadyProblem, z: np.ndarray,
-                            gamma: float, threshold: float = 1e-8) -> str:
+                            gamma: float, threshold: float = 1e-8) -> Label:
     try:
-        rates = leading_rates_fcgl(problem, z, gamma)
-    except Exception:
-        return "indeterminate"
-    return "stable" if rates[0] < threshold else "unstable"
+        rate = float(leading_rates_fcgl(problem, z, gamma)[0])
+    except (np.linalg.LinAlgError, OscillabError):
+        return Label("indeterminate")
+    return Label("stable" if rate < threshold else "unstable", rate)
 
 
 def classify_stability_pde(state: HarmonicPdeState, params: ModelParams,
@@ -637,10 +636,10 @@ def classify_stability_pde(state: HarmonicPdeState, params: ModelParams,
 
 
 def classify_branch(branch: Branch, classify, stride: int = 1) -> None:
-    """Apply classify(z, param) -> label to every stride-th point in place."""
+    """Set (label, rate) = classify(z, param) on every stride-th point."""
     for pt in branch.points:
         if stride > 0 and pt.index % stride == 0:
-            pt.stability = classify(pt.z, pt.param)
+            pt.stability, pt.leading_rate = classify(pt.z, pt.param)
 
 
 # ---- branch comparison ----

@@ -112,10 +112,10 @@ def read_snapshot(path: str, f: float = math.nan
 # ---- branches ----
 
 def write_branch(path: str, branch: Branch) -> None:
-    rows = [(pt.index, pt.param, pt.norm, pt.stability, int(pt.fold))
-            for pt in branch.points]
-    write_csv(path, ["index", "parameter", "norm", "stability", "fold_flag"],
-              rows)
+    rows = [(pt.index, pt.param, pt.norm, pt.stability, int(pt.fold),
+             float(pt.leading_rate)) for pt in branch.points]
+    write_csv(path, ["index", "parameter", "norm", "stability", "fold_flag",
+                     "leading_rate"], rows)
 
 
 def write_folds(path: str, folds) -> None:

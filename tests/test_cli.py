@@ -156,7 +156,8 @@ def test_continue_flat_branch(tmp_path):
                     "--override", "continuation.classify=false")
     assert code == 0
     header, rows = fileio.read_csv(out / "branch.csv")
-    assert header == ["index", "parameter", "norm", "stability", "fold_flag"]
+    assert header == ["index", "parameter", "norm", "stability", "fold_flag",
+                      "leading_rate"]
     assert len(rows) >= 10
     assert [int(r[0]) for r in rows] == list(range(len(rows)))
     assert all(r[3] == "unclassified" for r in rows)
@@ -164,6 +165,29 @@ def test_continue_flat_branch(tmp_path):
     assert min(params) >= 1.4 - 0.05 and max(params) <= 1.75 + 0.05
     assert (out / "folds.csv").exists()
     assert (out / "point_0000.txt").exists()
+
+
+def test_continue_writes_leading_rates(tmp_path):
+    code, out = run(tmp_path, "continue", "--seed", "flat",
+                    "--override", "params.gamma=1.6",
+                    "--override", "grid.n=64",
+                    "--override", "continuation.max_points=3")
+    assert code == 0
+    _, rows = fileio.read_csv(out / "branch.csv")
+    assert len(rows) == 5
+    for row in rows:
+        rate = float(row[5])
+        assert row[3] == ("stable" if rate < 1e-8 else "unstable")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_bad_thread_count_is_config_error(tmp_path, monkeypatch, capsys,
+                                          value):
+    monkeypatch.setenv("OSCILLON_THREADS", value)
+    code, out = run(tmp_path, "sweep", "--override", "grid.n=64")
+    assert code == 2
+    assert "OSCILLON_THREADS" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_serial(tmp_path, monkeypatch):

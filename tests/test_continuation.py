@@ -6,7 +6,8 @@ import pytest
 
 from oscillab import FcglParams, flat_states, make_pde_stepper
 from oscillab import continuation as ct
-from oscillab.errors import DivergenceError, StalledBranchError
+from oscillab.errors import (DivergenceError, ParameterError,
+                             StalledBranchError)
 from oscillab.fields import ComplexField
 from oscillab.floquet import mathieu_critical
 from oscillab.reduction import weak_sech_fcgl, weak_sech_pde
@@ -223,3 +224,44 @@ def test_classify_flat_roots(fcgl_params):
         z = prob.pack(flat_field(p, 96, which=which).values)
         z, _, _ = ct.newton_solve(prob, z, 1.7)
         assert ct.classify_stability_fcgl(prob, z, 1.7) == expected
+
+
+@pytest.mark.parametrize("n", [96, 512])
+@pytest.mark.parametrize("gamma", [1.9, 2.1, 2.2])
+def test_leading_rate_of_zero_state_closed_form(fcgl_params, n, gamma):
+    # About A = 0, mode k couples only to the conjugate of mode -k, so the
+    # rates are Re(s_k) +- Re sqrt(gamma^2 - Im(s_k)^2) over the symbol s_k.
+    # gamma = nu = 2 is avoided: the k = 0 pair is a Jordan block there.
+    prob = ct.FcglSteadyProblem(fcgl_params, n=n, length=LENGTH)
+    s = prob.symbol
+    root = np.sqrt(gamma**2 - s.imag**2 + 0j).real
+    exact = np.sort(np.concatenate([s.real + root, s.real - root]))[::-1]
+    rates = ct.leading_rates_fcgl(prob, np.zeros(prob.size), gamma)
+    assert rates[0] == pytest.approx(exact[0], abs=1e-10)
+    assert np.all(np.abs(rates - exact) <= 1e-10 * np.maximum(1.0, np.abs(exact)))
+
+
+def test_rates_refuse_asymmetric_state(fcgl_params):
+    prob = ct.FcglSteadyProblem(fcgl_params, n=64, length=LENGTH)
+    z = np.zeros(prob.size)
+    z[3] = 1e-3
+    with pytest.raises(ParameterError, match="reflection"):
+        ct.leading_rates_fcgl(prob, z, 1.9)
+
+
+def test_classify_nan_state_is_indeterminate(fcgl_params):
+    prob = ct.FcglSteadyProblem(fcgl_params, n=64, length=LENGTH)
+    z = np.zeros(prob.size)
+    z[0] = np.nan
+    label = ct.classify_stability_fcgl(prob, z, 1.9)
+    assert label == "indeterminate"
+    assert math.isnan(label.rate)
+
+
+def test_classify_propagates_unexpected_errors(fcgl_params, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("not a numerical failure")
+    monkeypatch.setattr(ct, "leading_rates_fcgl", broken)
+    prob = ct.FcglSteadyProblem(fcgl_params, n=64, length=LENGTH)
+    with pytest.raises(RuntimeError, match="not a numerical failure"):
+        ct.classify_stability_fcgl(prob, np.zeros(prob.size), 1.9)

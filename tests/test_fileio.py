@@ -105,10 +105,20 @@ def test_branch_csv(tmp_path):
     path = tmp_path / "branch.csv"
     fileio.write_branch(path, make_branch())
     header, rows = fileio.read_csv(path)
-    assert header == ["index", "parameter", "norm", "stability", "fold_flag"]
+    assert header == ["index", "parameter", "norm", "stability", "fold_flag",
+                      "leading_rate"]
     assert [r[0] for r in rows] == ["0", "1", "2", "3"]
     assert rows[1][3] == "stable"
     assert [r[4] for r in rows] == ["0", "0", "1", "0"]
+
+
+def test_branch_csv_leading_rate(tmp_path):
+    branch = make_branch()
+    branch.points[1].leading_rate = -0.25
+    path = tmp_path / "branch.csv"
+    fileio.write_branch(path, branch)
+    _, rows = fileio.read_csv(path)
+    assert [r[5] for r in rows] == ["nan", "-0.25", "nan", "nan"]
 
 
 def test_folds_csv(tmp_path):
