@@ -13,7 +13,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from oscillab import FcglParams, ModelParams, fileio, make_pde_stepper
+from oscillab import (FcglParams, ModelParams, ScalingMap, fileio,
+                      make_pde_stepper)
 from oscillab import continuation as ct
 from oscillab.etd import run_to_steady
 from oscillab.reduction import weak_sech_fcgl, weak_sech_pde
@@ -66,7 +67,7 @@ def fold_segment(branch: ct.Branch):
 def overlay_mismatch(branch_a, branch_b, eps, samples=60, trim=0.02):
     qa, na = fold_segment(branch_a)
     qb, nb = fold_segment(branch_b)
-    qb = qb / (4.0 * eps**2)
+    qb = ScalingMap(eps).to_gamma(qb)
     nb = nb / eps
     lo = max(qa.min(), qb.min())
     hi = min(qa.max(), qb.max())
@@ -89,9 +90,7 @@ def main() -> int:
                    c_re=-1.0, c_im=-2.5, gamma=1.496)
     eps = args.epsilon
     # seed mid-window: relaxation slows critically next to the folds
-    mp = ModelParams(mu=eps**2 * p.mu, omega=1.0 + eps**2 * p.nu,
-                     alpha=p.alpha, beta=p.beta, c_re=p.c_re, c_im=p.c_im,
-                     f=4.0 * eps**2 * 1.45)
+    mp = ScalingMap(eps).fcgl_to_pde(replace(p, gamma=1.45))
 
     print("tracing amplitude-equation branch ...")
     ba = fcgl_branch(p, n=512, length=20.0 * math.pi)

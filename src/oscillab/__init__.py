@@ -22,10 +22,8 @@ from .core import (
     ModelParams,
     ScalingMap,
     dispersion,
-    fcgl_rhs,
     flat_states,
     gamma_onset,
-    pde_rhs,
 )
 from .errors import (
     BlowUpError,
@@ -41,7 +39,7 @@ from .errors import (
     SingularReductionError,
     StalledBranchError,
 )
-from .fields import ComplexField, grid_field, solution_norm
+from .fields import ComplexField, solution_norm
 from .etd import (
     Etd2Stepper,
     SpectralStepper,
@@ -101,10 +99,10 @@ __all__ = [
     "SpectralStepper", "StalledBranchError", "SteadyFcglState",
     "branch_overlay_max_diff", "classify_stability_fcgl",
     "classify_stability_pde", "continue_branch", "dispersion", "etd2_weights",
-    "fcgl_rhs", "flat_states", "floquet_multipliers", "gamma_onset",
-    "grid_field", "make_fcgl_stepper", "make_pde_stepper", "make_scheme",
+    "flat_states", "floquet_multipliers", "gamma_onset",
+    "make_fcgl_stepper", "make_pde_stepper", "make_scheme",
     "mathieu_critical", "monodromy_critical", "newton_fcgl", "newton_pde",
-    "newton_solve", "onset_phase", "pde_rhs", "project_snapshots",
+    "newton_solve", "onset_phase", "project_snapshots",
     "run_to_steady", "solution_norm", "strong_ac_coeffs", "strong_sech_pde",
     "timestepper_harmonics", "weak_ac_coeffs", "weak_critical_forcing",
     "weak_response_phase", "weak_sech_fcgl", "weak_sech_pde",

@@ -13,12 +13,13 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
-from . import __version__, continuation, etd, fileio
+from . import __version__, continuation, etd, fileio, spectral
 from .config import RunConfig, load_config, _validate
-from .core import FcglParams, ModelParams, flat_states
+from .core import FcglParams, ScalingMap, flat_states
 from .errors import (
     ConfigError,
     ExistenceError,
@@ -94,7 +95,7 @@ def build_pde_seed(cfg: RunConfig) -> ComplexField:
         values = np.zeros(n, dtype=complex)
     elif kind == "flat":
         # FCGL flat root mapped back through U ~ eps A e^{i(t + pi/4)} at t=0
-        hat = replace(cfg.fcgl_params(), gamma=mp.f / (4.0 * eps**2))
+        hat = replace(cfg.fcgl_params(), gamma=cfg.scaling().to_gamma(mp.f))
         root = _flat_root(hat)
         values = np.full(n, eps * root.r * np.exp(1j * (root.phi + math.pi / 4)),
                          dtype=complex)
@@ -155,8 +156,7 @@ def cmd_simulate(cfg: RunConfig, out: str) -> int:
         if cfg.system.kind == "pde":
             ref = stepper.u.copy()
             stepper.run(steps_per_strobe)
-            diff = float(np.sqrt(2.0 * np.sum(np.abs(stepper.u - ref) ** 2))
-                         / ref.size)
+            diff = spectral.parseval_norm(stepper.u - ref)
             summary.append(("subharmonic_period_diff", diff))
             summary.append(("subharmonic_rel_diff",
                             diff / stepper.norm if stepper.norm > 0 else 0.0))
@@ -188,10 +188,9 @@ def cmd_flatstates(cfg: RunConfig, out: str) -> int:
                ("gamma_d", fs.gamma_d if fs.gamma_d is not None else math.nan),
                ("n_roots", len(fs.roots))]
     if cfg.system.kind == "pde":
-        scale4 = 4.0 * cfg.params.epsilon**2
-        summary += [("f_onset_weak", scale4 * fs.gamma0)]
+        summary += [("f_onset_weak", cfg.scaling().to_forcing(fs.gamma0))]
         if fs.gamma_d is not None:
-            summary += [("f_fold_weak", scale4 * fs.gamma_d)]
+            summary += [("f_fold_weak", cfg.scaling().to_forcing(fs.gamma_d))]
     fileio.write_kv(os.path.join(out, "summary.txt"), summary)
     return 0
 
@@ -237,17 +236,7 @@ def cmd_reduce(cfg: RunConfig, out: str) -> int:
                  ("ineq_subcritical_cubic", p.mu * p.c_re + p.nu * p.c_im),
                  ("ineq_effective_diffusion", p.alpha * p.mu + p.beta * p.nu),
                  ("ineq_below_onset", p.gamma - gamma0)]
-        try:
-            profile = weak_sech_fcgl(p, p.gamma, center=length / 2.0)
-        except ExistenceError as exc:
-            items.append(("sech_seed", f"unavailable: {exc}"))
-            fileio.write_kv(os.path.join(out, "reduction.txt"), items)
-            print(f"existence failure: {exc}", file=sys.stderr)
-            return 3
-        items += [("sech_amp", profile.amp), ("sech_inv_width", profile.inv_width)]
-        fileio.write_kv(os.path.join(out, "reduction.txt"), items)
-        fileio.write_snapshot(os.path.join(out, "seed.txt"),
-                              profile.as_field(n, length))
+        make_profile = partial(weak_sech_fcgl, p, p.gamma)
     else:
         mp = cfg.model_params()
         fp = mathieu_critical(mp, cfg.floquet.j_trunc)
@@ -255,17 +244,18 @@ def cmd_reduce(cfg: RunConfig, out: str) -> int:
         items = [("regime", "strong"), ("f_c", fp.f_c), ("lin", ac.lin),
                  ("diff", ac.diff), ("cub", ac.cub), ("f", mp.f),
                  ("lambda_scaled", mp.f / fp.f_c - 1.0)]
-        try:
-            profile = strong_sech_pde(ac, fp, mp.f, center=length / 2.0)
-        except ExistenceError as exc:
-            items.append(("sech_seed", f"unavailable: {exc}"))
-            fileio.write_kv(os.path.join(out, "reduction.txt"), items)
-            print(f"existence failure: {exc}", file=sys.stderr)
-            return 3
-        items += [("sech_amp", profile.amp), ("sech_inv_width", profile.inv_width)]
+        make_profile = partial(strong_sech_pde, ac, fp, mp.f)
+    try:
+        profile = make_profile(center=length / 2.0)
+    except ExistenceError as exc:
+        items.append(("sech_seed", f"unavailable: {exc}"))
         fileio.write_kv(os.path.join(out, "reduction.txt"), items)
-        fileio.write_snapshot(os.path.join(out, "seed.txt"),
-                              profile.as_field(n, length, t=0.0))
+        print(f"existence failure: {exc}", file=sys.stderr)
+        return 3
+    items += [("sech_amp", profile.amp), ("sech_inv_width", profile.inv_width)]
+    fileio.write_kv(os.path.join(out, "reduction.txt"), items)
+    fileio.write_snapshot(os.path.join(out, "seed.txt"),
+                          profile.as_field(n, length, t=0.0))
     return 0
 
 
@@ -293,7 +283,7 @@ def _controls(cfg: RunConfig) -> continuation.ContinuationControls:
         param_max=c.param_max, tol=c.newton_tol)
 
 
-def _write_branch_outputs(out, branch, state_of, snapshot_stride: int) -> None:
+def _write_branch_outputs(out, branch, problem, snapshot_stride: int) -> None:
     fileio.write_branch(os.path.join(out, "branch.csv"), branch)
     fileio.write_folds(os.path.join(out, "folds.csv"), branch.folds)
     keep = {0, len(branch.points) - 1}
@@ -304,30 +294,24 @@ def _write_branch_outputs(out, branch, state_of, snapshot_stride: int) -> None:
     for pt in branch.points:
         if pt.index in keep:
             fileio.write_snapshot(
-                os.path.join(out, f"point_{pt.index:04d}.txt"), state_of(pt))
+                os.path.join(out, f"point_{pt.index:04d}.txt"),
+                problem.state_of(pt.z, pt.param))
 
 
 def cmd_continue(cfg: RunConfig, out: str) -> int:
     controls = _controls(cfg)
     if cfg.system.kind == "fcgl":
         p = cfg.fcgl_params()
+        param = p.gamma
         problem = continuation.FcglSteadyProblem(p, cfg.grid.n, cfg.grid.length)
-        seed = build_fcgl_seed(cfg)
-        z0 = problem.pack(seed.values)
-        z0, _, _ = continuation.newton_solve(problem, z0, p.gamma,
-                                             tol=controls.tol)
-        branch, stalled = _trace_both(problem, z0, p.gamma, controls)
-        if cfg.continuation.classify:
-            def classify(z, g):
-                label = continuation.classify_stability_fcgl(problem, z, g)
-                return str(label), label.rate
-            continuation.classify_branch(branch, classify,
-                                         cfg.continuation.classify_stride)
-        _write_branch_outputs(out, branch,
-                              lambda pt: problem.field_of(pt.z),
-                              cfg.continuation.snapshot_stride)
+        z0 = problem.pack(build_fcgl_seed(cfg).values)
+
+        def classify(z, g):
+            label = continuation.classify_stability_fcgl(problem, z, g)
+            return str(label), label.rate
     else:
         mp = cfg.model_params()
+        param = mp.f
         problem = continuation.PdeHarmonicProblem(mp, cfg.grid.n,
                                                   cfg.grid.length)
         if cfg.seed.kind == "file":
@@ -335,7 +319,6 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
             if isinstance(state, ComplexField):
                 raise ConfigError(
                     "pde continuation from file needs a harmonic snapshot")
-            z0 = problem.pack(state.profiles)
         else:
             seed = build_pde_seed(cfg)
             # converge toward the periodic attractor before projecting;
@@ -346,24 +329,17 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
             etd.run_to_steady(stepper, TWO_PI, tol=tol,
                               max_periods=cfg.timestepping.max_periods)
             state = continuation.timestepper_harmonics(stepper, mp.f)
-            z0 = problem.pack(state.profiles)
-        z0, _, _ = continuation.newton_solve(problem, z0, mp.f,
-                                             tol=controls.tol)
-        branch, stalled = _trace_both(problem, z0, mp.f, controls)
-        if cfg.continuation.classify and cfg.continuation.classify_stride > 0:
-            def classify(z, f_val):
-                st = continuation.HarmonicPdeState(
-                    length=problem.length, harmonics=problem.harmonics,
-                    profiles=problem.unpack(z), f=f_val)
-                return continuation.classify_stability_pde(st, mp)
-            continuation.classify_branch(branch, classify,
-                                         cfg.continuation.classify_stride)
-        _write_branch_outputs(
-            out, branch,
-            lambda pt: continuation.HarmonicPdeState(
-                length=problem.length, harmonics=problem.harmonics,
-                profiles=problem.unpack(pt.z), f=pt.param),
-            cfg.continuation.snapshot_stride)
+        z0 = problem.pack(state.profiles)
+
+        def classify(z, f_val):
+            return continuation.classify_stability_pde(
+                problem.state_of(z, f_val), mp)
+    z0, _, _ = continuation.newton_solve(problem, z0, param, tol=controls.tol)
+    branch, stalled = _trace_both(problem, z0, param, controls)
+    stride = cfg.continuation.classify_stride
+    if cfg.continuation.classify and stride > 0:
+        continuation.classify_branch(branch, classify, stride)
+    _write_branch_outputs(out, branch, problem, cfg.continuation.snapshot_stride)
     if stalled:
         print("continuation stalled; partial branch written", file=sys.stderr)
         return 4
@@ -373,29 +349,23 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
 # ---- sweep ----
 
 def _sweep_probe(job) -> tuple:
-    (i, j, system, base, nu, param, grid_n, grid_len, dt, t_probe) = job
+    (i, j, system, p, eps, param, grid_n, grid_len, dt, t_probe) = job
     try:
         if system == "fcgl":
-            p = FcglParams(mu=base["mu"], nu=nu, alpha=base["alpha"],
-                           beta=base["beta"], c_re=base["c_re"],
-                           c_im=base["c_im"], gamma=param)
+            p = replace(p, gamma=param)
             seed = _probe_seed(p, grid_n, grid_len)
             stepper = etd.make_fcgl_stepper(seed, p, dt)
         else:
-            eps2 = base["epsilon"] ** 2
-            mp = ModelParams(mu=eps2 * base["mu"], omega=1.0 + eps2 * nu,
-                             alpha=base["alpha"], beta=base["beta"],
-                             c_re=base["c_re"], c_im=base["c_im"], f=param)
-            hat = FcglParams(mu=base["mu"], nu=nu, alpha=base["alpha"],
-                             beta=base["beta"], c_re=base["c_re"],
-                             c_im=base["c_im"], gamma=param / (4.0 * eps2))
-            seed = _probe_seed(hat, grid_n, grid_len, scale=base["epsilon"],
+            scaling = ScalingMap(eps)
+            p = replace(p, gamma=scaling.to_gamma(param))
+            seed = _probe_seed(p, grid_n, grid_len, scale=eps,
                                phase_shift=math.pi / 4)
+            mp = replace(scaling.fcgl_to_pde(p), f=param)
             stepper = etd.make_pde_stepper(seed, mp, dt)
         stepper.run(int(round(t_probe / dt)))
-        return (i, j, nu, param, _classify_endstate(stepper.field))
+        return (i, j, p.nu, param, _classify_endstate(stepper.field))
     except OscillabError:
-        return (i, j, nu, param, "indeterminate")
+        return (i, j, p.nu, param, "indeterminate")
 
 
 def _probe_seed(p: FcglParams, n: int, length: float, scale: float = 1.0,
@@ -412,7 +382,7 @@ def _probe_seed(p: FcglParams, n: int, length: float, scale: float = 1.0,
             prof = weak_sech_fcgl(p, p.gamma, center=length / 2.0)
             return ComplexField(length, scale * np.exp(1j * phase_shift)
                                 * prof.as_field(n, length).values)
-        except (ExistenceError, ValueError):
+        except ExistenceError:
             core = 1e-2
             inv_width = 16.0 / length
     x = np.arange(n) * (length / n)
@@ -447,14 +417,12 @@ def _worker_count() -> int:
 
 def cmd_sweep(cfg: RunConfig, out: str) -> int:
     workers = _worker_count()
-    base = {"mu": cfg.params.mu, "alpha": cfg.params.alpha,
-            "beta": cfg.params.beta, "c_re": cfg.params.c_re,
-            "c_im": cfg.params.c_im, "epsilon": cfg.params.epsilon}
     s = cfg.sweep
     nus = np.linspace(s.nu_min, s.nu_max, s.nu_count)
     ps = np.linspace(s.p_min, s.p_max, s.p_count)
-    jobs = [(i, j, cfg.system.kind, base, float(nu), float(pv), cfg.grid.n,
-             cfg.grid.length, cfg.timestepping.dt, s.t_probe)
+    jobs = [(i, j, cfg.system.kind, replace(cfg.fcgl_params(), nu=float(nu)),
+             cfg.params.epsilon, float(pv), cfg.grid.n, cfg.grid.length,
+             cfg.timestepping.dt, s.t_probe)
             for i, nu in enumerate(nus) for j, pv in enumerate(ps)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

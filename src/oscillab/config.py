@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .core import FcglParams, ModelParams, ScalingMap
 from .errors import ConfigError
@@ -128,12 +128,8 @@ class RunConfig:
         return ScalingMap(self.params.epsilon)
 
     def model_params(self, f: float | None = None) -> ModelParams:
-        p = self.params
-        s = self.scaling()
-        eps2 = s.epsilon**2
-        return ModelParams(mu=eps2 * p.mu, omega=1.0 + eps2 * p.nu,
-                           alpha=p.alpha, beta=p.beta, c_re=p.c_re,
-                           c_im=p.c_im, f=p.f if f is None else f)
+        mp = self.scaling().fcgl_to_pde(self.fcgl_params())
+        return replace(mp, f=self.params.f if f is None else f)
 
     def items(self):
         out = []

@@ -25,7 +25,7 @@ from . import etd, spectral
 from .core import FcglParams, ModelParams
 from .errors import (DivergenceError, InvalidFieldError, OscillabError,
                      ParameterError, StalledBranchError)
-from .fields import ComplexField
+from .fields import ComplexField, solution_norm
 
 TWO_PI = 2.0 * math.pi
 
@@ -36,61 +36,80 @@ def reflect(values: np.ndarray) -> np.ndarray:
 
 
 def _gmres(op, rhs, M=None, rtol=1e-8, restart=150, maxiter=4):
-    kwargs = dict(M=M, atol=0.0, restart=restart, maxiter=maxiter)
-    try:
-        x, _ = scipy.sparse.linalg.gmres(op, rhs, rtol=rtol, **kwargs)
-    except TypeError:  # older scipy spells the relative tolerance "tol"
-        x, _ = scipy.sparse.linalg.gmres(op, rhs, tol=rtol, **kwargs)
+    x, _ = scipy.sparse.linalg.gmres(op, rhs, rtol=rtol, M=M, atol=0.0,
+                                     restart=restart, maxiter=maxiter)
     return x
 
 
-# ---- steady amplitude-equation problem ----
+def _operator(size: int, matvec) -> scipy.sparse.linalg.LinearOperator:
+    return scipy.sparse.linalg.LinearOperator((size, size), matvec=matvec,
+                                              dtype=float)
 
-class FcglSteadyProblem:
-    """Residual, matrix-free Jacobian, and preconditioner for steady states
-    of the forced amplitude equation; the continuation parameter is gamma."""
 
-    def __init__(self, params: FcglParams, n: int = 512, length: float = 20.0 * math.pi):
+class _SteadyProblem:
+    """What the two steady problems share: the linear symbol with one row per
+    profile (Nyquist mode zeroed), packing of the complex profiles into real
+    unknowns, reflection symmetry, the solution norm and the preconditioner,
+    which divides by the symbol floored at PRECOND_FLOOR in modulus."""
+
+    PRECOND_FLOOR = 1e-2
+
+    def __init__(self, params, n: int, length: float, shift):
         self.params = params
         self.n = n
         self.length = length
-        self.pad = spectral.padded_size(n)
         d2 = -spectral.wavenumbers(n, length) ** 2
         d2[n // 2] = 0.0
-        self.symbol = (params.mu + 1j * params.nu) + (params.alpha + 1j * params.beta) * d2
-        self.size = 2 * n
+        self.symbol = shift + (params.alpha + 1j * params.beta) * d2
+        self.size = 2 * self.symbol.size
 
     def unpack(self, z: np.ndarray) -> np.ndarray:
-        return z[: self.n] + 1j * z[self.n:]
+        half = self.size // 2
+        return (z[:half] + 1j * z[half:]).reshape(self.symbol.shape)
 
     def pack(self, a: np.ndarray) -> np.ndarray:
-        return np.concatenate([a.real, a.imag])
+        return np.concatenate([a.real.ravel(), a.imag.ravel()])
 
     def symmetrize(self, z: np.ndarray) -> np.ndarray:
         a = self.unpack(z)
         return self.pack(0.5 * (a + reflect(a)))
 
     def norm_of(self, z: np.ndarray) -> float:
-        a = self.unpack(z)
-        return float(np.sqrt(2.0 * np.mean(np.abs(a) ** 2)))
+        return solution_norm(self.unpack(z))
 
-    def _fine(self, a_hat: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(spectral.pad_coeffs(a_hat, self.pad)) * (self.pad / self.n)
+    def preconditioner(self):
+        floor = self.PRECOND_FLOOR
+        sym = self.symbol.copy()
+        small = np.abs(sym) < floor
+        sym[small] = floor * np.exp(1j * np.angle(sym[small]))
 
-    def _coarse_hat(self, w_fine: np.ndarray) -> np.ndarray:
-        return spectral.truncate_coeffs(np.fft.fft(w_fine), self.n) * (self.n / self.pad)
+        def apply(z):
+            hat = np.fft.fft(self.unpack(np.asarray(z)), axis=-1) / sym
+            return self.pack(np.fft.ifft(hat, axis=-1))
+
+        return _operator(self.size, apply)
+
+
+# ---- steady amplitude-equation problem ----
+
+class FcglSteadyProblem(_SteadyProblem):
+    """Residual, matrix-free Jacobian, and preconditioner for steady states
+    of the forced amplitude equation; the continuation parameter is gamma."""
+
+    def __init__(self, params: FcglParams, n: int = 512, length: float = 20.0 * math.pi):
+        super().__init__(params, n, length, params.mu + 1j * params.nu)
 
     def residual(self, z: np.ndarray, gamma: float) -> np.ndarray:
         a = self.unpack(z)
         a_hat = np.fft.fft(a)
-        fine = self._fine(a_hat)
+        fine = spectral.to_fine(a_hat)
         w = self.params.c * (np.abs(fine) ** 2) * fine
-        out = np.fft.ifft(self.symbol * a_hat + self._coarse_hat(w)) + gamma * np.conj(a)
+        out = (np.fft.ifft(self.symbol * a_hat + spectral.from_fine(w, self.n))
+               + gamma * np.conj(a))
         return self.pack(out)
 
     def jacobian(self, z: np.ndarray, gamma: float):
-        a_hat = np.fft.fft(self.unpack(z))
-        fine = self._fine(a_hat)
+        fine = spectral.to_fine(np.fft.fft(self.unpack(z)))
         two_abs2 = 2.0 * np.abs(fine) ** 2
         sq = fine**2
         c = self.params.c
@@ -98,30 +117,18 @@ class FcglSteadyProblem:
         def matvec(dz):
             d = self.unpack(np.asarray(dz))
             d_hat = np.fft.fft(d)
-            d_fine = self._fine(d_hat)
+            d_fine = spectral.to_fine(d_hat)
             w = c * (two_abs2 * d_fine + sq * np.conj(d_fine))
-            out = np.fft.ifft(self.symbol * d_hat + self._coarse_hat(w)) + gamma * np.conj(d)
+            out = (np.fft.ifft(self.symbol * d_hat + spectral.from_fine(w, self.n))
+                   + gamma * np.conj(d))
             return self.pack(out)
 
-        return scipy.sparse.linalg.LinearOperator(
-            (self.size, self.size), matvec=matvec, dtype=float)
+        return _operator(self.size, matvec)
 
     def dparam(self, z: np.ndarray, gamma: float) -> np.ndarray:
         return self.pack(np.conj(self.unpack(z)))
 
-    def preconditioner(self, floor: float = 1e-2):
-        sym = self.symbol.copy()
-        small = np.abs(sym) < floor
-        sym[small] = floor * np.exp(1j * np.angle(sym[small]))
-
-        def apply(z):
-            a_hat = np.fft.fft(self.unpack(np.asarray(z))) / sym
-            return self.pack(np.fft.ifft(a_hat))
-
-        return scipy.sparse.linalg.LinearOperator(
-            (self.size, self.size), matvec=apply, dtype=float)
-
-    def field_of(self, z: np.ndarray) -> ComplexField:
+    def state_of(self, z: np.ndarray, gamma: float) -> ComplexField:
         return ComplexField(self.length, self.unpack(z))
 
 
@@ -130,7 +137,7 @@ class FcglSteadyProblem:
 DEFAULT_PDE_HARMONICS = (-3, -1, 1, 3)
 
 
-class PdeHarmonicProblem:
+class PdeHarmonicProblem(_SteadyProblem):
     """Time-periodic states of the forced model as coupled harmonic profiles.
 
     The residual of harmonic j is
@@ -144,58 +151,31 @@ class PdeHarmonicProblem:
     continuation parameter is F.
     """
 
+    PRECOND_FLOOR = 2e-2
+
     def __init__(self, params: ModelParams, n: int = 1280,
                  length: float = 200.0 * math.pi,
                  harmonics=DEFAULT_PDE_HARMONICS, n_colloc: int | None = None):
-        self.params = params
-        self.n = n
-        self.length = length
         self.harmonics = np.asarray(harmonics, dtype=int)
-        nh = self.harmonics.size
         top = 4 * int(np.max(np.abs(self.harmonics)))
         if n_colloc is None:
             n_colloc = 1 << top.bit_length()
         if n_colloc <= top:
             raise ParameterError("n_colloc too small to dealias the cubic in time")
-        self.pad = spectral.padded_size(n)
-        d2 = -spectral.wavenumbers(n, length) ** 2
-        d2[n // 2] = 0.0
-        self.symbol = ((params.mu + 1j * (params.omega - self.harmonics))[:, None]
-                       + (params.alpha + 1j * params.beta) * d2[None, :])
+        super().__init__(params, n, length,
+                         (params.mu + 1j * (params.omega - self.harmonics))[:, None])
         t = TWO_PI * np.arange(n_colloc) / n_colloc
         self.carrier = np.exp(1j * np.outer(t, self.harmonics))        # (M, nh)
         self.project = np.exp(-1j * np.outer(self.harmonics, t)) / n_colloc
         self.cos2t = np.cos(2.0 * t)
-        self.size = 2 * nh * n
-
-    def unpack(self, z: np.ndarray) -> np.ndarray:
-        half = self.size // 2
-        nh = self.harmonics.size
-        return (z[:half] + 1j * z[half:]).reshape(nh, self.n)
-
-    def pack(self, profiles: np.ndarray) -> np.ndarray:
-        return np.concatenate([profiles.real.ravel(), profiles.imag.ravel()])
-
-    def symmetrize(self, z: np.ndarray) -> np.ndarray:
-        p = self.unpack(z)
-        return self.pack(0.5 * (p + reflect(p)))
-
-    def norm_of(self, z: np.ndarray) -> float:
-        """Time-averaged solution norm, sqrt((2/L) int sum_j |U_j|^2 dx)."""
-        p = self.unpack(z)
-        return float(np.sqrt(2.0 * np.sum(np.abs(p) ** 2) / self.n))
-
-    def _fine(self, p_hat: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(spectral.pad_coeffs(p_hat, self.pad), axis=-1) * (self.pad / self.n)
 
     def _coarse(self, w_fine: np.ndarray) -> np.ndarray:
-        hat = spectral.truncate_coeffs(np.fft.fft(w_fine, axis=-1), self.n)
-        return np.fft.ifft(hat, axis=-1) * (self.n / self.pad)
+        """Harmonic projections of fine collocation samples, on the n-point grid."""
+        return spectral.from_fine(self.project @ w_fine, self.n, grid=True)
 
     def _collocation(self, z: np.ndarray) -> np.ndarray:
         """Fast-frame samples U(x, t_i) on the dealiasing grid, shape (M, pad)."""
-        p_hat = np.fft.fft(self.unpack(z), axis=-1)
-        return self.carrier @ self._fine(p_hat)
+        return self.carrier @ spectral.to_fine(np.fft.fft(self.unpack(z), axis=-1))
 
     def residual(self, z: np.ndarray, f: float) -> np.ndarray:
         p = self.unpack(z)
@@ -203,7 +183,7 @@ class PdeHarmonicProblem:
         u = self._collocation(z)
         w = self.params.c * (np.abs(u) ** 2) * u
         w += (1j * f) * self.cos2t[:, None] * u.real
-        return self.pack(lin + self._coarse(self.project @ w))
+        return self.pack(lin + self._coarse(w))
 
     def jacobian(self, z: np.ndarray, f: float):
         u = self._collocation(z)
@@ -212,33 +192,22 @@ class PdeHarmonicProblem:
         c = self.params.c
 
         def matvec(dz):
-            dp = self.unpack(np.asarray(dz))
-            dp_hat = np.fft.fft(dp, axis=-1)
+            dp_hat = np.fft.fft(self.unpack(np.asarray(dz)), axis=-1)
             lin = np.fft.ifft(self.symbol * dp_hat, axis=-1)
-            du = self.carrier @ self._fine(dp_hat)
+            du = self.carrier @ spectral.to_fine(dp_hat)
             dw = c * (two_abs2 * du + sq * np.conj(du))
             dw += (1j * f) * self.cos2t[:, None] * du.real
-            return self.pack(lin + self._coarse(self.project @ dw))
+            return self.pack(lin + self._coarse(dw))
 
-        return scipy.sparse.linalg.LinearOperator(
-            (self.size, self.size), matvec=matvec, dtype=float)
+        return _operator(self.size, matvec)
 
     def dparam(self, z: np.ndarray, f: float) -> np.ndarray:
         u = self._collocation(z)
-        w = 1j * self.cos2t[:, None] * u.real
-        return self.pack(self._coarse(self.project @ w))
+        return self.pack(self._coarse(1j * self.cos2t[:, None] * u.real))
 
-    def preconditioner(self, floor: float = 2e-2):
-        sym = self.symbol.copy()
-        small = np.abs(sym) < floor
-        sym[small] = floor * np.exp(1j * np.angle(sym[small]))
-
-        def apply(z):
-            p_hat = np.fft.fft(self.unpack(np.asarray(z)), axis=-1) / sym
-            return self.pack(np.fft.ifft(p_hat, axis=-1))
-
-        return scipy.sparse.linalg.LinearOperator(
-            (self.size, self.size), matvec=apply, dtype=float)
+    def state_of(self, z: np.ndarray, f: float) -> HarmonicPdeState:
+        return HarmonicPdeState(length=self.length, harmonics=self.harmonics,
+                                profiles=self.unpack(z), f=f)
 
 
 # ---- converged state containers ----
@@ -269,7 +238,7 @@ class HarmonicPdeState:
 
     @property
     def norm(self) -> float:
-        return float(np.sqrt(2.0 * np.sum(np.abs(self.profiles) ** 2) / self.n))
+        return solution_norm(self.profiles)
 
 
 # ---- Newton solver ----
@@ -310,7 +279,7 @@ def newton_fcgl(seed: ComplexField, gamma: float, params: FcglParams,
                                 length=seed.length)
     z, rn, it = newton_solve(problem, problem.pack(seed.values), gamma,
                              tol=tol, max_iter=max_iter)
-    return SteadyFcglState(field=problem.field_of(z), gamma=gamma,
+    return SteadyFcglState(field=problem.state_of(z, gamma), gamma=gamma,
                            residual_norm=rn, iterations=it)
 
 
@@ -321,8 +290,7 @@ def newton_pde(seed: HarmonicPdeState, f: float, params: ModelParams,
                                  harmonics=tuple(seed.harmonics))
     z, rn, _ = newton_solve(problem, problem.pack(seed.profiles), f,
                             tol=tol, max_iter=max_iter)
-    return HarmonicPdeState(length=seed.length, harmonics=problem.harmonics,
-                            profiles=problem.unpack(z), f=f, residual_norm=rn)
+    return replace(problem.state_of(z, f), residual_norm=rn)
 
 
 # ---- snapshot projection ----
@@ -414,12 +382,15 @@ def _corrector(problem, precond, z_pred, p_pred, tau_z, tau_p, controls):
     z, pm = z_pred.copy(), p_pred
     nz = z.size
     row = math.sqrt(float(tau_z @ tau_z) / nz**2 + tau_p**2)
-    for it in range(1, controls.max_corrector + 1):
+    # the last pass only checks whether the final update converged
+    for it in range(1, controls.max_corrector + 2):
         r = problem.residual(z, pm)
         cons = (float(tau_z @ (z - z_pred)) / nz + tau_p * (pm - p_pred)) / row
-        if max(float(np.max(np.abs(r))), abs(cons)) < controls.tol:
-            return z, pm, it
         rn = float(np.max(np.abs(r)))
+        if max(rn, abs(cons)) < controls.tol:
+            return z, pm, min(it, controls.max_corrector)
+        if it > controls.max_corrector:
+            break
         inner_rtol = 1e-5 if rn > 1e-5 else 1e-8
         jac = problem.jacobian(z, pm)
         rp = problem.dparam(z, pm)
@@ -433,20 +404,11 @@ def _corrector(problem, precond, z_pred, p_pred, tau_z, tau_p, controls):
         def mprec(dy):
             return np.concatenate([precond.matvec(dy[:nz]), dy[nz:]])
 
-        op = scipy.sparse.linalg.LinearOperator((nz + 1, nz + 1),
-                                                matvec=matvec, dtype=float)
-        mop = scipy.sparse.linalg.LinearOperator((nz + 1, nz + 1),
-                                                 matvec=mprec, dtype=float)
         rhs = -np.concatenate([r, [cons]])
-        dy = _gmres(op, rhs, M=mop, rtol=inner_rtol,
-                    restart=controls.gmres_restart)
+        dy = _gmres(_operator(nz + 1, matvec), rhs, M=_operator(nz + 1, mprec),
+                    rtol=inner_rtol, restart=controls.gmres_restart)
         z = problem.symmetrize(z + dy[:nz])
         pm += float(dy[nz])
-    # accept late convergence if the last update got us there
-    r = problem.residual(z, pm)
-    cons = (float(tau_z @ (z - z_pred)) / nz + tau_p * (pm - p_pred)) / row
-    if max(float(np.max(np.abs(r))), abs(cons)) < controls.tol:
-        return z, pm, controls.max_corrector
     raise _CorrectorFailed
 
 
@@ -488,9 +450,7 @@ def continue_branch(problem, z0: np.ndarray, param0: float, direction: int = -1,
         except _CorrectorFailed:
             ds *= 0.5
             if ds < controls.ds_min:
-                branch = Branch(points=points, folds=[])
-                _mark_folds(branch)
-                raise StalledBranchError(branch)
+                raise StalledBranchError(_folded_branch(points))
             continue
         dz, dp = z_new - z, p_new - param
         step = _wnorm(dz, dp)
@@ -506,15 +466,13 @@ def continue_branch(problem, z0: np.ndarray, param0: float, direction: int = -1,
             break
         if points[-1].norm > controls.norm_max:
             break
-    branch = Branch(points=points, folds=[])
-    _mark_folds(branch)
-    return branch
+    return _folded_branch(points)
 
 
-def _mark_folds(branch: Branch) -> None:
-    """Flag turning points and refine each fold parameter by a quadratic fit
-    of param against arclength through the three bracketing points."""
-    pts = branch.points
+def _folded_branch(pts: list[BranchPoint]) -> Branch:
+    """Branch through pts with its turning points flagged, each fold
+    parameter refined by a quadratic fit of param against arclength through
+    the three bracketing points."""
     folds = []
     for i in range(len(pts) - 2):
         d1 = pts[i + 1].param - pts[i].param
@@ -532,7 +490,7 @@ def _mark_folds(branch: Branch) -> None:
             p_star = pts[i + 1].param
         pts[i + 1].fold = True
         folds.append(p_star)
-    branch.folds = folds
+    return Branch(points=pts, folds=folds)
 
 
 def merge_branches(back: Branch, forward: Branch) -> Branch:
@@ -544,9 +502,7 @@ def merge_branches(back: Branch, forward: Branch) -> Branch:
             arc += _wnorm(pt.z - prev.z, pt.param - prev.param)
         merged.append(replace(pt, index=i, arclength=arc, fold=False))
         prev = pt
-    out = Branch(points=merged, folds=[])
-    _mark_folds(out)
-    return out
+    return _folded_branch(merged)
 
 
 # ---- stability ----
@@ -592,10 +548,17 @@ class Label(str):
 
 def classify_stability_fcgl(problem: FcglSteadyProblem, z: np.ndarray,
                             gamma: float, threshold: float = 1e-8) -> Label:
+    """Label by the largest eigenvalue real part.  A non-uniform state has a
+    neutral translation mode, the rate nearest zero, which is left out so
+    that the rate shows the stability margin."""
     try:
-        rate = float(leading_rates_fcgl(problem, z, gamma)[0])
+        rates = leading_rates_fcgl(problem, z, gamma)
     except (np.linalg.LinAlgError, OscillabError):
         return Label("indeterminate")
+    a = problem.unpack(np.asarray(z, dtype=float))
+    if np.max(np.abs(a - a[0])) > 1e-10 * max(1.0, float(np.max(np.abs(a)))):
+        rates = np.delete(rates, np.argmin(np.abs(rates)))
+    rate = float(rates[0])
     return Label("stable" if rate < threshold else "unstable", rate)
 
 
@@ -620,8 +583,7 @@ def classify_stability_pde(state: HarmonicPdeState, params: ModelParams,
     for k in range(periods):
         st_base.run(steps_per_period)
         st_pert.run(steps_per_period)
-        diff = float(np.sqrt(2.0 * np.sum(np.abs(st_pert.u - st_base.u) ** 2))
-                     / st_base.u.size)
+        diff = spectral.parseval_norm(st_pert.u - st_base.u)
         times.append(st_base.t)
         devs.append(diff)
     times = np.asarray(times)

@@ -1,4 +1,4 @@
-"""Model parameters, right-hand sides, and spatially uniform locked states.
+"""Model parameters, the scaling map, and spatially uniform locked states.
 
 Two systems live here.  The full model is a complex field U(x, t) driven
 through Re(U) by a parametric forcing F*cos(2t),
@@ -22,9 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import spectral
 from .errors import ParameterError
-from .fields import ComplexField, require_finite, solution_norm  # noqa: F401
+from .fields import solution_norm  # noqa: F401
 
 __all__ = [
     "ModelParams",
@@ -32,8 +31,6 @@ __all__ = [
     "ScalingMap",
     "FlatState",
     "FlatStateSet",
-    "pde_rhs",
-    "fcgl_rhs",
     "flat_states",
     "solution_norm",
     "gamma_onset",
@@ -97,6 +94,14 @@ class ScalingMap:
         if self.epsilon <= 0:
             raise ParameterError("epsilon must be positive")
 
+    def to_forcing(self, gamma):
+        """Fast-frame forcing F = 4 eps^2 Gamma."""
+        return 4.0 * self.epsilon**2 * gamma
+
+    def to_gamma(self, f):
+        """Slow-frame forcing Gamma = F / (4 eps^2)."""
+        return f / (4.0 * self.epsilon**2)
+
     def fcgl_to_pde(self, p: FcglParams) -> ModelParams:
         e2 = self.epsilon**2
         return ModelParams(
@@ -106,7 +111,7 @@ class ScalingMap:
             beta=p.beta,
             c_re=p.c_re,
             c_im=p.c_im,
-            f=4.0 * e2 * p.gamma,
+            f=self.to_forcing(p.gamma),
         )
 
     def pde_to_fcgl(self, p: ModelParams) -> FcglParams:
@@ -118,7 +123,7 @@ class ScalingMap:
             beta=p.beta,
             c_re=p.c_re,
             c_im=p.c_im,
-            gamma=p.f / (4.0 * e2),
+            gamma=self.to_gamma(p.f),
         )
 
 
@@ -127,34 +132,6 @@ def dispersion(k, p: ModelParams):
     k = np.asarray(k, dtype=float)
     out = p.mu - p.alpha * k**2 + 1j * (p.omega - p.beta * k**2)
     return out if out.ndim else complex(out)
-
-
-def pde_rhs(state: ComplexField, t: float, p: ModelParams) -> ComplexField:
-    """Right-hand side of the forced model equation at time t."""
-    require_finite(state)
-    u = state.values
-    uxx = spectral.second_derivative_hat(np.fft.fft(u), state.length)
-    rhs = (
-        (p.mu + 1j * p.omega) * u
-        + (p.alpha + 1j * p.beta) * np.fft.ifft(uxx)
-        + spectral.cubic_term(state, p.c_re, p.c_im).values
-        + 1j * u.real * (p.f * math.cos(2.0 * t))
-    )
-    return ComplexField(state.length, rhs)
-
-
-def fcgl_rhs(state: ComplexField, p: FcglParams) -> ComplexField:
-    """Right-hand side of the forced amplitude equation (autonomous)."""
-    require_finite(state)
-    a = state.values
-    axx = spectral.second_derivative_hat(np.fft.fft(a), state.length)
-    rhs = (
-        (p.mu + 1j * p.nu) * a
-        + (p.alpha + 1j * p.beta) * np.fft.ifft(axx)
-        + spectral.cubic_term(state, p.c_re, p.c_im).values
-        + p.gamma * np.conj(a)
-    )
-    return ComplexField(state.length, rhs)
 
 
 class FlatState(NamedTuple):

@@ -121,10 +121,6 @@ class Etd2Stepper:
             if observer is not None and (i + 1) % stride == 0:
                 observer(self)
 
-    def run_until(self, t_end: float, observer=None, stride: int = 1):
-        n = int(round((t_end - self.t) / self.scheme.dt))
-        self.run(max(n, 0), observer=observer, stride=stride)
-
 
 class SpectralStepper(Etd2Stepper):
     """ETD2 stepper whose state is the Fourier coefficients of a periodic field."""
@@ -139,65 +135,44 @@ class SpectralStepper(Etd2Stepper):
 
     @property
     def norm(self) -> float:
-        # Parseval: sqrt(2 * mean |u|^2) evaluated from coefficients
-        return float(np.sqrt(2.0 * np.sum(np.abs(self.u) ** 2)) / self.u.size)
+        return spectral.parseval_norm(self.u)
 
 
 # ---- model bindings ----
 
-def pde_linear_symbol(p: ModelParams, n: int, length: float) -> np.ndarray:
-    k = spectral.wavenumbers(n, length)
-    return (p.mu + 1j * p.omega) - (p.alpha + 1j * p.beta) * k**2
-
-
-def fcgl_linear_symbol(p: FcglParams, n: int, length: float) -> np.ndarray:
-    k = spectral.wavenumbers(n, length)
-    return (p.mu + 1j * p.nu) - (p.alpha + 1j * p.beta) * k**2
-
-
-def pde_nonlinear_hat(p: ModelParams, n: int) -> Callable:
-    """Cubic plus parametric forcing, evaluated on the dealiasing grid."""
-    m = spectral.padded_size(n)
+def _cubic_stepper(field: ComplexField, p, shift: complex, forcing: Callable,
+                   dt: float, t0: float) -> SpectralStepper:
+    """ETD2 for u' = (shift - (alpha + i beta) k^2) u + C|u|^2 u + forcing(u, t),
+    the cubic and the forcing both evaluated on the dealiasing grid."""
+    k = spectral.wavenumbers(field.n, field.length)
+    scheme = make_scheme(shift - (p.alpha + 1j * p.beta) * k**2, dt)
     c = p.c
-    f = p.f
 
     def nonlinear(u_hat, t):
-        fine = np.fft.ifft(spectral.pad_coeffs(u_hat, m)) * (m / n)
+        fine = spectral.to_fine(u_hat)
         # overflow is tolerated here; the stepper raises BlowUpError on it
         with np.errstate(over="ignore", invalid="ignore"):
-            w = c * (np.abs(fine) ** 2) * fine
-            w += (1j * f * math.cos(2.0 * t)) * fine.real
-        return spectral.truncate_coeffs(np.fft.fft(w), n) * (n / m)
+            w = c * (np.abs(fine) ** 2) * fine + forcing(fine, t)
+        return spectral.from_fine(w, u_hat.shape[-1])
 
-    return nonlinear
-
-
-def fcgl_nonlinear_hat(p: FcglParams, n: int) -> Callable:
-    """Cubic plus conjugate forcing, evaluated on the dealiasing grid."""
-    m = spectral.padded_size(n)
-    c = p.c
-    g = p.gamma
-
-    def nonlinear(a_hat, t):
-        fine = np.fft.ifft(spectral.pad_coeffs(a_hat, m)) * (m / n)
-        # overflow is tolerated here; the stepper raises BlowUpError on it
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = c * (np.abs(fine) ** 2) * fine + g * np.conj(fine)
-        return spectral.truncate_coeffs(np.fft.fft(w), n) * (n / m)
-
-    return nonlinear
+    return SpectralStepper(scheme, nonlinear, field, t0)
 
 
 def make_pde_stepper(field: ComplexField, p: ModelParams, dt: float,
                      t0: float = 0.0) -> SpectralStepper:
-    scheme = make_scheme(pde_linear_symbol(p, field.n, field.length), dt)
-    return SpectralStepper(scheme, pde_nonlinear_hat(p, field.n), field, t0)
+    """Forced model: parametric forcing i Re(U) F cos(2t)."""
+    f = p.f
+    return _cubic_stepper(
+        field, p, p.mu + 1j * p.omega,
+        lambda u, t: (1j * f * math.cos(2.0 * t)) * u.real, dt, t0)
 
 
 def make_fcgl_stepper(field: ComplexField, p: FcglParams, dt: float,
                       t0: float = 0.0) -> SpectralStepper:
-    scheme = make_scheme(fcgl_linear_symbol(p, field.n, field.length), dt)
-    return SpectralStepper(scheme, fcgl_nonlinear_hat(p, field.n), field, t0)
+    """Amplitude equation: conjugate forcing Gamma conj(A)."""
+    g = p.gamma
+    return _cubic_stepper(field, p, p.mu + 1j * p.nu,
+                          lambda a, t: g * np.conj(a), dt, t0)
 
 
 def run_to_steady(stepper: Etd2Stepper, period: float, tol: float = 1e-9,
@@ -212,8 +187,7 @@ def run_to_steady(stepper: Etd2Stepper, period: float, tol: float = 1e-9,
     prev = stepper.u.copy()
     for k in range(max_periods):
         stepper.run(steps)
-        diff = float(np.sqrt(2.0 * np.sum(np.abs(stepper.u - prev) ** 2))
-                     / stepper.u.size)
+        diff = spectral.parseval_norm(stepper.u - prev)
         diffs.append(diff)
         if observer is not None:
             observer(stepper, diff)

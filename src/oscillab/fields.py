@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidFieldError, ParameterError
+from .errors import ParameterError
 
 
 @dataclass
@@ -34,17 +34,10 @@ class ComplexField:
         return ComplexField(self.length, self.values.copy())
 
 
-def require_finite(field: ComplexField) -> None:
-    if not np.all(np.isfinite(field.values)):
-        raise InvalidFieldError("field contains non-finite samples")
+def solution_norm(field) -> float:
+    """N = sqrt((2/L) * integral |U|^2 dx), rectangle rule (exact for periodic data).
 
-
-def solution_norm(field: ComplexField) -> float:
-    """N = sqrt((2/L) * integral |U|^2 dx), rectangle rule (exact for periodic data)."""
-    return float(np.sqrt(2.0 * np.mean(np.abs(field.values) ** 2)))
-
-
-def grid_field(fn, n: int, length: float) -> ComplexField:
-    """Sample a callable fn(x) on the standard grid."""
-    x = np.arange(n) * (length / n)
-    return ComplexField(length, np.asarray(fn(x), dtype=complex))
+    field is a ComplexField or an array of samples over the grid's last axis;
+    leading axes (harmonic profiles) add up, which gives the time average."""
+    v = field.values if isinstance(field, ComplexField) else field
+    return float(np.sqrt(2.0 * np.sum(np.abs(v) ** 2) / v.shape[-1]))

@@ -31,13 +31,6 @@ from .errors import CriticalForcingNotFoundError, ParameterError, ShapeError
 DEFAULT_HARMONICS = 16  # J: odd harmonics up to |2J + 1|
 
 
-def growth_rate(k, p: ModelParams):
-    """sigma(k) = mu - alpha k^2 + i (omega - beta k^2) for the unforced zero state."""
-    k = np.asarray(k, dtype=float)
-    out = p.mu - p.alpha * k**2 + 1j * (p.omega - p.beta * k**2)
-    return out if out.ndim else complex(out)
-
-
 def weak_critical_forcing(mu: float, nu: float) -> float:
     """Small-damping onset estimate F = 4*sqrt(mu^2 + nu^2)."""
     return 4.0 * math.hypot(mu, nu)

@@ -14,15 +14,15 @@ solutions of the reduction provide localized seeds and overlay checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import FcglParams, ModelParams, gamma_onset
+from .core import FcglParams, ModelParams, ScalingMap, gamma_onset
 from .errors import (DegenerateReductionError, ExistenceError,
                      SingularReductionError)
 from .fields import ComplexField
-from .floquet import FloquetPair, weak_critical_forcing
+from .floquet import FloquetPair
 
 __all__ = [
     "AllenCahnCoeffs",
@@ -147,29 +147,13 @@ def weak_sech_fcgl(p: FcglParams, gamma: float, center: float = 0.0) -> SechProf
 def weak_sech_pde(p: ModelParams, center: float = 0.0) -> SechProfile:
     """Fast-frame localized seed below the weak-limit onset F0 = 4*sqrt(mu^2+nu^2),
 
-        U = amp * sech(inv_width * x) * exp(i*(t + phi)),  nu = omega - 1,
-        amp^2 = (F - F0) sqrt(mu^2 + nu^2) / (2 (mu c_re + nu c_im)),
-        inv_width^2 = (F - F0) sqrt(mu^2 + nu^2) / (4 (alpha mu + beta nu)).
+        U = amp * sech(inv_width * x) * exp(i*(t + phi)),  nu = omega - 1.
 
-    The expressions are invariant under the scaling map, so they can be
-    evaluated directly on fast-frame parameters.
+    The amplitude-equation pulse is invariant under the scaling map, so this
+    is weak_sech_fcgl at the image of p under the map with epsilon = 1.
     """
-    nu = p.omega - 1.0
-    f0 = weak_critical_forcing(p.mu, nu)
-    r = math.hypot(p.mu, nu)
-    subcrit = p.mu * p.c_re + nu * p.c_im
-    diffus = p.alpha * p.mu + p.beta * nu
-    _check([
-        ("f <= f0", p.f <= f0 + 1e-14 * f0),
-        ("mu < 0", p.mu < 0.0),
-        ("mu*c_re + nu*c_im < 0", subcrit < 0.0),
-        ("alpha*mu + beta*nu < 0", diffus < 0.0),
-    ])
-    drop = min(p.f - f0, 0.0)
-    amp = math.sqrt(drop * r / (2.0 * subcrit))
-    inv_width = math.sqrt(drop * r / (4.0 * diffus))
-    return SechProfile(amp=amp, inv_width=inv_width, center=center,
-                       kind="pde-weak", phi=onset_phase(p.mu, nu))
+    hat = ScalingMap(1.0).pde_to_fcgl(p)
+    return replace(weak_sech_fcgl(hat, hat.gamma, center), kind="pde-weak")
 
 
 # ---- order-one damping route ----

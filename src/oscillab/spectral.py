@@ -3,60 +3,25 @@
 Conventions: forward transform is unnormalized, the inverse divides by n
 (numpy default).  Mode m of an n-point field carries wavenumber
 k_m = 2*pi*m/length with m in {-n/2, ..., n/2 - 1} in fft ordering.
+
+Every dealiased product goes through one pair of functions: to_fine takes
+n coefficients to samples on the 3/2-rule grid of m = 3n/2 points, the
+product is formed there, and from_fine takes the fine samples back to the
+n lowest modes.  Both act on the last axis, so leading axes (harmonic
+profiles, ensembles) are transformed in one call.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
-from .fields import ComplexField
 
 # Zero-padding ratio used to dealias the cubic product.
 PAD_NUM, PAD_DEN = 3, 2
 
 
-@dataclass
-class SpectralField:
-    """Unnormalized Fourier coefficients of a periodic complex field."""
-
-    length: float
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-
-    @property
-    def n(self) -> int:
-        return self.coeffs.size
-
-
 def wavenumbers(n: int, length: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
-
-
-def to_spectral(field: ComplexField) -> SpectralField:
-    return SpectralField(field.length, np.fft.fft(field.values))
-
-
-def from_spectral(spec: SpectralField) -> ComplexField:
-    if spec.n % 2:
-        raise ShapeError("spectral array must have even length")
-    return ComplexField(spec.length, np.fft.ifft(spec.coeffs))
-
-
-def second_derivative_hat(coeffs: np.ndarray, length: float) -> np.ndarray:
-    """Multiply by -k_m^2; the Nyquist mode is zeroed."""
-    n = coeffs.size
-    out = coeffs * (-wavenumbers(n, length) ** 2)
-    out[n // 2] = 0.0
-    return out
-
-
-def second_derivative(field: ComplexField) -> ComplexField:
-    hat = second_derivative_hat(np.fft.fft(field.values), field.length)
-    return ComplexField(field.length, np.fft.ifft(hat))
 
 
 def pad_coeffs(coeffs: np.ndarray, m: int) -> np.ndarray:
@@ -87,15 +52,22 @@ def padded_size(n: int) -> int:
     return (PAD_NUM * n) // PAD_DEN
 
 
-def cubic_term_hat(coeffs: np.ndarray, c: complex) -> np.ndarray:
-    """Coefficients of c*|u|^2*u with zero-padded (3/2 rule) dealiasing."""
-    n = coeffs.size
+def to_fine(coeffs: np.ndarray) -> np.ndarray:
+    """Samples on the 3/2-rule grid of the field with these n coefficients."""
+    n = coeffs.shape[-1]
     m = padded_size(n)
-    fine = np.fft.ifft(pad_coeffs(coeffs, m)) * (m / n)
-    w = c * (np.abs(fine) ** 2) * fine
-    return truncate_coeffs(np.fft.fft(w), n) * (n / m)
+    return np.fft.ifft(pad_coeffs(coeffs, m), axis=-1) * (m / n)
 
 
-def cubic_term(field: ComplexField, c_re: float, c_im: float) -> ComplexField:
-    hat = cubic_term_hat(np.fft.fft(field.values), complex(c_re, c_im))
-    return ComplexField(field.length, np.fft.ifft(hat))
+def from_fine(fine: np.ndarray, n: int, grid: bool = False) -> np.ndarray:
+    """The n lowest coefficients of fine-grid samples, Nyquist zeroed; with
+    grid=True their samples on the n-point grid.  The n/m scale comes last."""
+    hat = truncate_coeffs(np.fft.fft(fine, axis=-1), n)
+    if grid:
+        hat = np.fft.ifft(hat, axis=-1)
+    return hat * (n / fine.shape[-1])
+
+
+def parseval_norm(coeffs: np.ndarray) -> float:
+    """The solution norm sqrt(2 * mean |u|^2) of a field, from its coefficients."""
+    return float(np.sqrt(2.0 * np.sum(np.abs(coeffs) ** 2)) / coeffs.size)

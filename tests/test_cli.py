@@ -212,3 +212,34 @@ def test_sweep_serial(tmp_path, monkeypatch):
 def test_unknown_command_exits_via_argparse(tmp_path):
     with pytest.raises(SystemExit):
         main(["spin", "--out", str(tmp_path / "x")])
+
+
+def output_files(out):
+    return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+
+
+@pytest.mark.parametrize("command, args", [
+    ("continue", ["--override", "grid.n=64", "--override", "params.gamma=1.95",
+                  "--override", "continuation.max_points=4"]),
+    ("simulate", ["--override", "grid.n=64", "--override", "timestepping.t_end=5",
+                  "--override", "output.snapshot_stride=100"]),
+])
+def test_runs_repeat_byte_for_byte(tmp_path, command, args):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([command, "--out", str(first), *args]) == 0
+    assert main([command, "--out", str(second), *args]) == 0
+    files = output_files(first)
+    assert len(files) > 2
+    assert files == output_files(second)
+
+
+def test_sweep_output_does_not_depend_on_worker_count(tmp_path, monkeypatch):
+    args = ["--override", "grid.n=64", "--override", "sweep.nu_count=2",
+            "--override", "sweep.p_count=2", "--override", "sweep.t_probe=20"]
+    sweeps = []
+    for workers in ("2", "1"):
+        monkeypatch.setenv("OSCILLON_THREADS", workers)
+        out = tmp_path / f"workers{workers}"
+        assert main(["sweep", "--out", str(out), *args]) == 0
+        sweeps.append((out / "sweep.csv").read_bytes())
+    assert sweeps[0] == sweeps[1]

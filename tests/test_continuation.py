@@ -3,8 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
-from oscillab import FcglParams, flat_states, make_pde_stepper
+from oscillab import FcglParams, flat_states, make_fcgl_stepper, make_pde_stepper
 from oscillab import continuation as ct
 from oscillab.errors import (DivergenceError, ParameterError,
                              StalledBranchError)
@@ -265,3 +266,49 @@ def test_classify_propagates_unexpected_errors(fcgl_params, monkeypatch):
     prob = ct.FcglSteadyProblem(fcgl_params, n=64, length=LENGTH)
     with pytest.raises(RuntimeError, match="not a numerical failure"):
         ct.classify_stability_fcgl(prob, np.zeros(prob.size), 1.9)
+
+
+def test_stable_localized_state_reports_its_margin(fcgl_params):
+    # a pulse on the upper flat state converges to a stable localized state
+    p = replace(fcgl_params, gamma=1.46)
+    n = 128
+    prob = ct.FcglSteadyProblem(p, n=n, length=LENGTH)
+    root = flat_states(p).roots[-1]
+    x = np.arange(n) * (LENGTH / n)
+    seed = root.r * np.exp(1j * root.phi) / np.cosh(0.5 * (x - LENGTH / 2))
+    z, _, _ = ct.newton_solve(prob, prob.pack(seed), 1.46)
+    rates = ct.leading_rates_fcgl(prob, z, 1.46)
+    # the neutral translation mode is still in the full spectrum ...
+    assert np.min(np.abs(rates)) < 1e-9
+    # ... but the label and its rate come from the least stable other mode
+    label = ct.classify_stability_fcgl(prob, z, 1.46)
+    assert label == "stable"
+    assert label.rate < -1e-3
+
+
+def test_newton_surfaces_matvec_errors(fcgl_params):
+    class BrokenJacobian(ct.FcglSteadyProblem):
+        def jacobian(self, z, gamma):
+            def matvec(dz):
+                raise TypeError("boom")
+            return scipy.sparse.linalg.LinearOperator(
+                (self.size, self.size), matvec=matvec, dtype=float)
+
+    prob = BrokenJacobian(fcgl_params, n=64, length=LENGTH)
+    z = prob.pack(flat_field(fcgl_params, 64, scale=1.1).values)
+    with pytest.raises(TypeError, match="boom"):
+        ct.newton_solve(prob, z, fcgl_params.gamma)
+
+
+def test_stepper_and_newton_share_one_system(fcgl_params):
+    # the ETD right-hand side, symbol * a_hat + N(a_hat), must vanish at a
+    # state the Newton solver converged
+    p = replace(fcgl_params, gamma=1.95)
+    n = 128
+    prob = ct.FcglSteadyProblem(p, n=n, length=LENGTH)
+    seed = weak_sech_fcgl(p, 1.95, center=LENGTH / 2).as_field(n, LENGTH)
+    z, _, _ = ct.newton_solve(prob, prob.pack(seed.values), 1.95)
+    stepper = make_fcgl_stepper(prob.state_of(z, 1.95), p, 0.01)
+    a_hat = stepper.u
+    rhs = stepper.scheme.ell * a_hat + stepper.nonlinear(a_hat, 0.0)
+    assert np.max(np.abs(np.fft.ifft(rhs))) < 1e-10

@@ -4,25 +4,30 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oscillab import FcglParams, FcglSteadyProblem
 from oscillab.errors import ShapeError
-from oscillab.fields import ComplexField
 from oscillab.spectral import (
-    cubic_term,
-    from_spectral,
+    from_fine,
     pad_coeffs,
     padded_size,
-    second_derivative,
-    second_derivative_hat,
-    to_spectral,
+    parseval_norm,
+    to_fine,
     truncate_coeffs,
     wavenumbers,
 )
 
 
-def random_field(n=64, length=7.0, seed=0):
-    rng = np.random.default_rng(seed)
-    vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return ComplexField(length, vals)
+def second_derivative_symbol(n, length):
+    """The steady problems' linear symbol with unit diffusion and nothing
+    else, i.e. their spectral second derivative."""
+    p = FcglParams(mu=0.0, nu=0.0, alpha=1.0, beta=0.0,
+                   c_re=-1.0, c_im=0.0, gamma=0.0)
+    return FcglSteadyProblem(p, n=n, length=length).symbol
+
+
+def second_derivative(values, length):
+    symbol = second_derivative_symbol(values.size, length)
+    return np.fft.ifft(symbol * np.fft.fft(values))
 
 
 def test_wavenumbers():
@@ -32,20 +37,13 @@ def test_wavenumbers():
     assert k[-1] == pytest.approx(-2 * math.pi / 4.0, rel=1e-15)
 
 
-@given(seed=st.integers(0, 1000))
-def test_spectral_roundtrip(seed):
-    field = random_field(seed=seed)
-    back = from_spectral(to_spectral(field))
-    assert np.max(np.abs(back.values - field.values)) < 1e-12
-
-
 def test_second_derivative_of_mode():
     n, length = 64, 5.0
     k = 3 * (2 * math.pi / length)
     x = np.arange(n) * (length / n)
-    field = ComplexField(length, np.exp(1j * k * x))
-    got = second_derivative(field).values
-    assert np.max(np.abs(got + k**2 * field.values)) < 1e-10
+    values = np.exp(1j * k * x)
+    got = second_derivative(values, length)
+    assert np.max(np.abs(got + k**2 * values)) < 1e-10
 
 
 def test_second_derivative_gaussian():
@@ -53,7 +51,7 @@ def test_second_derivative_gaussian():
     x = np.arange(n) * (length / n) - 15.0
     f = np.exp(-(x**2))
     exact = (4 * x**2 - 2) * f
-    got = second_derivative(ComplexField(length, f.astype(complex))).values
+    got = second_derivative(f.astype(complex), length)
     assert np.max(np.abs(got - exact)) < 1e-8
 
 
@@ -61,7 +59,7 @@ def test_second_derivative_zeroes_nyquist():
     n, length = 16, 2.0
     coeffs = np.zeros(n, dtype=complex)
     coeffs[n // 2] = 1.0  # pure Nyquist content
-    assert np.all(second_derivative_hat(coeffs, length) == 0.0)
+    assert np.all(second_derivative_symbol(n, length) * coeffs == 0.0)
 
 
 def test_pad_truncate_roundtrip():
@@ -98,17 +96,32 @@ def test_padded_size():
 def test_cubic_term_matches_fine_grid(seed):
     """The 3/2-rule product must equal the exact product of the band-limited
     field computed on a twice-finer grid and then truncated."""
-    n, length = 48, 11.0
+    n = 48
     rng = np.random.default_rng(seed)
-    hat = np.zeros(n, dtype=complex)
+    hat = np.zeros((2, n), dtype=complex)
     keep = n // 3
-    hat[:keep] = rng.standard_normal(keep) + 1j * rng.standard_normal(keep)
-    hat[-keep:] = rng.standard_normal(keep) + 1j * rng.standard_normal(keep)
-    field = ComplexField(length, np.fft.ifft(hat))
+    for row in hat:
+        row[:keep] = rng.standard_normal(keep) + 1j * rng.standard_normal(keep)
+        row[-keep:] = rng.standard_normal(keep) + 1j * rng.standard_normal(keep)
 
-    got = cubic_term(field, -1.0, -2.5).values
+    def cubic(coeffs, grid=False):
+        fine = to_fine(coeffs)
+        return from_fine((-1.0 - 2.5j) * np.abs(fine) ** 2 * fine, n, grid=grid)
 
-    fine_vals = np.fft.ifft(pad_coeffs(hat, 2 * n)) * 2.0
+    got = cubic(hat[0])
+    fine_vals = np.fft.ifft(pad_coeffs(hat[0], 2 * n)) * 2.0
     w = (-1.0 - 2.5j) * np.abs(fine_vals) ** 2 * fine_vals
-    exact = np.fft.ifft(truncate_coeffs(np.fft.fft(w), n) / 2.0)
+    exact = truncate_coeffs(np.fft.fft(w), n) / 2.0
     assert np.max(np.abs(got - exact)) < 1e-10 * max(1.0, np.max(np.abs(exact)))
+    assert np.max(np.abs(cubic(hat[0], grid=True) - np.fft.ifft(got))) < 1e-13
+    # a batch of rows is transformed exactly as its rows one at a time
+    batch = cubic(hat)
+    assert np.array_equal(batch[0], got)
+    assert np.array_equal(batch[1], cubic(hat[1]))
+
+
+def test_parseval_norm_matches_grid_norm():
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    grid = math.sqrt(2.0 * np.mean(np.abs(values) ** 2))
+    assert parseval_norm(np.fft.fft(values)) == pytest.approx(grid, rel=1e-13)
