@@ -334,12 +334,16 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
         def classify(z, f_val):
             return continuation.classify_stability_pde(
                 problem.state_of(z, f_val), mp)
-    z0, _, _ = continuation.newton_solve(problem, z0, param, tol=controls.tol)
+    seed_stats = continuation.SolveStats()
+    z0, _, _ = continuation.newton_solve(problem, z0, param, tol=controls.tol,
+                                         stats=seed_stats)
     branch, stalled = _trace_both(problem, z0, param, controls)
     stride = cfg.continuation.classify_stride
     if cfg.continuation.classify and stride > 0:
         continuation.classify_branch(branch, classify, stride)
     _write_branch_outputs(out, branch, problem, cfg.continuation.snapshot_stride)
+    fileio.write_kv(os.path.join(out, "stats.txt"),
+                    (seed_stats + branch.stats).items())
     if stalled:
         print("continuation stalled; partial branch written", file=sys.stderr)
         return 4

@@ -15,7 +15,7 @@ increment and refined with a local quadratic fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -35,10 +35,102 @@ def reflect(values: np.ndarray) -> np.ndarray:
     return np.roll(values[..., ::-1], 1, axis=-1)
 
 
-def _gmres(op, rhs, M=None, rtol=1e-8, restart=150, maxiter=4):
-    x, _ = scipy.sparse.linalg.gmres(op, rhs, rtol=rtol, M=M, atol=0.0,
-                                     restart=restart, maxiter=maxiter)
-    return x
+GMRES_RESTART = 150     # Krylov vectors per cycle
+GMRES_CYCLES = 4        # restart cycles before a solve counts as unconverged
+_EPS = float(np.finfo(float).eps)
+
+
+def _givens(f: float, g: float) -> tuple[float, float, float]:
+    """(c, s, r) with c f + s g = r and c g - s f = 0, signed as LAPACK's lartg."""
+    if g == 0.0:
+        return 1.0, 0.0, f
+    if f == 0.0:
+        return 0.0, math.copysign(1.0, g), abs(g)
+    d = math.hypot(f, g)
+    r = math.copysign(d, f)
+    return abs(f) / d, g / r, r
+
+
+def _gmres(matvec, b: np.ndarray, psolve, rtol: float):
+    """Restarted GMRES (Saad & Schultz 1986) for A x = b from x = 0, left-
+    preconditioned by psolve ~ A^-1; returns (x, info, matvecs), info 0 when
+    ||b - A x|| <= rtol ||b|| within GMRES_CYCLES cycles, else GMRES_CYCLES.
+
+    The stopping rule is scipy's: each cycle stops once the preconditioned
+    residual estimate meets a tolerance that is adapted between cycles as in
+    scipy gh-8400, or on breakdown, and convergence is judged on the true
+    residual at the end of each cycle.  The Krylov basis is preallocated and
+    orthogonalised by classical Gram-Schmidt applied twice (CGS2, as stable
+    as modified Gram-Schmidt), one BLAS product per pass; the Givens
+    rotations act on Python floats and the triangular solve runs once per
+    cycle.
+    """
+    b = np.asarray(b, dtype=float)
+    x = np.zeros(b.size)
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
+        return x, 0, 0
+    atol = rtol * bnorm
+    m = min(GMRES_RESTART, b.size)
+    basis = np.empty((m + 1, b.size))
+    upper = np.zeros((m, m))    # R of the rotated Hessenberg matrix
+    ptol_factor = 1.0
+    ptol = float(np.linalg.norm(psolve(b))) * min(1.0, atol / bnorm)
+    r, matvecs, presid = b, 0, 0.0
+    for _ in range(GMRES_CYCLES):
+        v = psolve(r)
+        beta = float(np.linalg.norm(v))
+        basis[0] = v * (1.0 / beta)
+        g = [beta]
+        rotations = []
+        breakdown = False
+        for j in range(m):
+            w = psolve(matvec(basis[j]))
+            matvecs += 1
+            h0 = float(np.linalg.norm(w))
+            vj = basis[:j + 1]
+            h = vj @ w
+            w -= h @ vj
+            h2 = vj @ w
+            w -= h2 @ vj
+            h += h2
+            h1 = float(np.linalg.norm(w))
+            if h1 <= _EPS * h0:
+                h1, breakdown = 0.0, True
+            else:
+                np.multiply(w, 1.0 / h1, out=basis[j + 1])
+            col = h.tolist()
+            for k, (c, s) in enumerate(rotations):
+                lo, hi = col[k], col[k + 1]
+                col[k], col[k + 1] = c * lo + s * hi, c * hi - s * lo
+            c, s, col[j] = _givens(col[j], h1)
+            rotations.append((c, s))
+            upper[:j + 1, j] = col
+            g.append(-s * g[j])
+            g[j] *= c
+            presid = abs(g[j + 1])
+            if presid <= ptol or breakdown:
+                break
+        k = j + 1
+        y = np.array(g[:k])
+        if upper[j, j] == 0.0:
+            y[j] = 0.0
+        for i in range(j, -1, -1):       # back-substitution, zeros skipped
+            if y[i] != 0.0:
+                y[i] /= upper[i, i]
+                y[:i] -= y[i] * upper[:i, i]
+        x += y @ basis[:k]
+        r = b - matvec(x)
+        matvecs += 1
+        rnorm = float(np.linalg.norm(r))
+        if rnorm <= atol or breakdown:
+            break
+        if presid <= ptol:
+            ptol_factor = max(_EPS, 0.25 * ptol_factor)
+        else:
+            ptol_factor = min(1.0, 1.5 * ptol_factor)
+        ptol = presid * min(ptol_factor, atol / rnorm)
+    return x, (0 if rnorm <= atol else GMRES_CYCLES), matvecs
 
 
 def _operator(size: int, matvec) -> scipy.sparse.linalg.LinearOperator:
@@ -84,10 +176,10 @@ class _SteadyProblem:
         sym[small] = floor * np.exp(1j * np.angle(sym[small]))
 
         def apply(z):
-            hat = np.fft.fft(self.unpack(np.asarray(z)), axis=-1) / sym
+            hat = np.fft.fft(self.unpack(z), axis=-1) / sym
             return self.pack(np.fft.ifft(hat, axis=-1))
 
-        return _operator(self.size, apply)
+        return apply
 
 
 # ---- steady amplitude-equation problem ----
@@ -243,9 +335,37 @@ class HarmonicPdeState:
 
 # ---- Newton solver ----
 
+@dataclass
+class SolveStats:
+    """Solver work counters of a Newton solve or a branch.  They are
+    deterministic, so they belong in the output files."""
+    gmres_solves: int = 0
+    matvecs: int = 0
+    gmres_unconverged: int = 0
+    corrector_iterations: int = 0
+    step_rejections: int = 0
+
+    def solve(self, matvec, b, psolve, rtol: float) -> np.ndarray:
+        """_gmres(matvec, b, psolve, rtol), counted; returns the solution."""
+        x, info, matvecs = _gmres(matvec, b, psolve, rtol)
+        self.gmres_solves += 1
+        self.matvecs += matvecs
+        self.gmres_unconverged += int(info != 0)
+        return x
+
+    def __add__(self, other: SolveStats) -> SolveStats:
+        pairs = zip(astuple(self), astuple(other))
+        return SolveStats(*(a + b for a, b in pairs))
+
+    def items(self) -> list[tuple[str, int]]:
+        return list(asdict(self).items())
+
+
 def newton_solve(problem, z0: np.ndarray, param: float, tol: float = 1e-10,
-                 max_iter: int = 25, gmres_restart: int = 150):
-    """Damped inexact Newton on the packed real system; returns (z, res, iters)."""
+                 max_iter: int = 25, stats: SolveStats | None = None):
+    """Damped inexact Newton on the packed real system; returns (z, res, iters).
+    Its Krylov solves are counted in stats, when given."""
+    stats = stats if stats is not None else SolveStats()
     precond = problem.preconditioner()
     z = problem.symmetrize(np.asarray(z0, dtype=float))
     r = problem.residual(z, param)
@@ -254,8 +374,8 @@ def newton_solve(problem, z0: np.ndarray, param: float, tol: float = 1e-10,
         if rn < tol:
             return z, rn, it
         inner_rtol = 1e-4 if rn > 1e-4 else 1e-8
-        dz = _gmres(problem.jacobian(z, param), -r, M=precond,
-                    rtol=inner_rtol, restart=gmres_restart)
+        dz = stats.solve(problem.jacobian(z, param).matvec, -r, precond,
+                         inner_rtol)
         accepted = False
         for scale in (1.0, 0.5, 0.25, 0.125):
             z_try = problem.symmetrize(z + scale * dz)
@@ -341,7 +461,6 @@ class ContinuationControls:
     norm_max: float = math.inf
     tol: float = 1e-10
     max_corrector: int = 8
-    gmres_restart: int = 150
 
 
 @dataclass
@@ -360,6 +479,7 @@ class BranchPoint:
 class Branch:
     points: list[BranchPoint]
     folds: list[float]
+    stats: SolveStats = field(default_factory=SolveStats)
 
     @property
     def params(self) -> np.ndarray:
@@ -378,7 +498,35 @@ def _wnorm(dz: np.ndarray, dp: float) -> float:
     return math.sqrt(float(dz @ dz) / dz.size + dp * dp)
 
 
-def _corrector(problem, precond, z_pred, p_pred, tau_z, tau_p, controls):
+def _bordered(problem, precond, z, pm, tau_z, tau_p):
+    """Matvec and preconditioner of the arclength-bordered Jacobian at
+    (z, pm): the residual's Jacobian with its parameter column, closed by the
+    arclength row along the tangent (tau_z, tau_p) normalised to unit size.
+    The preconditioner acts on the z-block only."""
+    nz = z.size
+    row = math.sqrt(float(tau_z @ tau_z) / nz**2 + tau_p**2)
+    jac = problem.jacobian(z, pm).matvec
+    rp = problem.dparam(z, pm)
+
+    def matvec(dy):
+        dz, dp = dy[:nz], dy[nz]
+        out = np.empty(nz + 1)
+        out[:nz] = jac(dz)
+        out[:nz] += rp * dp
+        out[nz] = (float(tau_z @ dz) / nz + tau_p * dp) / row
+        return out
+
+    def psolve(dy):
+        out = np.empty(nz + 1)
+        out[:nz] = precond(dy[:nz])
+        out[nz] = dy[nz]
+        return out
+
+    return matvec, psolve
+
+
+def _corrector(problem, precond, z_pred, p_pred, tau_z, tau_p, controls,
+               stats: SolveStats):
     z, pm = z_pred.copy(), p_pred
     nz = z.size
     row = math.sqrt(float(tau_z @ tau_z) / nz**2 + tau_p**2)
@@ -392,30 +540,18 @@ def _corrector(problem, precond, z_pred, p_pred, tau_z, tau_p, controls):
         if it > controls.max_corrector:
             break
         inner_rtol = 1e-5 if rn > 1e-5 else 1e-8
-        jac = problem.jacobian(z, pm)
-        rp = problem.dparam(z, pm)
-
-        def matvec(dy):
-            dz, dp = dy[:nz], dy[nz]
-            top = jac.matvec(dz) + rp * dp
-            bot = (float(tau_z @ dz) / nz + tau_p * dp) / row
-            return np.concatenate([top, [bot]])
-
-        def mprec(dy):
-            return np.concatenate([precond.matvec(dy[:nz]), dy[nz:]])
-
-        rhs = -np.concatenate([r, [cons]])
-        dy = _gmres(_operator(nz + 1, matvec), rhs, M=_operator(nz + 1, mprec),
-                    rtol=inner_rtol, restart=controls.gmres_restart)
+        matvec, psolve = _bordered(problem, precond, z, pm, tau_z, tau_p)
+        stats.corrector_iterations += 1
+        dy = stats.solve(matvec, -np.concatenate([r, [cons]]), psolve,
+                         inner_rtol)
         z = problem.symmetrize(z + dy[:nz])
         pm += float(dy[nz])
     raise _CorrectorFailed
 
 
-def _initial_tangent(problem, precond, z, param, direction, restart):
+def _initial_tangent(problem, precond, z, param, direction, stats: SolveStats):
     rp = problem.dparam(z, param)
-    b = _gmres(problem.jacobian(z, param), -rp, M=precond, rtol=1e-8,
-               restart=restart)
+    b = stats.solve(problem.jacobian(z, param).matvec, -rp, precond, 1e-8)
     scale = _wnorm(b, 1.0)
     tz, tp = b / scale, 1.0 / scale
     if math.copysign(1.0, tp) != math.copysign(1.0, direction):
@@ -433,11 +569,12 @@ def continue_branch(problem, z0: np.ndarray, param0: float, direction: int = -1,
     when the step size underflows.
     """
     controls = controls or ContinuationControls()
+    stats = SolveStats()
     precond = problem.preconditioner()
-    z, rn, _ = newton_solve(problem, z0, param0, tol=controls.tol)
+    z, rn, _ = newton_solve(problem, z0, param0, tol=controls.tol, stats=stats)
     points = [BranchPoint(index=0, param=param0, norm=problem.norm_of(z), z=z)]
     tau_z, tau_p = _initial_tangent(problem, precond, z, param0, direction,
-                                    controls.gmres_restart)
+                                    stats)
     param = param0
     ds = controls.ds0
     arclength = 0.0
@@ -446,11 +583,12 @@ def continue_branch(problem, z0: np.ndarray, param0: float, direction: int = -1,
         p_pred = param + ds * tau_p
         try:
             z_new, p_new, iters = _corrector(problem, precond, z_pred, p_pred,
-                                             tau_z, tau_p, controls)
+                                             tau_z, tau_p, controls, stats)
         except _CorrectorFailed:
+            stats.step_rejections += 1
             ds *= 0.5
             if ds < controls.ds_min:
-                raise StalledBranchError(_folded_branch(points))
+                raise StalledBranchError(_folded_branch(points, stats))
             continue
         dz, dp = z_new - z, p_new - param
         step = _wnorm(dz, dp)
@@ -466,10 +604,10 @@ def continue_branch(problem, z0: np.ndarray, param0: float, direction: int = -1,
             break
         if points[-1].norm > controls.norm_max:
             break
-    return _folded_branch(points)
+    return _folded_branch(points, stats)
 
 
-def _folded_branch(pts: list[BranchPoint]) -> Branch:
+def _folded_branch(pts: list[BranchPoint], stats: SolveStats) -> Branch:
     """Branch through pts with its turning points flagged, each fold
     parameter refined by a quadratic fit of param against arclength through
     the three bracketing points."""
@@ -490,11 +628,12 @@ def _folded_branch(pts: list[BranchPoint]) -> Branch:
             p_star = pts[i + 1].param
         pts[i + 1].fold = True
         folds.append(p_star)
-    return Branch(points=pts, folds=folds)
+    return Branch(points=pts, folds=folds, stats=stats)
 
 
 def merge_branches(back: Branch, forward: Branch) -> Branch:
-    """Join two branches traced in opposite directions from one seed point."""
+    """Join two branches traced in opposite directions from one seed point;
+    the solver counters of the two add up."""
     pts = list(reversed(back.points[1:])) + forward.points
     merged, arc, prev = [], 0.0, None
     for i, pt in enumerate(pts):
@@ -502,7 +641,7 @@ def merge_branches(back: Branch, forward: Branch) -> Branch:
             arc += _wnorm(pt.z - prev.z, pt.param - prev.param)
         merged.append(replace(pt, index=i, arclength=arc, fold=False))
         prev = pt
-    return _folded_branch(merged)
+    return _folded_branch(merged, back.stats + forward.stats)
 
 
 # ---- stability ----

@@ -192,8 +192,14 @@ def flat_states(p: FcglParams) -> FlatStateSet:
         if r_sq < -1e-12 * max(1.0, abs(c) / a):
             continue
         r_sq = max(r_sq, 0.0)
+        lin = p.mu + 1j * p.nu + p.c * r_sq
+        # a discriminant clipped to zero leaves |lin| - gamma of order
+        # |disc| / gamma, or sqrt|disc| at gamma = 0: that root is no state
+        scale = abs(p.mu + 1j * p.nu) + abs(p.c) * r_sq + p.gamma
+        if r_sq > 0.0 and abs(abs(lin) - p.gamma) > 1e-10 * scale:
+            continue
         if p.gamma > 0.0:
-            w = -(p.mu + 1j * p.nu + p.c * r_sq) / p.gamma
+            w = -lin / p.gamma
             phi = -0.5 * math.atan2(w.imag, w.real)
         else:
             phi = 0.0  # unforced: phase is free, report zero

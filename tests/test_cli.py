@@ -167,6 +167,21 @@ def test_continue_flat_branch(tmp_path):
     assert (out / "point_0000.txt").exists()
 
 
+def test_continue_writes_solver_stats(tmp_path):
+    code, out = run(tmp_path, "continue", "--seed", "flat",
+                    "--override", "params.gamma=1.6",
+                    "--override", "grid.n=64",
+                    "--override", "continuation.max_points=3",
+                    "--override", "continuation.classify=false")
+    assert code == 0
+    stats = {key: int(val) for key, val in read_kv(out / "stats.txt").items()}
+    assert list(stats) == ["gmres_solves", "matvecs", "gmres_unconverged",
+                           "corrector_iterations", "step_rejections"]
+    assert stats["gmres_solves"] > stats["corrector_iterations"] >= 4
+    assert stats["matvecs"] > stats["gmres_solves"]
+    assert stats["gmres_unconverged"] == 0
+
+
 def test_continue_writes_leading_rates(tmp_path):
     code, out = run(tmp_path, "continue", "--seed", "flat",
                     "--override", "params.gamma=1.6",

@@ -312,3 +312,163 @@ def test_stepper_and_newton_share_one_system(fcgl_params):
     a_hat = stepper.u
     rhs = stepper.scheme.ell * a_hat + stepper.nonlinear(a_hat, 0.0)
     assert np.max(np.abs(np.fft.ifft(rhs))) < 1e-10
+
+
+# ---- the Krylov kernel ----
+
+def scipy_gmres(matvec, b, psolve, rtol):
+    """The oracle: scipy's gmres on the same system, with the kernel's
+    restart and cycle count; returns (x, info, matvecs)."""
+    def counted(v):
+        counted.n += 1
+        return matvec(v)
+    counted.n = 0
+
+    def op(fn):
+        return scipy.sparse.linalg.LinearOperator((b.size, b.size), matvec=fn,
+                                                  dtype=float)
+    x, info = scipy.sparse.linalg.gmres(op(counted), b, rtol=rtol, atol=0.0,
+                                        restart=ct.GMRES_RESTART,
+                                        maxiter=ct.GMRES_CYCLES,
+                                        M=op(psolve))
+    return x, info, counted.n
+
+
+def preconditioned_system(n, seed, rho):
+    """A = D (I + rho Q), Q a random rotation: non-symmetric, and after the
+    diagonal preconditioner GMRES shrinks the residual by about rho a step."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    diag = np.linspace(1.0, 40.0, n)
+    a = diag[:, None] * (np.eye(n) + rho * q)
+    return a, rng.standard_normal(n), lambda v: v / diag
+
+
+@pytest.mark.parametrize("rho, rtol", [(0.9, 1e-5), (0.95, 1e-5),
+                                       (0.95, 1e-8)])
+def test_gmres_matches_dense_solve_across_restarts(rho, rtol):
+    # 0.95^150 > 1e-5: one cycle of GMRES_RESTART vectors does not converge
+    a, b, psolve = preconditioned_system(400, 12, rho)
+    x, info, matvecs = ct._gmres(lambda v: a @ v, b, psolve, rtol)
+    assert info == 0
+    assert (matvecs > ct.GMRES_RESTART + 1) == (rho == 0.95)
+    assert np.linalg.norm(b - a @ x) <= rtol * np.linalg.norm(b)
+    exact = np.linalg.solve(a, b)
+    cond = np.linalg.cond(a)
+    assert np.linalg.norm(x - exact) <= cond * rtol * np.linalg.norm(exact)
+    # scipy's gmres with the same restart takes the same steps
+    x_sp, info_sp, matvecs_sp = scipy_gmres(lambda v: a @ v, b, psolve, rtol)
+    assert info_sp == 0
+    assert abs(matvecs - matvecs_sp) <= 2
+    assert np.linalg.norm(x - x_sp) <= rtol * np.linalg.norm(x_sp)
+
+
+def test_gmres_breaks_down_exactly_on_an_eigenvector():
+    rng = np.random.default_rng(3)
+    a = np.triu(rng.standard_normal((50, 50))) + 5.0 * np.eye(50)
+    diag = np.diag(a).copy()
+    b = np.zeros(50)
+    b[0] = 2.0                                  # a e_0 = a[0, 0] e_0
+    x, info, matvecs = ct._gmres(lambda v: a @ v, b, lambda v: v / diag, 1e-8)
+    assert (info, matvecs) == (0, 2)
+    np.testing.assert_allclose(x, b / a[0, 0], rtol=1e-14, atol=0.0)
+
+
+def test_gmres_zero_rhs_applies_nothing():
+    def fail(v):
+        raise AssertionError("applied")
+    x, info, matvecs = ct._gmres(fail, np.zeros(30), fail, 1e-8)
+    assert (info, matvecs) == (0, 0)
+    assert not x.any()
+
+
+def test_gmres_reports_cycles_run_out():
+    # a cyclic shift: GMRES makes no progress until the Krylov space is full
+    b = np.zeros(2 * ct.GMRES_RESTART)
+    b[0] = 1.0
+    x, info, matvecs = ct._gmres(lambda v: np.roll(v, 1), b, lambda v: v,
+                                 1e-8)
+    assert info == ct.GMRES_CYCLES
+    assert matvecs == ct.GMRES_CYCLES * (ct.GMRES_RESTART + 1)
+    assert not x.any()
+
+
+def test_gmres_on_a_corrector_system_agrees_with_scipy(fcgl_params):
+    p = replace(fcgl_params, gamma=1.95)
+    n = 128
+    prob = ct.FcglSteadyProblem(p, n=n, length=LENGTH)
+    seed = weak_sech_fcgl(p, 1.95, center=LENGTH / 2).as_field(n, LENGTH)
+    z, _, _ = ct.newton_solve(prob, prob.pack(seed.values), 1.95)
+    precond = prob.preconditioner()
+    tau_z, tau_p = ct._initial_tangent(prob, precond, z, 1.95, -1,
+                                       ct.SolveStats())
+    z_pred, p_pred = z + 0.04 * tau_z, 1.95 + 0.04 * tau_p
+    matvec, psolve = ct._bordered(prob, precond, z_pred, p_pred, tau_z, tau_p)
+    rhs = -np.concatenate([prob.residual(z_pred, p_pred), [0.0]])
+    for rtol in (1e-5, 1e-8):
+        x, info, matvecs = ct._gmres(matvec, rhs, psolve, rtol)
+        x_sp, info_sp, matvecs_sp = scipy_gmres(matvec, rhs, psolve, rtol)
+        assert info == info_sp == 0
+        assert matvecs > 10
+        assert abs(matvecs - matvecs_sp) <= 2
+        assert np.linalg.norm(x - x_sp) <= rtol * np.linalg.norm(x_sp)
+
+
+def test_unconverged_solve_is_counted(fcgl_params):
+    class Stalled(ct.FcglSteadyProblem):
+        """A cyclic-shift Jacobian, which GMRES(150) cannot reduce at all."""
+
+        def residual(self, z, gamma):
+            r = np.zeros(self.size)
+            r[0] = 1.0
+            return r
+
+        def jacobian(self, z, gamma):
+            return ct._operator(self.size, lambda dz: np.roll(dz, 1))
+
+        def preconditioner(self):
+            return lambda dz: dz
+
+    prob = Stalled(fcgl_params, n=128, length=LENGTH)
+    stats = ct.SolveStats()
+    with pytest.raises(DivergenceError):
+        ct.newton_solve(prob, np.zeros(prob.size), 1.0, stats=stats)
+    cycles = ct.GMRES_CYCLES
+    assert stats == ct.SolveStats(gmres_solves=1,
+                                  matvecs=cycles * (ct.GMRES_RESTART + 1),
+                                  gmres_unconverged=1)
+
+
+def test_branch_counts_its_solves(fcgl_params):
+    p = replace(fcgl_params, gamma=1.6)
+    prob = ct.FcglSteadyProblem(p, n=64, length=LENGTH)
+    z = prob.pack(flat_field(p, 64).values)
+    controls = ct.ContinuationControls(param_min=1.5, param_max=1.75,
+                                       max_points=20)
+    back = ct.continue_branch(prob, z, 1.6, -1, controls)
+    fwd = ct.continue_branch(prob, z, 1.6, +1, controls)
+    for branch in (back, fwd):
+        s = branch.stats
+        # one solve for the tangent and one per corrector iteration, at
+        # least one iteration for each point after the first
+        assert s.gmres_solves >= s.corrector_iterations + 1
+        assert s.corrector_iterations >= len(branch.points) - 1
+        assert s.matvecs > s.gmres_solves
+        assert s.gmres_unconverged == 0
+    merged = ct.merge_branches(back, fwd)
+    assert merged.stats == back.stats + fwd.stats
+    assert merged.stats.matvecs == back.stats.matvecs + fwd.stats.matvecs
+
+
+def test_stalled_branch_counts_rejected_steps(fcgl_params):
+    p = replace(fcgl_params, gamma=1.6)
+    prob = ct.FcglSteadyProblem(p, n=64, length=LENGTH)
+    z = prob.pack(flat_field(p, 64).values)
+    controls = ct.ContinuationControls(ds_min=1e-3, max_corrector=0,
+                                       max_points=40)
+    with pytest.raises(StalledBranchError) as err:
+        ct.continue_branch(prob, z, 1.6, -1, controls)
+    stats = err.value.branch.stats
+    # ds0 = 0.01 halves four times to fall below 1e-3
+    assert stats.step_rejections == 4
+    assert stats.corrector_iterations == 0

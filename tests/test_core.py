@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from oscillab import (
     ComplexField,
@@ -63,6 +63,9 @@ def test_flat_states_match_numpy_roots(fcgl_params):
 
 @given(mu=st.floats(-3.0, -0.05), nu=st.floats(-3.0, 3.0),
        c_re=finite, c_im=finite, gamma=st.floats(0.0, 6.0))
+# a discriminant of -5.7e-14, clipped to zero, once gave a phantom r^2 = 1
+@example(mu=-1.0, nu=0.0, c_re=1.0, c_im=1.192092896e-07, gamma=0.0)
+@example(mu=-1.0, nu=0.0, c_re=1.0, c_im=1.192092896e-07, gamma=1e-9)
 def test_flat_state_residual_property(mu, nu, c_re, c_im, gamma):
     if c_re**2 + c_im**2 < 1e-4:
         return
@@ -76,6 +79,28 @@ def test_flat_state_residual_property(mu, nu, c_re, c_im, gamma):
             continue
         scale = max(1.0, root.r + gamma)
         assert flat_residual(p, root, 8, 10.0) < 1e-8 * scale**3
+
+
+def test_no_phantom_flat_state_when_unforced():
+    p = FcglParams(mu=-1.0, nu=0.0, alpha=1.0, beta=-2.0,
+                   c_re=1.0, c_im=1.192092896e-07, gamma=0.0)
+    assert flat_states(p).roots == []
+    # with nu matched to C the root is real and stays
+    from dataclasses import replace
+    roots = flat_states(replace(p, c_im=0.0)).roots
+    assert [root.r_sq for root in roots] == [1.0, 1.0]
+
+
+def test_flat_states_at_saddle_node(fcgl_params):
+    from dataclasses import replace
+    gamma_d = flat_states(fcgl_params).gamma_d
+    p = replace(fcgl_params, gamma=gamma_d)
+    fs = flat_states(p)
+    assert fs.gamma_d == gamma_d
+    assert len(fs.roots) == 2
+    assert fs.roots[0].r_sq == pytest.approx(fs.roots[1].r_sq, rel=1e-6)
+    for root in fs.roots:
+        assert flat_residual(p, root, 64, 20 * math.pi) < 1e-10
 
 
 def test_flat_states_above_onset_single_root(fcgl_params):
