@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from oscillab import (FcglParams, ModelParams, ScalingMap, fileio,
-                      make_pde_stepper)
+                      make_stepper)
 from oscillab import continuation as ct
 from oscillab.etd import run_to_steady
 from oscillab.reduction import weak_sech_fcgl, weak_sech_pde
@@ -38,7 +38,7 @@ def fcgl_branch(p: FcglParams, n: int, length: float) -> ct.Branch:
 
 def pde_branch(mp: ModelParams, n: int, length: float) -> ct.Branch:
     seed = weak_sech_pde(mp, center=length / 2).as_field(n, length, t=0.0)
-    stepper = make_pde_stepper(seed, mp, TWO_PI / 208)
+    stepper = make_stepper(seed, mp, TWO_PI / 208)
     converged, periods, _ = run_to_steady(stepper, TWO_PI, tol=1e-9,
                                           max_periods=900)
     if not converged:

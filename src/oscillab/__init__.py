@@ -44,9 +44,8 @@ from .etd import (
     Etd2Stepper,
     SpectralStepper,
     etd2_weights,
-    make_fcgl_stepper,
-    make_pde_stepper,
     make_scheme,
+    make_stepper,
     run_to_steady,
 )
 from .floquet import (
@@ -100,7 +99,7 @@ __all__ = [
     "branch_overlay_max_diff", "classify_stability_fcgl",
     "classify_stability_pde", "continue_branch", "dispersion", "etd2_weights",
     "flat_states", "floquet_multipliers", "gamma_onset",
-    "make_fcgl_stepper", "make_pde_stepper", "make_scheme",
+    "make_scheme", "make_stepper",
     "mathieu_critical", "monodromy_critical", "newton_fcgl", "newton_pde",
     "newton_solve", "onset_phase", "project_snapshots",
     "run_to_steady", "solution_norm", "strong_ac_coeffs", "strong_sech_pde",

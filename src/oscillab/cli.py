@@ -21,6 +21,7 @@ from . import __version__, continuation, etd, fileio, spectral
 from .config import RunConfig, load_config, _validate
 from .core import FcglParams, ScalingMap, flat_states
 from .errors import (
+    BlowUpError,
     ConfigError,
     ExistenceError,
     OscillabError,
@@ -125,13 +126,12 @@ def cmd_simulate(cfg: RunConfig, out: str) -> int:
     ts = cfg.timestepping
     dt = ts.dt
     if cfg.system.kind == "fcgl":
-        seed = build_fcgl_seed(cfg)
-        stepper = etd.make_fcgl_stepper(seed, cfg.fcgl_params(), dt)
+        seed, p = build_fcgl_seed(cfg), cfg.fcgl_params()
         strobe = max(1, int(round(1.0 / dt))) * dt
     else:
-        seed = build_pde_seed(cfg)
-        stepper = etd.make_pde_stepper(seed, cfg.model_params(), dt)
+        seed, p = build_pde_seed(cfg), cfg.model_params()
         strobe = TWO_PI
+    stepper = etd.make_stepper(seed, p, dt)
     times, norms = [stepper.t], [stepper.norm]
 
     def observer(st):
@@ -143,29 +143,37 @@ def cmd_simulate(cfg: RunConfig, out: str) -> int:
                 os.path.join(out, f"snapshot_{st.steps:08d}.txt"), st.field)
 
     n_steps = int(round(ts.t_end / dt))
-    stepper.run(n_steps, observer=observer, stride=cfg.output.norm_stride)
-
-    summary = [("final_time", stepper.t), ("final_norm", stepper.norm)]
-    steps_per_strobe = int(round(strobe / dt))
-    if abs(steps_per_strobe * dt - strobe) < 1e-9 * strobe:
-        converged, periods, diffs = etd.run_to_steady(
-            stepper, strobe, tol=ts.steady_tol, max_periods=ts.max_periods)
-        summary += [("steady_converged", converged),
-                    ("steady_periods", periods),
-                    ("final_strobe_diff", diffs[-1] if diffs else math.nan)]
-        if cfg.system.kind == "pde":
-            ref = stepper.u.copy()
-            stepper.run(steps_per_strobe)
-            diff = spectral.parseval_norm(stepper.u - ref)
-            summary.append(("subharmonic_period_diff", diff))
-            summary.append(("subharmonic_rel_diff",
-                            diff / stepper.norm if stepper.norm > 0 else 0.0))
-    else:
-        summary.append(("steady_converged", "skipped: dt does not divide period"))
+    summary, code = [], 0
+    try:
+        stepper.run(n_steps, observer=observer, stride=cfg.output.norm_stride)
+        summary += [("final_time", stepper.t), ("final_norm", stepper.norm)]
+        steps_per_strobe = int(round(strobe / dt))
+        if abs(steps_per_strobe * dt - strobe) < 1e-9 * strobe:
+            converged, periods, diffs = etd.run_to_steady(
+                stepper, strobe, tol=ts.steady_tol, max_periods=ts.max_periods)
+            summary += [("steady_converged", converged),
+                        ("steady_periods", periods),
+                        ("final_strobe_diff", diffs[-1] if diffs else math.nan)]
+            if cfg.system.kind == "pde":
+                ref = stepper.u.copy()
+                stepper.run(steps_per_strobe)
+                diff = spectral.parseval_norm(stepper.u - ref)
+                summary.append(("subharmonic_period_diff", diff))
+                summary.append(("subharmonic_rel_diff",
+                                diff / stepper.norm if stepper.norm > 0 else 0.0))
+        else:
+            summary.append(("steady_converged",
+                            "skipped: dt does not divide period"))
+    except BlowUpError as exc:
+        # final.txt then holds the last finite state
+        print(f"numerical failure: BlowUpError: {exc}", file=sys.stderr)
+        summary += [("blowup_step", exc.step), ("blowup_time", exc.step * dt),
+                    ("last_finite_norm", stepper.norm)]
+        code = 3
     fileio.write_norm_series(os.path.join(out, "norms.csv"), times, norms)
     fileio.write_snapshot(os.path.join(out, "final.txt"), stepper.field)
     fileio.write_kv(os.path.join(out, "summary.txt"), summary)
-    return 0
+    return code
 
 
 # ---- flatstates ----
@@ -324,7 +332,7 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
             # converge toward the periodic attractor before projecting;
             # steps per period must be a multiple of the snapshot count
             steps = 16 * max(1, math.ceil(TWO_PI / cfg.timestepping.dt / 16))
-            stepper = etd.make_pde_stepper(seed, mp, TWO_PI / steps)
+            stepper = etd.make_stepper(seed, mp, TWO_PI / steps)
             tol = max(cfg.timestepping.steady_tol, 1e-9)
             etd.run_to_steady(stepper, TWO_PI, tol=tol,
                               max_periods=cfg.timestepping.max_periods)
@@ -356,16 +364,15 @@ def _sweep_probe(job) -> tuple:
     (i, j, system, p, eps, param, grid_n, grid_len, dt, t_probe) = job
     try:
         if system == "fcgl":
-            p = replace(p, gamma=param)
+            p = eq = replace(p, gamma=param)
             seed = _probe_seed(p, grid_n, grid_len)
-            stepper = etd.make_fcgl_stepper(seed, p, dt)
         else:
             scaling = ScalingMap(eps)
             p = replace(p, gamma=scaling.to_gamma(param))
             seed = _probe_seed(p, grid_n, grid_len, scale=eps,
                                phase_shift=math.pi / 4)
-            mp = replace(scaling.fcgl_to_pde(p), f=param)
-            stepper = etd.make_pde_stepper(seed, mp, dt)
+            eq = replace(scaling.fcgl_to_pde(p), f=param)
+        stepper = etd.make_stepper(seed, eq, dt)
         stepper.run(int(round(t_probe / dt)))
         return (i, j, p.nu, param, _classify_endstate(stepper.field))
     except OscillabError:

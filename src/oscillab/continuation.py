@@ -19,7 +19,6 @@ from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from . import etd, spectral
 from .core import FcglParams, ModelParams
@@ -133,27 +132,60 @@ def _gmres(matvec, b: np.ndarray, psolve, rtol: float):
     return x, (0 if rnorm <= atol else GMRES_CYCLES), matvecs
 
 
-def _operator(size: int, matvec) -> scipy.sparse.linalg.LinearOperator:
-    return scipy.sparse.linalg.LinearOperator((size, size), matvec=matvec,
-                                              dtype=float)
-
-
 class _SteadyProblem:
-    """What the two steady problems share: the linear symbol with one row per
-    profile (Nyquist mode zeroed), packing of the complex profiles into real
-    unknowns, reflection symmetry, the solution norm and the preconditioner,
-    which divides by the symbol floored at PRECOND_FLOOR in modulus."""
+    """Steady states of u' = symbol u + N(u, t), the right-hand side of the
+    ETD stepper for the same parameters: the residual
+
+        ifft(symbol * a_hat + coeffs(N(samples(a_hat), times))),
+
+    its Jacobian as a plain callable and its derivative in the drive, all
+    generic over the two hooks samples and coeffs.  Also shared: packing of
+    the complex profiles into real unknowns, reflection symmetry, the
+    solution norm and the preconditioner, which divides by the symbol
+    floored at PRECOND_FLOOR in modulus."""
 
     PRECOND_FLOOR = 1e-2
+    times = 0.0                 # the forcing's time at the samples
 
-    def __init__(self, params, n: int, length: float, shift):
+    def __init__(self, params, n: int, length: float, harmonics=0):
         self.params = params
         self.n = n
         self.length = length
-        d2 = -spectral.wavenumbers(n, length) ** 2
-        d2[n // 2] = 0.0
-        self.symbol = shift + (params.alpha + 1j * params.beta) * d2
+        self.symbol = params.symbol(spectral.wavenumbers(n, length)) - 1j * harmonics
         self.size = 2 * self.symbol.size
+
+    def samples(self, a_hat: np.ndarray) -> np.ndarray:
+        """Samples on the dealiasing grid of the profiles with coefficients a_hat."""
+        return spectral.to_fine(a_hat)
+
+    def coeffs(self, w: np.ndarray) -> np.ndarray:
+        """Profile coefficients of the samples w, the inverse of samples."""
+        return spectral.from_fine(w, self.n)
+
+    def _spectrum(self, z: np.ndarray) -> np.ndarray:
+        return np.fft.fft(self.unpack(z), axis=-1)
+
+    def _grid(self, a_hat: np.ndarray) -> np.ndarray:
+        return self.pack(np.fft.ifft(a_hat, axis=-1))
+
+    def residual(self, z: np.ndarray, drive: float) -> np.ndarray:
+        a_hat = self._spectrum(z)
+        w = self.params.nonlinear(self.samples(a_hat), self.times, drive)
+        return self._grid(self.symbol * a_hat + self.coeffs(w))
+
+    def jacobian(self, z: np.ndarray, drive: float):
+        dn = self.params.linearization(self.samples(self._spectrum(z)),
+                                       self.times, drive)
+
+        def matvec(dz):
+            d_hat = self._spectrum(dz)
+            return self._grid(self.symbol * d_hat + self.coeffs(dn(self.samples(d_hat))))
+
+        return matvec
+
+    def dparam(self, z: np.ndarray, drive: float) -> np.ndarray:
+        u = self.samples(self._spectrum(z))
+        return self._grid(self.coeffs(self.params.forcing(u, self.times, 1.0)))
 
     def unpack(self, z: np.ndarray) -> np.ndarray:
         half = self.size // 2
@@ -174,51 +206,17 @@ class _SteadyProblem:
         sym = self.symbol.copy()
         small = np.abs(sym) < floor
         sym[small] = floor * np.exp(1j * np.angle(sym[small]))
-
-        def apply(z):
-            hat = np.fft.fft(self.unpack(z), axis=-1) / sym
-            return self.pack(np.fft.ifft(hat, axis=-1))
-
-        return apply
+        return lambda z: self._grid(self._spectrum(z) / sym)
 
 
 # ---- steady amplitude-equation problem ----
 
 class FcglSteadyProblem(_SteadyProblem):
-    """Residual, matrix-free Jacobian, and preconditioner for steady states
-    of the forced amplitude equation; the continuation parameter is gamma."""
+    """Steady states of the forced amplitude equation; the continuation
+    parameter is gamma."""
 
     def __init__(self, params: FcglParams, n: int = 512, length: float = 20.0 * math.pi):
-        super().__init__(params, n, length, params.mu + 1j * params.nu)
-
-    def residual(self, z: np.ndarray, gamma: float) -> np.ndarray:
-        a = self.unpack(z)
-        a_hat = np.fft.fft(a)
-        fine = spectral.to_fine(a_hat)
-        w = self.params.c * (np.abs(fine) ** 2) * fine
-        out = (np.fft.ifft(self.symbol * a_hat + spectral.from_fine(w, self.n))
-               + gamma * np.conj(a))
-        return self.pack(out)
-
-    def jacobian(self, z: np.ndarray, gamma: float):
-        fine = spectral.to_fine(np.fft.fft(self.unpack(z)))
-        two_abs2 = 2.0 * np.abs(fine) ** 2
-        sq = fine**2
-        c = self.params.c
-
-        def matvec(dz):
-            d = self.unpack(np.asarray(dz))
-            d_hat = np.fft.fft(d)
-            d_fine = spectral.to_fine(d_hat)
-            w = c * (two_abs2 * d_fine + sq * np.conj(d_fine))
-            out = (np.fft.ifft(self.symbol * d_hat + spectral.from_fine(w, self.n))
-                   + gamma * np.conj(d))
-            return self.pack(out)
-
-        return _operator(self.size, matvec)
-
-    def dparam(self, z: np.ndarray, gamma: float) -> np.ndarray:
-        return self.pack(np.conj(self.unpack(z)))
+        super().__init__(params, n, length)
 
     def state_of(self, z: np.ndarray, gamma: float) -> ComplexField:
         return ComplexField(self.length, self.unpack(z))
@@ -236,11 +234,11 @@ class PdeHarmonicProblem(_SteadyProblem):
 
         (mu + i(omega - j)) U_j + (alpha + i beta) U_j'' + N_j = 0
 
-    with N_j the projection of C|U|^2 U + i Re(U) F cos(2t) onto e^{i j t},
-    evaluated by collocation at n_colloc equispaced times (alias-free for the
-    retained odd harmonics).  By default n_colloc is the smallest power of
-    two above 4 max|j|, which is 16 for the default harmonics.  The
-    continuation parameter is F.
+    with N_j the projection of N(U, t) onto e^{i j t}, evaluated by
+    collocation at n_colloc equispaced times (alias-free for the retained odd
+    harmonics).  By default n_colloc is the smallest power of two above
+    4 max|j|, which is 16 for the default harmonics.  The continuation
+    parameter is F.
     """
 
     PRECOND_FLOOR = 2e-2
@@ -254,48 +252,18 @@ class PdeHarmonicProblem(_SteadyProblem):
             n_colloc = 1 << top.bit_length()
         if n_colloc <= top:
             raise ParameterError("n_colloc too small to dealias the cubic in time")
-        super().__init__(params, n, length,
-                         (params.mu + 1j * (params.omega - self.harmonics))[:, None])
+        super().__init__(params, n, length, self.harmonics[:, None])
         t = TWO_PI * np.arange(n_colloc) / n_colloc
+        self.times = t[:, None]
         self.carrier = np.exp(1j * np.outer(t, self.harmonics))        # (M, nh)
         self.project = np.exp(-1j * np.outer(self.harmonics, t)) / n_colloc
-        self.cos2t = np.cos(2.0 * t)
 
-    def _coarse(self, w_fine: np.ndarray) -> np.ndarray:
-        """Harmonic projections of fine collocation samples, on the n-point grid."""
-        return spectral.from_fine(self.project @ w_fine, self.n, grid=True)
+    def samples(self, a_hat: np.ndarray) -> np.ndarray:
+        """U(x, t_i) at the collocation times on the dealiasing grid, (M, pad)."""
+        return self.carrier @ spectral.to_fine(a_hat)
 
-    def _collocation(self, z: np.ndarray) -> np.ndarray:
-        """Fast-frame samples U(x, t_i) on the dealiasing grid, shape (M, pad)."""
-        return self.carrier @ spectral.to_fine(np.fft.fft(self.unpack(z), axis=-1))
-
-    def residual(self, z: np.ndarray, f: float) -> np.ndarray:
-        p = self.unpack(z)
-        lin = np.fft.ifft(self.symbol * np.fft.fft(p, axis=-1), axis=-1)
-        u = self._collocation(z)
-        w = self.params.c * (np.abs(u) ** 2) * u
-        w += (1j * f) * self.cos2t[:, None] * u.real
-        return self.pack(lin + self._coarse(w))
-
-    def jacobian(self, z: np.ndarray, f: float):
-        u = self._collocation(z)
-        two_abs2 = 2.0 * np.abs(u) ** 2
-        sq = u**2
-        c = self.params.c
-
-        def matvec(dz):
-            dp_hat = np.fft.fft(self.unpack(np.asarray(dz)), axis=-1)
-            lin = np.fft.ifft(self.symbol * dp_hat, axis=-1)
-            du = self.carrier @ spectral.to_fine(dp_hat)
-            dw = c * (two_abs2 * du + sq * np.conj(du))
-            dw += (1j * f) * self.cos2t[:, None] * du.real
-            return self.pack(lin + self._coarse(dw))
-
-        return _operator(self.size, matvec)
-
-    def dparam(self, z: np.ndarray, f: float) -> np.ndarray:
-        u = self._collocation(z)
-        return self.pack(self._coarse(1j * self.cos2t[:, None] * u.real))
+    def coeffs(self, w: np.ndarray) -> np.ndarray:
+        return spectral.from_fine(self.project @ w, self.n)
 
     def state_of(self, z: np.ndarray, f: float) -> HarmonicPdeState:
         return HarmonicPdeState(length=self.length, harmonics=self.harmonics,
@@ -374,8 +342,7 @@ def newton_solve(problem, z0: np.ndarray, param: float, tol: float = 1e-10,
         if rn < tol:
             return z, rn, it
         inner_rtol = 1e-4 if rn > 1e-4 else 1e-8
-        dz = stats.solve(problem.jacobian(z, param).matvec, -r, precond,
-                         inner_rtol)
+        dz = stats.solve(problem.jacobian(z, param), -r, precond, inner_rtol)
         accepted = False
         for scale in (1.0, 0.5, 0.25, 0.125):
             z_try = problem.symmetrize(z + scale * dz)
@@ -505,7 +472,7 @@ def _bordered(problem, precond, z, pm, tau_z, tau_p):
     The preconditioner acts on the z-block only."""
     nz = z.size
     row = math.sqrt(float(tau_z @ tau_z) / nz**2 + tau_p**2)
-    jac = problem.jacobian(z, pm).matvec
+    jac = problem.jacobian(z, pm)
     rp = problem.dparam(z, pm)
 
     def matvec(dy):
@@ -551,7 +518,7 @@ def _corrector(problem, precond, z_pred, p_pred, tau_z, tau_p, controls,
 
 def _initial_tangent(problem, precond, z, param, direction, stats: SolveStats):
     rp = problem.dparam(z, param)
-    b = stats.solve(problem.jacobian(z, param).matvec, -rp, precond, 1e-8)
+    b = stats.solve(problem.jacobian(z, param), -rp, precond, 1e-8)
     scale = _wnorm(b, 1.0)
     tz, tp = b / scale, 1.0 / scale
     if math.copysign(1.0, tp) != math.copysign(1.0, direction):
@@ -668,7 +635,7 @@ def leading_rates_fcgl(problem: FcglSteadyProblem, z: np.ndarray,
         block = np.empty((rows.size, rows.size), order="F")
         for col, (i, m) in enumerate(zip(rows, mirrors)):
             e[m], e[i] = sign, 1.0
-            block[:, col] = jac.matvec(e)[rows]
+            block[:, col] = jac(e)[rows]
             e[m] = e[i] = 0.0
         rates.append(scipy.linalg.eigvals(block, overwrite_a=True,
                                           check_finite=False).real)
@@ -716,8 +683,8 @@ def classify_stability_pde(state: HarmonicPdeState, params: ModelParams,
     bump = noise * rms * (rng.standard_normal(base.n)
                           + 1j * rng.standard_normal(base.n)) / math.sqrt(2.0)
     pert = ComplexField(base.length, base.values + bump)
-    st_base = etd.make_pde_stepper(base, p, dt)
-    st_pert = etd.make_pde_stepper(pert, p, dt)
+    st_base = etd.make_stepper(base, p, dt)
+    st_pert = etd.make_stepper(pert, p, dt)
     times, devs = [], []
     for k in range(periods):
         st_base.run(steps_per_period)

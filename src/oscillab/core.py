@@ -38,8 +38,48 @@ __all__ = [
 ]
 
 
+class _System:
+    """The equation both systems share,
+
+        u_t = shift u + (alpha + i beta) u_xx + N(u, t),
+        N(u, t) = C |u|^2 u + forcing(u, t, drive),
+
+    the forcing being real-linear in u and linear in the drive.  The ETD
+    stepper and the steady solvers evaluate N and its derivative from here
+    alone, on whatever samples they hold."""
+
+    def __post_init__(self):
+        if self.alpha <= 0:
+            raise ParameterError("alpha must be positive (well-posed diffusion)")
+        if self.drive < 0:
+            raise ParameterError(
+                f"forcing amplitude {self.DRIVE} must be non-negative")
+
+    @property
+    def c(self) -> complex:
+        return complex(self.c_re, self.c_im)
+
+    @property
+    def drive(self) -> float:
+        return getattr(self, self.DRIVE)
+
+    def symbol(self, k):
+        """The linear part shift - (alpha + i beta) k^2 at wavenumbers k."""
+        return self.shift - (self.alpha + 1j * self.beta) * k**2
+
+    def nonlinear(self, u, t, drive):
+        """N(u, t) at samples u."""
+        return self.c * (np.abs(u) ** 2) * u + self.forcing(u, t, drive)
+
+    def linearization(self, u, t, drive):
+        """The real-linear map d -> dN(u)[d], the derivative of N at samples u."""
+        c, two_abs2, sq = self.c, 2.0 * np.abs(u) ** 2, u**2
+        return lambda d: (c * (two_abs2 * d + sq * np.conj(d))
+                          + self.forcing(d, t, drive))
+
+
 @dataclass(frozen=True)
-class ModelParams:
+class ModelParams(_System):
     """Parameters of the forced model equation in the fast frame."""
 
     mu: float
@@ -50,19 +90,20 @@ class ModelParams:
     c_im: float
     f: float
 
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ParameterError("alpha must be positive (well-posed diffusion)")
-        if self.f < 0:
-            raise ParameterError("forcing amplitude f must be non-negative")
+    DRIVE = "f"
 
     @property
-    def c(self) -> complex:
-        return complex(self.c_re, self.c_im)
+    def shift(self) -> complex:
+        return complex(self.mu, self.omega)
+
+    @staticmethod
+    def forcing(u, t, drive):
+        """Parametric forcing i F cos(2t) Re(u)."""
+        return (1j * drive * np.cos(2.0 * t)) * u.real
 
 
 @dataclass(frozen=True)
-class FcglParams:
+class FcglParams(_System):
     """Parameters of the forced amplitude equation in the slow frame."""
 
     mu: float
@@ -73,15 +114,16 @@ class FcglParams:
     c_im: float
     gamma: float
 
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ParameterError("alpha must be positive (well-posed diffusion)")
-        if self.gamma < 0:
-            raise ParameterError("forcing amplitude gamma must be non-negative")
+    DRIVE = "gamma"
 
     @property
-    def c(self) -> complex:
-        return complex(self.c_re, self.c_im)
+    def shift(self) -> complex:
+        return complex(self.mu, self.nu)
+
+    @staticmethod
+    def forcing(u, t, drive):
+        """Conjugate forcing Gamma conj(u), the same at every t."""
+        return drive * np.conj(u)
 
 
 @dataclass(frozen=True)
@@ -129,9 +171,8 @@ class ScalingMap:
 
 def dispersion(k, p: ModelParams):
     """Linear growth rate sigma(k) of the unforced zero state."""
-    k = np.asarray(k, dtype=float)
-    out = p.mu - p.alpha * k**2 + 1j * (p.omega - p.beta * k**2)
-    return out if out.ndim else complex(out)
+    out = p.symbol(np.asarray(k, dtype=float))
+    return out if np.ndim(out) else complex(out)
 
 
 class FlatState(NamedTuple):

@@ -8,7 +8,9 @@ Every dealiased product goes through one pair of functions: to_fine takes
 n coefficients to samples on the 3/2-rule grid of m = 3n/2 points, the
 product is formed there, and from_fine takes the fine samples back to the
 n lowest modes.  Both act on the last axis, so leading axes (harmonic
-profiles, ensembles) are transformed in one call.
+profiles, ensembles) are transformed in one call.  A product formed this way
+has no Nyquist content: padding leaves out the Nyquist mode of its factors
+and truncation leaves it empty.  Linear terms keep theirs, -k^2 included.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ def pad_coeffs(coeffs: np.ndarray, m: int) -> np.ndarray:
 
 
 def truncate_coeffs(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Restrict m unnormalized coefficients to the n lowest modes (Nyquist zeroed)."""
+    """The n lowest of m unnormalized coefficients; the Nyquist slot stays empty."""
     m = coeffs.shape[-1]
     if n > m:
         raise ShapeError("truncated size must not exceed the original")
@@ -59,15 +61,17 @@ def to_fine(coeffs: np.ndarray) -> np.ndarray:
     return np.fft.ifft(pad_coeffs(coeffs, m), axis=-1) * (m / n)
 
 
-def from_fine(fine: np.ndarray, n: int, grid: bool = False) -> np.ndarray:
-    """The n lowest coefficients of fine-grid samples, Nyquist zeroed; with
-    grid=True their samples on the n-point grid.  The n/m scale comes last."""
-    hat = truncate_coeffs(np.fft.fft(fine, axis=-1), n)
-    if grid:
-        hat = np.fft.ifft(hat, axis=-1)
-    return hat * (n / fine.shape[-1])
+def from_fine(fine: np.ndarray, n: int) -> np.ndarray:
+    """The n lowest coefficients of fine-grid samples, scaled by n/m last."""
+    return truncate_coeffs(np.fft.fft(fine, axis=-1), n) * (n / fine.shape[-1])
 
 
 def parseval_norm(coeffs: np.ndarray) -> float:
-    """The solution norm sqrt(2 * mean |u|^2) of a field, from its coefficients."""
-    return float(np.sqrt(2.0 * np.sum(np.abs(coeffs) ** 2)) / coeffs.size)
+    """The solution norm sqrt(2 * mean |u|^2) of a field, from its coefficients;
+    finite for every finite field."""
+    mags = np.abs(coeffs)
+    with np.errstate(over="ignore"):
+        total = np.sum(mags**2)
+    if np.isinf(total):     # the squares overflow: rescale by the largest
+        return float(mags.max() * parseval_norm(mags / mags.max()))
+    return float(np.sqrt(2.0 * total) / coeffs.size)

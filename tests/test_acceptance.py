@@ -12,8 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oscillab import (FcglParams, ModelParams, flat_states,
-                      make_fcgl_stepper, make_pde_stepper)
+from oscillab import FcglParams, ModelParams, flat_states, make_stepper
 from oscillab import continuation as ct
 from oscillab.etd import run_to_steady
 from oscillab.fields import ComplexField
@@ -71,7 +70,7 @@ def fcgl_branch():
 def oscillon_run():
     """Forced-model oscillon converged to its subharmonic cycle at F=0.058."""
     seed = weak_sech_pde(WEAK, center=L_PDE / 2).as_field(640, L_PDE, t=0.0)
-    stepper = make_pde_stepper(seed, WEAK, TWO_PI / 208)
+    stepper = make_stepper(seed, WEAK, TWO_PI / 208)
     converged, periods, _ = run_to_steady(stepper, TWO_PI, tol=1e-9,
                                           max_periods=900)
     return stepper, converged, periods
@@ -255,7 +254,7 @@ def test_criterion_07_etd2_convergence_order(report):
     t_end = 1.0
 
     def final_state(dt):
-        stepper = make_fcgl_stepper(seed, p, dt)
+        stepper = make_stepper(seed, p, dt)
         stepper.run(int(round(t_end / dt)))
         return stepper.u.copy()
 
@@ -272,7 +271,7 @@ def test_criterion_07_etd2_convergence_order(report):
 def test_criterion_08_bistability_by_timestepping(report, oscillon_run):
     decay = replace(WEAK, f=0.047)
     seed = weak_sech_pde(decay, center=L_PDE / 2).as_field(640, L_PDE, t=0.0)
-    stepper = make_pde_stepper(seed, decay, TWO_PI / 208)
+    stepper = make_stepper(seed, decay, TWO_PI / 208)
     stepper.run(208 * 450)
     decayed_norm = stepper.norm
     persist, _, _ = oscillon_run

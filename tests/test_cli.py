@@ -114,6 +114,28 @@ def test_simulate_zero_seed_stays_zero(tmp_path):
     assert (out / "final.txt").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulate_blowup_writes_last_finite_state(tmp_path, capsys):
+    code, out = run(tmp_path, "simulate", "--override", "params.c_re=1.0",
+                    "--override", "timestepping.t_end=50")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "BlowUpError" in err
+    assert "RuntimeWarning" not in err
+    summary = read_kv(out / "summary.txt")
+    step = int(summary["blowup_step"])
+    dt = 2 * math.pi / 200
+    assert 1 < step < round(50 / dt)
+    assert float(summary["blowup_time"]) == pytest.approx(step * dt, rel=1e-12)
+    assert math.isfinite(float(summary["last_finite_norm"]))
+    final = fileio.read_snapshot(out / "final.txt")
+    assert np.all(np.isfinite(final.values))
+    header, rows = fileio.read_csv(out / "norms.csv")
+    t, norm = np.array(rows, dtype=float).T
+    assert np.all(np.isfinite(norm))
+    assert t[-1] < step * dt
+
+
 def test_simulate_file_seed_round_trip(tmp_path):
     code, first = run(tmp_path, "simulate", "--seed", "flat",
                       "--override", "grid.n=64",

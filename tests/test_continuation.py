@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from oscillab import FcglParams, flat_states, make_fcgl_stepper, make_pde_stepper
+from oscillab import FcglParams, flat_states, make_stepper
 from oscillab import continuation as ct
 from oscillab.errors import (DivergenceError, ParameterError,
                              StalledBranchError)
@@ -86,7 +86,7 @@ def finite_difference_check(problem, z, param, rng):
     h = 1e-6
     fd = (problem.residual(z + h * dz, param)
           - problem.residual(z - h * dz, param)) / (2 * h)
-    jd = problem.jacobian(z, param) @ dz
+    jd = problem.jacobian(z, param)(dz)
     assert np.linalg.norm(fd - jd) < 1e-5 * max(1.0, np.linalg.norm(jd))
     hp = 1e-7
     fdp = (problem.residual(z, param + hp)
@@ -146,7 +146,7 @@ def test_timestepper_harmonics_then_newton(weak_model):
     n, length = 640, 200 * math.pi
     seed = weak_sech_pde(weak_model, center=length / 2).as_field(
         n, length, t=0.0)
-    stepper = make_pde_stepper(seed, weak_model, 2 * math.pi / 208)
+    stepper = make_stepper(seed, weak_model, 2 * math.pi / 208)
     from oscillab.etd import run_to_steady
     run_to_steady(stepper, 2 * math.pi, tol=1e-7, max_periods=400)
     projected = ct.timestepper_harmonics(stepper, weak_model.f)
@@ -308,10 +308,47 @@ def test_stepper_and_newton_share_one_system(fcgl_params):
     prob = ct.FcglSteadyProblem(p, n=n, length=LENGTH)
     seed = weak_sech_fcgl(p, 1.95, center=LENGTH / 2).as_field(n, LENGTH)
     z, _, _ = ct.newton_solve(prob, prob.pack(seed.values), 1.95)
-    stepper = make_fcgl_stepper(prob.state_of(z, 1.95), p, 0.01)
+    stepper = make_stepper(prob.state_of(z, 1.95), p, 0.01)
     a_hat = stepper.u
     rhs = stepper.scheme.ell * a_hat + stepper.nonlinear(a_hat, 0.0)
     assert np.max(np.abs(np.fft.ifft(rhs))) < 1e-10
+    # so the state is a fixed point of the ETD2 map as well
+    stepper.run(100)
+    assert np.max(np.abs(stepper.u - a_hat)) < 1e-9 * np.max(np.abs(a_hat))
+
+
+def test_steady_residuals_are_the_stepper_right_hand_side(fcgl_params,
+                                                          weak_model):
+    # both residuals are the stepper's ell*u + N(u), Nyquist mode included:
+    # the FCGL one as it stands, the harmonic one projected onto e^{ijt} over
+    # the collocation times and less the time derivative i j U_j
+    n, m = 48, 16
+    rng = np.random.default_rng(11)
+
+    def rhs(values, p, t):
+        st = make_stepper(ComplexField(LENGTH, values), p, 0.01, t0=t)
+        return np.fft.ifft(st.scheme.ell * st.u + st.nonlinear(st.u, st.t))
+
+    def assert_close(got, expected):
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(got - expected)) < 1e-12 * scale
+
+    a = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    assert abs(np.fft.fft(a)[n // 2]) > 0.1
+    prob = ct.FcglSteadyProblem(fcgl_params, n=n, length=LENGTH)
+    assert_close(prob.unpack(prob.residual(prob.pack(a), fcgl_params.gamma)),
+                 rhs(a, fcgl_params, 0.0))
+
+    prob = ct.PdeHarmonicProblem(weak_model, n=n, length=LENGTH, n_colloc=m)
+    j = prob.harmonics[:, None]
+    profiles = 0.1 * (rng.standard_normal((j.size, n))
+                      + 1j * rng.standard_normal((j.size, n)))
+    times = 2 * math.pi * np.arange(m) / m
+    stack = np.array([rhs(np.exp(1j * j[:, 0] * t) @ profiles, weak_model, t)
+                      for t in times])
+    projected = np.exp(-1j * j * times) @ stack / m
+    assert_close(prob.unpack(prob.residual(prob.pack(profiles), weak_model.f)),
+                 projected - 1j * j * profiles)
 
 
 # ---- the Krylov kernel ----
@@ -424,7 +461,7 @@ def test_unconverged_solve_is_counted(fcgl_params):
             return r
 
         def jacobian(self, z, gamma):
-            return ct._operator(self.size, lambda dz: np.roll(dz, 1))
+            return lambda dz: np.roll(dz, 1)
 
         def preconditioner(self):
             return lambda dz: dz

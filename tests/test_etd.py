@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oscillab import FcglParams, flat_states, make_fcgl_stepper, make_pde_stepper
+from oscillab import FcglParams, flat_states, make_stepper
 from oscillab.errors import BlowUpError, ParameterError
 from oscillab.etd import Etd2Stepper, etd2_weights, make_scheme, run_to_steady
 from oscillab.fields import ComplexField
@@ -76,7 +76,7 @@ def test_flat_state_is_fixed_point(fcgl_params):
     root = flat_states(fcgl_params).roots[-1]
     field = ComplexField(20 * math.pi,
                          np.full(64, root.r * np.exp(1j * root.phi)))
-    stepper = make_fcgl_stepper(field, fcgl_params, dt=1e-3)
+    stepper = make_stepper(field, fcgl_params, dt=1e-3)
     u0 = stepper.u.copy()
     stepper.run(100)
     assert np.max(np.abs(stepper.u - u0)) < 1e-8 * np.max(np.abs(u0))
@@ -94,25 +94,30 @@ def test_time_property_and_observer():
 
 def test_zero_field_stays_zero_under_forcing(weak_model):
     field = ComplexField(20 * math.pi, np.zeros(64, dtype=complex))
-    stepper = make_pde_stepper(field, weak_model, dt=2 * math.pi / 100)
+    stepper = make_stepper(field, weak_model, dt=2 * math.pi / 100)
     stepper.run(300)
     assert stepper.norm == 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_blowup_detected():
     p = FcglParams(mu=1.0, nu=0.0, alpha=1.0, beta=0.0,
                    c_re=1.0, c_im=0.0, gamma=0.0)  # focusing cubic
     field = ComplexField(10.0, np.full(32, 1.0 + 0j))
-    stepper = make_fcgl_stepper(field, p, dt=0.1)
-    with pytest.raises(BlowUpError):
+    stepper = make_stepper(field, p, dt=0.1)
+    with pytest.raises(BlowUpError) as err:
         stepper.run(2000)
+    # the stepper stays at the last finite state
+    assert stepper.steps == err.value.step - 1
+    assert np.all(np.isfinite(stepper.u))
+    assert math.isfinite(stepper.norm)
 
 
 def test_run_to_steady_converges(fcgl_params):
     root = flat_states(fcgl_params).roots[-1]
     vals = np.full(64, 0.9 * root.r * np.exp(1j * root.phi))
-    stepper = make_fcgl_stepper(ComplexField(20 * math.pi, vals),
-                                fcgl_params, dt=0.01)
+    stepper = make_stepper(ComplexField(20 * math.pi, vals),
+                           fcgl_params, dt=0.01)
     converged, periods, diffs = run_to_steady(stepper, 1.0, tol=1e-10,
                                               max_periods=2000)
     assert converged
@@ -122,7 +127,7 @@ def test_run_to_steady_converges(fcgl_params):
 
 def test_run_to_steady_rejects_bad_period(fcgl_params):
     field = ComplexField(20 * math.pi, np.zeros(16, dtype=complex))
-    stepper = make_fcgl_stepper(field, fcgl_params, dt=0.3)
+    stepper = make_stepper(field, fcgl_params, dt=0.3)
     with pytest.raises(ParameterError):
         run_to_steady(stepper, 1.0)
 

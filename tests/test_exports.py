@@ -1,7 +1,12 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 import oscillab
 from oscillab import core, reduction
+
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 
 
 @pytest.mark.parametrize("module", [oscillab, core, reduction],
@@ -10,3 +15,12 @@ def test_every_exported_name_resolves(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_script_imports(path):
+    # loading a script runs its imports and definitions, not main()
+    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)

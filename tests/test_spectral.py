@@ -55,13 +55,6 @@ def test_second_derivative_gaussian():
     assert np.max(np.abs(got - exact)) < 1e-8
 
 
-def test_second_derivative_zeroes_nyquist():
-    n, length = 16, 2.0
-    coeffs = np.zeros(n, dtype=complex)
-    coeffs[n // 2] = 1.0  # pure Nyquist content
-    assert np.all(second_derivative_symbol(n, length) * coeffs == 0.0)
-
-
 def test_pad_truncate_roundtrip():
     rng = np.random.default_rng(3)
     coeffs = rng.standard_normal(64) + 1j * rng.standard_normal(64)
@@ -104,16 +97,15 @@ def test_cubic_term_matches_fine_grid(seed):
         row[:keep] = rng.standard_normal(keep) + 1j * rng.standard_normal(keep)
         row[-keep:] = rng.standard_normal(keep) + 1j * rng.standard_normal(keep)
 
-    def cubic(coeffs, grid=False):
+    def cubic(coeffs):
         fine = to_fine(coeffs)
-        return from_fine((-1.0 - 2.5j) * np.abs(fine) ** 2 * fine, n, grid=grid)
+        return from_fine((-1.0 - 2.5j) * np.abs(fine) ** 2 * fine, n)
 
     got = cubic(hat[0])
     fine_vals = np.fft.ifft(pad_coeffs(hat[0], 2 * n)) * 2.0
     w = (-1.0 - 2.5j) * np.abs(fine_vals) ** 2 * fine_vals
     exact = truncate_coeffs(np.fft.fft(w), n) / 2.0
     assert np.max(np.abs(got - exact)) < 1e-10 * max(1.0, np.max(np.abs(exact)))
-    assert np.max(np.abs(cubic(hat[0], grid=True) - np.fft.ifft(got))) < 1e-13
     # a batch of rows is transformed exactly as its rows one at a time
     batch = cubic(hat)
     assert np.array_equal(batch[0], got)
