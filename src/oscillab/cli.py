@@ -19,7 +19,8 @@ import numpy as np
 
 from . import __version__, continuation, etd, fileio, spectral
 from .config import RunConfig, load_config, _validate
-from .core import FcglParams, ScalingMap, flat_states
+from .core import (FcglParams, ScalingMap, flat_state_quadratic, flat_states,
+                   gamma_onset)
 from .errors import (
     BlowUpError,
     ConfigError,
@@ -181,12 +182,10 @@ def cmd_simulate(cfg: RunConfig, out: str) -> int:
 def cmd_flatstates(cfg: RunConfig, out: str) -> int:
     p = cfg.fcgl_params()
     fs = flat_states(p)
+    a, b, c = flat_state_quadratic(p)
     rows = []
     for root in fs.roots:
         # quartic residual, relative to the coefficient scale
-        a = p.c_re**2 + p.c_im**2
-        b = 2.0 * (p.mu * p.c_re + p.nu * p.c_im)
-        c = p.mu**2 + p.nu**2 - p.gamma**2
         res = a * root.r_sq**2 + b * root.r_sq + c
         scale = max(abs(a) * root.r_sq**2, abs(b) * root.r_sq, abs(c), 1e-300)
         rows.append((root.r_sq, root.r, root.phi, abs(res) / scale))
@@ -236,7 +235,7 @@ def cmd_reduce(cfg: RunConfig, out: str) -> int:
     if cfg.system.kind == "fcgl":
         p = cfg.fcgl_params()
         ac = weak_ac_coeffs(p)
-        gamma0 = math.hypot(p.mu, p.nu)
+        gamma0 = gamma_onset(p.mu, p.nu)
         items = [("regime", "weak"), ("lin", ac.lin), ("diff", ac.diff),
                  ("cub", ac.cub), ("phi1", ac.phi), ("gamma0", gamma0),
                  ("gamma", p.gamma),
@@ -308,6 +307,7 @@ def _write_branch_outputs(out, branch, problem, snapshot_stride: int) -> None:
 
 def cmd_continue(cfg: RunConfig, out: str) -> int:
     controls = _controls(cfg)
+    seed_steady = []
     if cfg.system.kind == "fcgl":
         p = cfg.fcgl_params()
         param = p.gamma
@@ -334,8 +334,14 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
             steps = 16 * max(1, math.ceil(TWO_PI / cfg.timestepping.dt / 16))
             stepper = etd.make_stepper(seed, mp, TWO_PI / steps)
             tol = max(cfg.timestepping.steady_tol, 1e-9)
-            etd.run_to_steady(stepper, TWO_PI, tol=tol,
-                              max_periods=cfg.timestepping.max_periods)
+            converged, periods, _ = etd.run_to_steady(
+                stepper, TWO_PI, tol=tol,
+                max_periods=cfg.timestepping.max_periods)
+            seed_steady = [("seed_steady_converged", converged),
+                           ("seed_steady_periods", periods)]
+            if not converged:
+                print(f"seed trajectory not steady after {periods} periods; "
+                      "continuing from its last period", file=sys.stderr)
             state = continuation.timestepper_harmonics(stepper, mp.f)
         z0 = problem.pack(state.profiles)
 
@@ -351,7 +357,7 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
         continuation.classify_branch(branch, classify, stride)
     _write_branch_outputs(out, branch, problem, cfg.continuation.snapshot_stride)
     fileio.write_kv(os.path.join(out, "stats.txt"),
-                    (seed_stats + branch.stats).items())
+                    seed_steady + (seed_stats + branch.stats).items())
     if stalled:
         print("continuation stalled; partial branch written", file=sys.stderr)
         return 4
@@ -412,9 +418,11 @@ def _classify_endstate(field: ComplexField) -> str:
 
 
 def _worker_count() -> int:
-    """Sweep pool size: OSCILLON_THREADS if set, else the CPU count."""
+    """Sweep pool size: OSCILLON_THREADS if set, else the usable CPU count."""
     raw = os.environ.get("OSCILLON_THREADS")
     if not raw:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         workers = int(raw)

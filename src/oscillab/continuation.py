@@ -18,7 +18,6 @@ import math
 from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import etd, spectral
 from .core import FcglParams, ModelParams
@@ -637,8 +636,7 @@ def leading_rates_fcgl(problem: FcglSteadyProblem, z: np.ndarray,
             e[m], e[i] = sign, 1.0
             block[:, col] = jac(e)[rows]
             e[m] = e[i] = 0.0
-        rates.append(scipy.linalg.eigvals(block, overwrite_a=True,
-                                          check_finite=False).real)
+        rates.append(np.linalg.eigvals(block).real)
         del block
     return np.sort(np.concatenate(rates))[::-1]
 

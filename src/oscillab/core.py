@@ -32,6 +32,7 @@ __all__ = [
     "FlatState",
     "FlatStateSet",
     "flat_states",
+    "flat_state_quadratic",
     "solution_norm",
     "gamma_onset",
     "dispersion",
@@ -214,19 +215,24 @@ def _stable_quadratic_roots(a: float, b: float, c: float) -> list[float]:
     return [q / a, c / q]
 
 
+def flat_state_quadratic(p: FcglParams) -> tuple[float, float, float]:
+    """Coefficients (a, b, c) of the uniform-state amplitude condition
+
+        |C|^2 R^4 + 2 (mu c_re + nu c_im) R^2 + mu^2 + nu^2 - Gamma^2 = 0,
+
+    a quadratic in R^2."""
+    return (p.c_re**2 + p.c_im**2, 2.0 * (p.mu * p.c_re + p.nu * p.c_im),
+            p.mu**2 + p.nu**2 - p.gamma**2)
+
+
 def flat_states(p: FcglParams) -> FlatStateSet:
-    """Solve the uniform-state amplitude condition
-
-        |C|^2 R^4 + 2 (mu c_re + nu c_im) R^2 + mu^2 + nu^2 - Gamma^2 = 0
-
-    as a quadratic in R^2 and recover the locked phase of each root from
+    """Solve the uniform-state amplitude condition (`flat_state_quadratic`)
+    for R^2 and recover the locked phase of each root from
     exp(-2 i phi) = -(mu + i nu + C R^2) / Gamma.
     """
-    a = p.c_re**2 + p.c_im**2
+    a, b, c = flat_state_quadratic(p)
     if a == 0.0:
         raise ParameterError("flat states need a non-zero cubic coefficient")
-    b = 2.0 * (p.mu * p.c_re + p.nu * p.c_im)
-    c = p.mu**2 + p.nu**2 - p.gamma**2
 
     roots: list[FlatState] = []
     for r_sq in sorted(_stable_quadratic_roots(a, b, c)):

@@ -21,9 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
-import scipy.linalg
-import scipy.optimize
+# scipy is imported where used: the import costs more than a short FCGL run.
 
 from .core import ModelParams
 from .errors import CriticalForcingNotFoundError, ParameterError, ShapeError
@@ -117,6 +115,7 @@ def _hill_matrices(mu: float, omega: float, j_trunc: int):
 
 
 def _null_vector(a: np.ndarray) -> np.ndarray:
+    import scipy.linalg
     _, s, vh = scipy.linalg.svd(a)
     if s[-1] > 1e-6 * s[0]:
         raise CriticalForcingNotFoundError(0.0, 0.0,
@@ -149,6 +148,7 @@ def mathieu_critical(p: ModelParams, j_trunc: int = DEFAULT_HARMONICS) -> Floque
     harmonics, then extracts the critical eigenfunction and its adjoint
     (the operator with the sign of the damping reversed) at F_c.
     """
+    import scipy.linalg
     if p.mu >= 0:
         raise ParameterError("subharmonic onset needs damping mu < 0")
     harmonics, d, w = _hill_matrices(p.mu, p.omega, j_trunc)
@@ -183,6 +183,7 @@ def _monodromy(f: float, mu: float, omega: float) -> np.ndarray:
     """Fundamental matrix of the damped Mathieu equation over one forcing
     period pi, integrated as u' = v, v' = 2 mu v - (mu^2 + omega^2
     + omega f cos 2t) u."""
+    import scipy.integrate
     w0_sq = mu**2 + omega**2
 
     def rhs(t, y):
@@ -206,6 +207,7 @@ def monodromy_critical(p: ModelParams, f_hi: float | None = None,
                        max_doublings: int = 8) -> float:
     """Critical forcing located by bisection on the subharmonic criterion
     trace(Phi) + 1 + e^{2 mu pi} = 0 (a multiplier crossing -1)."""
+    import scipy.optimize
     if p.mu >= 0:
         raise ParameterError("subharmonic onset needs damping mu < 0")
     offset = 1.0 + math.exp(2.0 * math.pi * p.mu)

@@ -1,11 +1,15 @@
+import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import oscillab
 from oscillab import fileio
-from oscillab.cli import main
+from oscillab.cli import _worker_count, main
 from oscillab.continuation import HarmonicPdeState
 from oscillab.fields import ComplexField
 
@@ -217,6 +221,21 @@ def test_continue_writes_leading_rates(tmp_path):
         assert row[3] == ("stable" if rate < 1e-8 else "unstable")
 
 
+def test_pde_continue_records_its_seed_trajectory(tmp_path, capsys):
+    code, out = run(tmp_path, "continue",
+                    "--override", "system.kind=pde",
+                    "--override", "grid.n=128",
+                    "--override", "timestepping.max_periods=2",
+                    "--override", "continuation.max_points=2",
+                    "--override", "continuation.classify=false")
+    assert code == 0
+    stats = read_kv(out / "stats.txt")
+    assert list(stats)[:2] == ["seed_steady_converged", "seed_steady_periods"]
+    assert stats["seed_steady_converged"] == "false"
+    assert stats["seed_steady_periods"] == "2"
+    assert "not steady after 2 periods" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-2"])
 def test_bad_thread_count_is_config_error(tmp_path, monkeypatch, capsys,
                                           value):
@@ -225,6 +244,15 @@ def test_bad_thread_count_is_config_error(tmp_path, monkeypatch, capsys,
     assert code == 2
     assert "OSCILLON_THREADS" in capsys.readouterr().err
     assert not (out / "sweep.csv").exists()
+
+
+def test_default_worker_count_is_the_usable_cpu_count(monkeypatch):
+    monkeypatch.delenv("OSCILLON_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _worker_count() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _worker_count() == 8
 
 
 def test_sweep_serial(tmp_path, monkeypatch):
@@ -280,3 +308,43 @@ def test_sweep_output_does_not_depend_on_worker_count(tmp_path, monkeypatch):
         assert main(["sweep", "--out", str(out), *args]) == 0
         sweeps.append((out / "sweep.csv").read_bytes())
     assert sweeps[0] == sweeps[1]
+
+
+COLD_START = """
+import json, sys
+from oscillab.cli import main
+loaded = []
+for i, argv in enumerate(json.loads(sys.argv[1])):
+    if main([*argv, "--out", f"{sys.argv[2]}/{i}"]) != 0:
+        sys.exit(f"{argv} failed")
+    loaded.append(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(json.dumps(loaded))
+"""
+
+
+def test_fcgl_and_model_commands_run_without_scipy(tmp_path):
+    """scipy is loaded by the Floquet/Hill code alone; a fresh interpreter
+    running continue and sweep commands never imports it."""
+    commands = [
+        ["continue", "--override", "grid.n=64",
+         "--override", "continuation.max_points=2"],
+        ["continue", "--override", "system.kind=pde", "--override", "grid.n=64",
+         "--override", "timestepping.max_periods=2",
+         "--override", "continuation.max_points=2",
+         "--override", "continuation.classify=false"],
+        ["sweep", "--override", "grid.n=64", "--override", "sweep.nu_count=1",
+         "--override", "sweep.p_count=1", "--override", "sweep.t_probe=5"],
+        # positive control: the Hill and monodromy routes do load scipy
+        ["floquet", "--override", "system.kind=pde"],
+    ]
+    src = os.path.dirname(os.path.dirname(oscillab.__file__))
+    env = dict(os.environ, OSCILLON_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, json.dumps(commands), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded[:3] == [[], [], []]
+    assert "scipy.integrate" in loaded[3]
