@@ -11,8 +11,6 @@ import math
 import os
 from dataclasses import replace
 
-import numpy as np
-
 from oscillab import (FcglParams, ModelParams, ScalingMap, fileio,
                       make_stepper)
 from oscillab import continuation as ct
@@ -27,13 +25,10 @@ def fcgl_branch(p: FcglParams, n: int, length: float) -> ct.Branch:
     problem = ct.FcglSteadyProblem(replace(p, gamma=start), n=n,
                                    length=length)
     seed = weak_sech_fcgl(p, start, center=length / 2).as_field(n, length)
-    z, _, _ = ct.newton_solve(problem, problem.pack(seed.values), start)
     controls = ct.ContinuationControls(ds0=0.01, ds_max=0.04,
                                        param_min=1.35, param_max=2.05,
                                        max_points=260)
-    back = ct.continue_branch(problem, z, start, -1, controls)
-    fwd = ct.continue_branch(problem, z, start, +1, controls)
-    return ct.merge_branches(back, fwd)
+    return ct.trace_branch(problem, problem.pack(seed.values), start, controls)
 
 
 def pde_branch(mp: ModelParams, n: int, length: float) -> ct.Branch:
@@ -45,38 +40,11 @@ def pde_branch(mp: ModelParams, n: int, length: float) -> ct.Branch:
         raise RuntimeError(f"seeding run did not settle in {periods} periods")
     projected = ct.timestepper_harmonics(stepper, mp.f)
     problem = ct.PdeHarmonicProblem(mp, n=n, length=length)
-    z, _, _ = ct.newton_solve(problem, problem.pack(projected.profiles), mp.f)
     controls = ct.ContinuationControls(ds0=0.005, ds_max=0.02,
                                        param_min=0.0545, param_max=0.0625,
                                        max_points=150)
-    back = ct.continue_branch(problem, z, mp.f, -1, controls)
-    fwd = ct.continue_branch(problem, z, mp.f, +1, controls)
-    return ct.merge_branches(back, fwd)
-
-
-def fold_segment(branch: ct.Branch):
-    flagged = [pt for pt in branch.points if pt.fold]
-    lo = min(flagged, key=lambda pt: pt.param)
-    hi = max(flagged, key=lambda pt: pt.param)
-    i, j = sorted((lo.index, hi.index))
-    pts = branch.points[i:j + 1]
-    return (np.array([pt.param for pt in pts]),
-            np.array([pt.norm for pt in pts]))
-
-
-def overlay_mismatch(branch_a, branch_b, eps, samples=60, trim=0.02):
-    qa, na = fold_segment(branch_a)
-    qb, nb = fold_segment(branch_b)
-    qb = ScalingMap(eps).to_gamma(qb)
-    nb = nb / eps
-    lo = max(qa.min(), qb.min())
-    hi = min(qa.max(), qb.max())
-    pad = trim * (hi - lo)
-    grid = np.linspace(lo + pad, hi - pad, samples)
-    ia, ib = np.argsort(qa), np.argsort(qb)
-    va = np.interp(grid, qa[ia], na[ia])
-    vb = np.interp(grid, qb[ib], nb[ib])
-    return float(np.max(np.abs(va - vb) / np.abs(va))), grid[0], grid[-1]
+    return ct.trace_branch(problem, problem.pack(projected.profiles), mp.f,
+                           controls)
 
 
 def main() -> int:
@@ -104,7 +72,7 @@ def main() -> int:
     print(f"  {len(bb.points)} points, folds at "
           f"{min(bb.folds):.6f} / {max(bb.folds):.6f}")
 
-    worst, lo, hi = overlay_mismatch(ba, bb, eps)
+    worst, lo, hi = ct.overlay_mismatch(ba, bb, ScalingMap(eps))
     report = [("epsilon", eps),
               ("fcgl_fold_left", min(ba.folds)),
               ("fcgl_fold_right", max(ba.folds)),

@@ -74,15 +74,16 @@ from .continuation import (
     HarmonicPdeState,
     PdeHarmonicProblem,
     SteadyFcglState,
-    branch_overlay_max_diff,
     classify_stability_fcgl,
     classify_stability_pde,
     continue_branch,
     newton_fcgl,
     newton_pde,
     newton_solve,
+    overlay_mismatch,
     project_snapshots,
     timestepper_harmonics,
+    trace_branch,
 )
 
 __version__ = "0.1.0"
@@ -96,13 +97,13 @@ __all__ = [
     "ModelParams", "OscillabError", "ParameterError", "PdeHarmonicProblem",
     "ScalingMap", "SechProfile", "ShapeError", "SingularReductionError",
     "SpectralStepper", "StalledBranchError", "SteadyFcglState",
-    "branch_overlay_max_diff", "classify_stability_fcgl",
-    "classify_stability_pde", "continue_branch", "dispersion", "etd2_weights",
-    "flat_states", "floquet_multipliers", "gamma_onset",
-    "make_scheme", "make_stepper",
-    "mathieu_critical", "monodromy_critical", "newton_fcgl", "newton_pde",
-    "newton_solve", "onset_phase", "project_snapshots",
-    "run_to_steady", "solution_norm", "strong_ac_coeffs", "strong_sech_pde",
-    "timestepper_harmonics", "weak_ac_coeffs", "weak_critical_forcing",
-    "weak_response_phase", "weak_sech_fcgl", "weak_sech_pde",
+    "classify_stability_fcgl", "classify_stability_pde", "continue_branch",
+    "dispersion", "etd2_weights", "flat_states", "floquet_multipliers",
+    "gamma_onset", "make_scheme", "make_stepper", "mathieu_critical",
+    "monodromy_critical", "newton_fcgl", "newton_pde", "newton_solve",
+    "onset_phase", "overlay_mismatch", "project_snapshots", "run_to_steady",
+    "solution_norm", "strong_ac_coeffs", "strong_sech_pde",
+    "timestepper_harmonics", "trace_branch", "weak_ac_coeffs",
+    "weak_critical_forcing", "weak_response_phase", "weak_sech_fcgl",
+    "weak_sech_pde",
 ]

@@ -58,66 +58,48 @@ def _add_noise(values: np.ndarray, cfg: RunConfig) -> np.ndarray:
     return values + scale * bump / math.sqrt(2.0)
 
 
-def _flat_root(p: FcglParams):
-    fs = flat_states(p)
-    if not fs.roots:
-        raise ExistenceError(f"no flat states at gamma={p.gamma}")
-    return fs.roots[-1]
-
-
-def build_fcgl_seed(cfg: RunConfig) -> ComplexField:
+def build_seed(cfg: RunConfig) -> ComplexField:
+    """The configured seed field.  The forced model's flat seed is the upper
+    flat state at the mapped forcing, carried to the fast frame as
+    U = eps A e^{i(t + pi/4)} at t = 0."""
     n, length = cfg.grid.n, cfg.grid.length
-    p = cfg.fcgl_params()
-    kind = cfg.seed.kind
+    kind, pde = cfg.seed.kind, cfg.system.kind == "pde"
     if kind == "zero":
         values = np.zeros(n, dtype=complex)
     elif kind == "flat":
-        root = _flat_root(p)
-        values = np.full(n, root.r * np.exp(1j * root.phi), dtype=complex)
+        p, scale, shift = cfg.fcgl_params(), 1.0, 0.0
+        if pde:
+            p = replace(p, gamma=cfg.scaling().to_gamma(cfg.params.f))
+            scale, shift = cfg.params.epsilon, math.pi / 4
+        fs = flat_states(p)
+        if not fs.roots:
+            raise ExistenceError(f"no flat states at gamma={p.gamma}")
+        root = fs.roots[-1]
+        values = np.full(n, scale * root.r * np.exp(1j * (root.phi + shift)))
     elif kind == "sech-weak":
-        profile = weak_sech_fcgl(p, p.gamma, center=length / 2.0)
-        return ComplexField(length, _add_noise(
-            profile.as_field(n, length).values, cfg))
-    elif kind == "file":
-        state = fileio.read_snapshot(cfg.seed.path)
-        if not isinstance(state, ComplexField):
-            raise ConfigError("seed file holds a harmonic state, not a field")
-        return ComplexField(state.length, _add_noise(state.values, cfg))
-    else:
-        raise ConfigError(f"seed kind {kind!r} is not valid for system=fcgl")
-    return ComplexField(length, _add_noise(values, cfg))
-
-
-def build_pde_seed(cfg: RunConfig) -> ComplexField:
-    n, length = cfg.grid.n, cfg.grid.length
-    mp = cfg.model_params()
-    kind = cfg.seed.kind
-    eps = cfg.params.epsilon
-    if kind == "zero":
-        values = np.zeros(n, dtype=complex)
-    elif kind == "flat":
-        # FCGL flat root mapped back through U ~ eps A e^{i(t + pi/4)} at t=0
-        hat = replace(cfg.fcgl_params(), gamma=cfg.scaling().to_gamma(mp.f))
-        root = _flat_root(hat)
-        values = np.full(n, eps * root.r * np.exp(1j * (root.phi + math.pi / 4)),
-                         dtype=complex)
-    elif kind == "sech-weak":
-        profile = weak_sech_pde(mp, center=length / 2.0)
-        return ComplexField(length, _add_noise(
-            profile.as_field(n, length, t=0.0).values, cfg))
-    elif kind == "sech-strong":
+        if pde:
+            profile = weak_sech_pde(cfg.model_params(), center=length / 2.0)
+        else:
+            p = cfg.fcgl_params()
+            profile = weak_sech_fcgl(p, p.gamma, center=length / 2.0)
+        values = profile.as_field(n, length).values
+    elif kind == "sech-strong" and pde:
+        mp = cfg.model_params()
         fp = mathieu_critical(mp, cfg.floquet.j_trunc)
-        coeffs = strong_ac_coeffs(fp, mp)
-        profile = strong_sech_pde(coeffs, fp, mp.f, center=length / 2.0)
-        return ComplexField(length, _add_noise(
-            profile.as_field(n, length, t=0.0).values, cfg))
+        profile = strong_sech_pde(strong_ac_coeffs(fp, mp), fp, mp.f,
+                                  center=length / 2.0)
+        values = profile.as_field(n, length).values
     elif kind == "file":
         state = fileio.read_snapshot(cfg.seed.path)
         if isinstance(state, continuation.HarmonicPdeState):
+            if not pde:
+                raise ConfigError(
+                    "seed file holds a harmonic state, not a field")
             state = state.reconstruct(0.0)
-        return ComplexField(state.length, _add_noise(state.values, cfg))
+        length, values = state.length, state.values
     else:
-        raise ConfigError(f"seed kind {kind!r} is not valid for system=pde")
+        raise ConfigError(
+            f"seed kind {kind!r} is not valid for system={cfg.system.kind}")
     return ComplexField(length, _add_noise(values, cfg))
 
 
@@ -126,11 +108,12 @@ def build_pde_seed(cfg: RunConfig) -> ComplexField:
 def cmd_simulate(cfg: RunConfig, out: str) -> int:
     ts = cfg.timestepping
     dt = ts.dt
+    seed = build_seed(cfg)
     if cfg.system.kind == "fcgl":
-        seed, p = build_fcgl_seed(cfg), cfg.fcgl_params()
+        p = cfg.fcgl_params()
         strobe = max(1, int(round(1.0 / dt))) * dt
     else:
-        seed, p = build_pde_seed(cfg), cfg.model_params()
+        p = cfg.model_params()
         strobe = TWO_PI
     stepper = etd.make_stepper(seed, p, dt)
     times, norms = [stepper.t], [stepper.norm]
@@ -268,28 +251,6 @@ def cmd_reduce(cfg: RunConfig, out: str) -> int:
 
 # ---- continue ----
 
-def _trace_both(problem, z0, param0, controls):
-    """Continue in both directions; returns (merged branch, stalled flag)."""
-    stalled = False
-    try:
-        back = continuation.continue_branch(problem, z0, param0, -1, controls)
-    except StalledBranchError as exc:
-        back, stalled = exc.branch, True
-    try:
-        forward = continuation.continue_branch(problem, z0, param0, +1, controls)
-    except StalledBranchError as exc:
-        forward, stalled = exc.branch, True
-    return continuation.merge_branches(back, forward), stalled
-
-
-def _controls(cfg: RunConfig) -> continuation.ContinuationControls:
-    c = cfg.continuation
-    return continuation.ContinuationControls(
-        ds0=c.ds0, ds_min=c.ds_min, ds_max=c.ds_max,
-        max_points=c.max_points, param_min=c.param_min,
-        param_max=c.param_max, tol=c.newton_tol)
-
-
 def _write_branch_outputs(out, branch, problem, snapshot_stride: int) -> None:
     fileio.write_branch(os.path.join(out, "branch.csv"), branch)
     fileio.write_folds(os.path.join(out, "folds.csv"), branch.folds)
@@ -306,13 +267,17 @@ def _write_branch_outputs(out, branch, problem, snapshot_stride: int) -> None:
 
 
 def cmd_continue(cfg: RunConfig, out: str) -> int:
-    controls = _controls(cfg)
+    c = cfg.continuation
+    controls = continuation.ContinuationControls(
+        ds0=c.ds0, ds_min=c.ds_min, ds_max=c.ds_max,
+        max_points=c.max_points, param_min=c.param_min,
+        param_max=c.param_max, tol=c.newton_tol)
     seed_steady = []
     if cfg.system.kind == "fcgl":
         p = cfg.fcgl_params()
         param = p.gamma
         problem = continuation.FcglSteadyProblem(p, cfg.grid.n, cfg.grid.length)
-        z0 = problem.pack(build_fcgl_seed(cfg).values)
+        z0 = problem.pack(build_seed(cfg).values)
 
         def classify(z, g):
             label = continuation.classify_stability_fcgl(problem, z, g)
@@ -328,7 +293,7 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
                 raise ConfigError(
                     "pde continuation from file needs a harmonic snapshot")
         else:
-            seed = build_pde_seed(cfg)
+            seed = build_seed(cfg)
             # converge toward the periodic attractor before projecting;
             # steps per period must be a multiple of the snapshot count
             steps = 16 * max(1, math.ceil(TWO_PI / cfg.timestepping.dt / 16))
@@ -348,16 +313,16 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
         def classify(z, f_val):
             return continuation.classify_stability_pde(
                 problem.state_of(z, f_val), mp)
-    seed_stats = continuation.SolveStats()
-    z0, _, _ = continuation.newton_solve(problem, z0, param, tol=controls.tol,
-                                         stats=seed_stats)
-    branch, stalled = _trace_both(problem, z0, param, controls)
-    stride = cfg.continuation.classify_stride
-    if cfg.continuation.classify and stride > 0:
-        continuation.classify_branch(branch, classify, stride)
-    _write_branch_outputs(out, branch, problem, cfg.continuation.snapshot_stride)
+    stalled = False
+    try:
+        branch = continuation.trace_branch(problem, z0, param, controls)
+    except StalledBranchError as exc:
+        branch, stalled = exc.branch, True
+    if c.classify and c.classify_stride > 0:
+        continuation.classify_branch(branch, classify, c.classify_stride)
+    _write_branch_outputs(out, branch, problem, c.snapshot_stride)
     fileio.write_kv(os.path.join(out, "stats.txt"),
-                    seed_steady + (seed_stats + branch.stats).items())
+                    seed_steady + branch.stats.items())
     if stalled:
         print("continuation stalled; partial branch written", file=sys.stderr)
         return 4
@@ -375,7 +340,7 @@ def _sweep_probe(job) -> tuple:
         else:
             scaling = ScalingMap(eps)
             p = replace(p, gamma=scaling.to_gamma(param))
-            seed = _probe_seed(p, grid_n, grid_len, scale=eps,
+            seed = _probe_seed(p, grid_n, grid_len, eps=eps,
                                phase_shift=math.pi / 4)
             eq = replace(scaling.fcgl_to_pde(p), f=param)
         stepper = etd.make_stepper(seed, eq, dt)
@@ -385,10 +350,13 @@ def _sweep_probe(job) -> tuple:
         return (i, j, p.nu, param, "indeterminate")
 
 
-def _probe_seed(p: FcglParams, n: int, length: float, scale: float = 1.0,
+def _probe_seed(p: FcglParams, n: int, length: float, eps: float = 1.0,
                 phase_shift: float = 0.0) -> ComplexField:
     """Sech pulse whose core sits on the upper flat state when one exists;
-    otherwise the small below-onset sech, otherwise a tiny bump."""
+    otherwise the small below-onset sech, otherwise a tiny bump.  For the
+    forced model the pulse is mapped to the fast frame: amplitudes times
+    eps, the below-onset sech's width divided by eps, phases plus
+    phase_shift."""
     fs = flat_states(p)
     if fs.roots:
         root = fs.roots[-1]
@@ -397,14 +365,15 @@ def _probe_seed(p: FcglParams, n: int, length: float, scale: float = 1.0,
     else:
         try:
             prof = weak_sech_fcgl(p, p.gamma, center=length / 2.0)
-            return ComplexField(length, scale * np.exp(1j * phase_shift)
+            prof = replace(prof, inv_width=eps * prof.inv_width)
+            return ComplexField(length, eps * np.exp(1j * phase_shift)
                                 * prof.as_field(n, length).values)
         except ExistenceError:
             core = 1e-2
             inv_width = 16.0 / length
     x = np.arange(n) * (length / n)
     pulse = core / np.cosh(inv_width * (x - length / 2.0))
-    return ComplexField(length, scale * pulse.astype(complex))
+    return ComplexField(length, eps * pulse.astype(complex))
 
 
 def _classify_endstate(field: ComplexField) -> str:

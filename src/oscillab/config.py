@@ -156,11 +156,10 @@ def _convert(raw: str, kind: type, where: str):
         if kind is int:
             return int(raw)
         if kind is float:
-            if raw.lower() in ("inf", "+inf"):
-                return math.inf
-            if raw.lower() == "-inf":
-                return -math.inf
-            return float(raw)
+            value = float(raw)     # takes "inf" and "-inf"
+            if math.isnan(value):
+                raise ValueError(raw)
+            return value
         return raw
     except ValueError as exc:
         raise ConfigError(f"{where}: cannot parse {raw!r} as {kind.__name__}") from exc
@@ -210,15 +209,23 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("[timestepping] dt must be > 0")
     if cfg.timestepping.t_end <= 0:
         raise ConfigError("[timestepping] t_end must be > 0")
+    if cfg.timestepping.max_periods < 1:
+        raise ConfigError("[timestepping] max_periods must be >= 1")
     c = cfg.continuation
     if not (0 < c.ds_min <= c.ds0 <= c.ds_max):
         raise ConfigError("[continuation] need 0 < ds_min <= ds0 <= ds_max")
     if c.max_points < 2:
         raise ConfigError("[continuation] max_points must be >= 2")
+    if c.newton_tol <= 0:
+        raise ConfigError("[continuation] newton_tol must be > 0")
     if cfg.floquet.j_trunc < 2:
         raise ConfigError("[floquet] j_trunc must be >= 2")
     if cfg.sweep.nu_count < 1 or cfg.sweep.p_count < 1:
         raise ConfigError("[sweep] grid counts must be >= 1")
+    if cfg.sweep.t_probe <= 0:
+        raise ConfigError("[sweep] t_probe must be > 0")
+    if cfg.output.norm_stride < 1:
+        raise ConfigError("[output] norm_stride must be >= 1")
 
 
 def load_config(path: str | None = None, overrides: list[str] = (),

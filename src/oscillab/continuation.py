@@ -20,7 +20,7 @@ from dataclasses import asdict, astuple, dataclass, field, replace
 import numpy as np
 
 from . import etd, spectral
-from .core import FcglParams, ModelParams
+from .core import FcglParams, ModelParams, ScalingMap
 from .errors import (DivergenceError, InvalidFieldError, OscillabError,
                      ParameterError, StalledBranchError)
 from .fields import ComplexField, solution_norm
@@ -597,7 +597,7 @@ def _folded_branch(pts: list[BranchPoint], stats: SolveStats) -> Branch:
     return Branch(points=pts, folds=folds, stats=stats)
 
 
-def merge_branches(back: Branch, forward: Branch) -> Branch:
+def _merge_branches(back: Branch, forward: Branch) -> Branch:
     """Join two branches traced in opposite directions from one seed point;
     the solver counters of the two add up."""
     pts = list(reversed(back.points[1:])) + forward.points
@@ -608,6 +608,29 @@ def merge_branches(back: Branch, forward: Branch) -> Branch:
         merged.append(replace(pt, index=i, arclength=arc, fold=False))
         prev = pt
     return _folded_branch(merged, back.stats + forward.stats)
+
+
+def trace_branch(problem, z0: np.ndarray, param0: float,
+                 controls: ContinuationControls | None = None) -> Branch:
+    """Newton-polish z0 at param0, continue from it in both directions and
+    join the halves, counting all the solver work.  A stalled half is kept
+    and the other still traced; StalledBranchError then carries the join."""
+    controls = controls or ContinuationControls()
+    polish = SolveStats()
+    z, _, _ = newton_solve(problem, z0, param0, tol=controls.tol, stats=polish)
+    halves, stalled = [], False
+    for direction in (-1, +1):
+        try:
+            halves.append(continue_branch(problem, z, param0, direction,
+                                          controls))
+        except StalledBranchError as exc:
+            halves.append(exc.branch)
+            stalled = True
+    branch = _merge_branches(*halves)
+    branch.stats += polish
+    if stalled:
+        raise StalledBranchError(branch)
+    return branch
 
 
 # ---- stability ----
@@ -710,41 +733,38 @@ def classify_branch(branch: Branch, classify, stride: int = 1) -> None:
 
 # ---- branch comparison ----
 
-def _monotone_segments(params: np.ndarray, norms: np.ndarray, fold_idx):
-    cuts = [0] + [i for i in fold_idx] + [len(params) - 1]
-    segs = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b - a >= 1:
-            segs.append((params[a:b + 1], norms[a:b + 1]))
-    return segs
+OVERLAY_SAMPLES = 60    # parameters at which the branches are compared
+OVERLAY_TRIM = 0.02     # share of the window cut at each end, next to the
+                        # folds, where the norm is vertical in the parameter
 
 
-def branch_overlay_max_diff(branch_a: Branch, branch_b: Branch,
-                            param_map=None, norm_map=None,
-                            max_segments: int = 3, samples: int = 40) -> float:
-    """Largest relative norm difference between two branches compared
-    segment-by-segment between folds, after mapping branch_b coordinates
-    through param_map/norm_map.  Returns nan when nothing overlaps."""
-    param_map = param_map or (lambda x: x)
-    norm_map = norm_map or (lambda x: x)
-    pa, na = branch_a.params, branch_a.norms
-    pb = np.array([param_map(v) for v in branch_b.params])
-    nb = np.array([norm_map(v) for v in branch_b.norms])
-    fa = [pt.index for pt in branch_a.points if pt.fold]
-    fb = [pt.index for pt in branch_b.points if pt.fold]
-    segs_a = _monotone_segments(pa, na, fa)[:max_segments]
-    segs_b = _monotone_segments(pb, nb, fb)[:max_segments]
-    worst = math.nan
-    for (qa, ma), (qb, mb) in zip(segs_a, segs_b):
-        lo = max(qa.min(), qb.min())
-        hi = min(qa.max(), qb.max())
-        if hi <= lo:
-            continue
-        grid = np.linspace(lo, hi, samples)
-        ia = np.argsort(qa)
-        ib = np.argsort(qb)
-        va = np.interp(grid, qa[ia], ma[ia])
-        vb = np.interp(grid, qb[ib], mb[ib])
-        rel = np.max(np.abs(va - vb) / np.maximum(np.abs(vb), 1e-30))
-        worst = rel if math.isnan(worst) else max(worst, rel)
-    return worst
+def overlay_mismatch(fcgl_branch: Branch, pde_branch: Branch,
+                     scaling: ScalingMap) -> tuple[float, float, float]:
+    """(worst, lo, hi): the largest gap between the two branches' norms,
+    relative to the amplitude equation's, at OVERLAY_SAMPLES parameters
+    spanning [lo, hi], the overlap of the pieces between each branch's outer
+    folds less OVERLAY_TRIM of it at each end.  The forced-model branch is
+    first mapped to the amplitude-equation frame: parameter through
+    scaling.to_gamma, norm divided by epsilon."""
+    pieces = []
+    for branch in (fcgl_branch, pde_branch):
+        q = branch.params
+        folds = [k for k, pt in enumerate(branch.points) if pt.fold]
+        if len(folds) < 2:
+            raise ParameterError(f"a branch has {len(folds)} fold point(s); "
+                                 "the overlay needs two")
+        i, j = sorted((min(folds, key=q.__getitem__),
+                       max(folds, key=q.__getitem__)))
+        pieces.append((q[i:j + 1], branch.norms[i:j + 1]))
+    (qa, na), (qb, nb) = pieces
+    qb, nb = scaling.to_gamma(qb), nb / scaling.epsilon
+    lo, hi = max(qa.min(), qb.min()), min(qa.max(), qb.max())
+    if hi <= lo:
+        raise ParameterError("the branches' fold windows do not overlap")
+    pad = OVERLAY_TRIM * (hi - lo)
+    grid = np.linspace(lo + pad, hi - pad, OVERLAY_SAMPLES)
+    ia, ib = np.argsort(qa), np.argsort(qb)
+    va = np.interp(grid, qa[ia], na[ia])
+    vb = np.interp(grid, qb[ib], nb[ib])
+    worst = float(np.max(np.abs(va - vb) / np.abs(va)))
+    return worst, float(grid[0]), float(grid[-1])

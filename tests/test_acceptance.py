@@ -12,7 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oscillab import FcglParams, ModelParams, flat_states, make_stepper
+from oscillab import (FcglParams, ModelParams, ScalingMap, flat_states,
+                      make_stepper)
 from oscillab import continuation as ct
 from oscillab.etd import run_to_steady
 from oscillab.fields import ComplexField
@@ -55,15 +56,12 @@ def fcgl_branch():
     p = replace(FCGL, gamma=1.95)
     problem = ct.FcglSteadyProblem(p, n=512, length=L_FCGL)
     seed = weak_sech_fcgl(p, 1.95, center=L_FCGL / 2).as_field(512, L_FCGL)
-    z, _, _ = ct.newton_solve(problem, problem.pack(seed.values), 1.95)
     # cap below onset: as the amplitude vanishes the pulse widens until it
     # wraps the periodic domain, creating a finite-size fold near 2.051
     controls = ct.ContinuationControls(ds0=0.01, ds_max=0.04,
                                        param_min=1.35, param_max=2.05,
                                        max_points=260)
-    back = ct.continue_branch(problem, z, 1.95, -1, controls)
-    fwd = ct.continue_branch(problem, z, 1.95, +1, controls)
-    return ct.merge_branches(back, fwd)
+    return ct.trace_branch(problem, problem.pack(seed.values), 1.95, controls)
 
 
 @pytest.fixture(scope="module")
@@ -82,29 +80,15 @@ def pde_branch(oscillon_run):
     stepper, _, _ = oscillon_run
     projected = ct.timestepper_harmonics(stepper, WEAK.f)
     problem = ct.PdeHarmonicProblem(WEAK, n=640, length=L_PDE)
-    z, _, _ = ct.newton_solve(problem, problem.pack(projected.profiles),
-                              WEAK.f)
     controls = ct.ContinuationControls(ds0=0.005, ds_max=0.02,
                                        param_min=0.0545, param_max=0.0625,
                                        max_points=150)
-    back = ct.continue_branch(problem, z, WEAK.f, -1, controls)
-    fwd = ct.continue_branch(problem, z, WEAK.f, +1, controls)
-    return ct.merge_branches(back, fwd)
+    return ct.trace_branch(problem, problem.pack(projected.profiles), WEAK.f,
+                           controls)
 
 
 def outer_folds(branch):
     return min(branch.folds), max(branch.folds)
-
-
-def fold_segment(branch):
-    """Branch piece between the two outermost fold points."""
-    flagged = [pt for pt in branch.points if pt.fold]
-    lo = min(flagged, key=lambda pt: pt.param)
-    hi = max(flagged, key=lambda pt: pt.param)
-    i, j = sorted((lo.index, hi.index))
-    pts = branch.points[i:j + 1]
-    return (np.array([pt.param for pt in pts]),
-            np.array([pt.norm for pt in pts]))
 
 
 # ---- criteria ----
@@ -312,22 +296,11 @@ def test_criterion_09_asymptotic_seed_quality(report):
 
 
 def test_criterion_10_branch_overlay(report, fcgl_branch, pde_branch):
-    qa, na = fold_segment(fcgl_branch)
-    qb, nb = fold_segment(pde_branch)
-    qb = qb / (4.0 * EPS**2)   # forcing back to the amplitude-equation drive
-    nb = nb / EPS
-    lo = max(qa.min(), qb.min())
-    hi = min(qa.max(), qb.max())
-    # trim the fold neighborhoods where the norm is vertical in the parameter
-    pad = 0.02 * (hi - lo)
-    grid = np.linspace(lo + pad, hi - pad, 60)
-    ia, ib = np.argsort(qa), np.argsort(qb)
-    va = np.interp(grid, qa[ia], na[ia])
-    vb = np.interp(grid, qb[ib], nb[ib])
-    worst = float(np.max(np.abs(va - vb) / np.abs(va)))
+    worst, lo, hi = ct.overlay_mismatch(fcgl_branch, pde_branch,
+                                        ScalingMap(EPS))
     ok = worst < 0.05
     report(10, ok, f"max norm mismatch {100 * worst:.2f}% over "
-                   f"[{grid[0]:.4f}, {grid[-1]:.4f}] (tol 5%)")
+                   f"[{lo:.4f}, {hi:.4f}] (tol 5%)")
     assert ok
 
 

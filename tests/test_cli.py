@@ -3,15 +3,19 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oscillab
-from oscillab import fileio
-from oscillab.cli import _worker_count, main
+from oscillab import continuation, fileio, flat_states
+from oscillab.cli import _probe_seed, _worker_count, build_seed, main
+from oscillab.config import load_config
 from oscillab.continuation import HarmonicPdeState
+from oscillab.errors import StalledBranchError
 from oscillab.fields import ComplexField
+from oscillab.reduction import weak_sech_fcgl
 
 
 def read_kv(path):
@@ -221,6 +225,31 @@ def test_continue_writes_leading_rates(tmp_path):
         assert row[3] == ("stable" if rate < 1e-8 else "unstable")
 
 
+def test_stalled_continue_writes_the_partial_branch(tmp_path, monkeypatch,
+                                                   capsys):
+    real, sizes = continuation.continue_branch, []
+
+    def stall_backward(problem, z0, param0, direction, controls):
+        branch = real(problem, z0, param0, direction, controls)
+        sizes.append(len(branch.points))
+        if direction < 0:
+            raise StalledBranchError(branch)
+        return branch
+
+    monkeypatch.setattr(continuation, "continue_branch", stall_backward)
+    code, out = run(tmp_path, "continue", "--seed", "flat",
+                    "--override", "params.gamma=1.6",
+                    "--override", "grid.n=64",
+                    "--override", "continuation.max_points=3",
+                    "--override", "continuation.classify=false")
+    assert code == 4
+    assert "continuation stalled" in capsys.readouterr().err
+    _, rows = fileio.read_csv(out / "branch.csv")
+    assert len(sizes) == 2 and len(rows) == sum(sizes) - 1
+    stats = read_kv(out / "stats.txt")
+    assert int(stats["gmres_solves"]) > int(stats["corrector_iterations"]) >= 4
+
+
 def test_pde_continue_records_its_seed_trajectory(tmp_path, capsys):
     code, out = run(tmp_path, "continue",
                     "--override", "system.kind=pde",
@@ -234,6 +263,46 @@ def test_pde_continue_records_its_seed_trajectory(tmp_path, capsys):
     assert stats["seed_steady_converged"] == "false"
     assert stats["seed_steady_periods"] == "2"
     assert "not steady after 2 periods" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["zero", "flat", "file"])
+def test_model_seeds(tmp_path, kind):
+    overrides = ["system.kind=pde", "grid.n=64", f"seed.kind={kind}"]
+    if kind == "file":
+        rng = np.random.default_rng(1)
+        profiles = rng.standard_normal((4, 64)) + 1j * rng.standard_normal((4, 64))
+        snap = tmp_path / "harm.txt"
+        fileio.write_snapshot(snap, HarmonicPdeState(
+            length=50.0, harmonics=np.array([-3, -1, 1, 3]),
+            profiles=profiles, f=0.05))
+        overrides.append(f"seed.path={snap}")
+    cfg = load_config(overrides=overrides)
+    seed = build_seed(cfg)
+    if kind == "zero":
+        expected = ComplexField(cfg.grid.length, np.zeros(64, dtype=complex))
+    elif kind == "flat":
+        eps = cfg.params.epsilon
+        gamma = cfg.scaling().to_gamma(cfg.params.f)
+        root = flat_states(replace(cfg.fcgl_params(), gamma=gamma)).roots[-1]
+        value = eps * root.r * np.exp(1j * (root.phi + math.pi / 4))
+        expected = ComplexField(cfg.grid.length, np.full(64, value))
+    else:
+        expected = fileio.read_snapshot(snap).reconstruct(0.0)
+    assert seed.length == expected.length
+    assert np.array_equal(seed.values, expected.values)
+
+
+def test_model_probe_seed_has_the_mapped_width():
+    cfg = load_config(overrides=["system.kind=pde", "params.nu=3.0"])
+    eps, n, length = cfg.params.epsilon, cfg.grid.n, cfg.grid.length
+    p = replace(cfg.fcgl_params(), gamma=cfg.scaling().to_gamma(0.048))
+    seed = _probe_seed(p, n, length, eps=eps, phase_shift=math.pi / 4)
+    # full width at half maximum of sech(kappa X) is 2 acosh(2) / kappa
+    fcgl_width = 2.0 * math.acosh(2.0) / weak_sech_fcgl(p, p.gamma).inv_width
+    mags = np.abs(seed.values)
+    dx = length / n
+    width = np.count_nonzero(mags >= 0.5 * mags.max()) * dx
+    assert width == pytest.approx(fcgl_width / eps, abs=dx)
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2"])

@@ -70,6 +70,8 @@ def test_override_type_coercion():
     ("nosuch.key=1", "unknown config section"),
     ("params.nosuch=1", "unknown key"),
     ("params.gamma=abc", "cannot parse"),
+    ("timestepping.dt=nan", "cannot parse"),
+    ("continuation.newton_tol=NaN", "cannot parse"),
     ("continuation.classify=maybe", "cannot parse"),
     ("params.gamma", "must look like"),
     ("gamma=1.0", "must look like"),
@@ -91,10 +93,14 @@ def test_bad_overrides(override, fragment):
     ("grid.length=-1", "length"),
     ("timestepping.dt=0", "dt"),
     ("timestepping.t_end=-2", "t_end"),
+    ("timestepping.max_periods=0", "max_periods"),
     ("continuation.ds_min=0.2", "ds_min <= ds0"),
     ("continuation.max_points=1", "max_points"),
+    ("continuation.newton_tol=0", "newton_tol"),
     ("floquet.j_trunc=1", "j_trunc"),
     ("sweep.nu_count=0", "grid counts"),
+    ("sweep.t_probe=-5", "t_probe"),
+    ("output.norm_stride=0", "norm_stride"),
 ])
 def test_validation_rejects(override, fragment):
     with pytest.raises(ConfigError, match=fragment):

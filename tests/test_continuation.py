@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from oscillab import FcglParams, flat_states, make_stepper
+from oscillab import FcglParams, ScalingMap, flat_states, make_stepper
 from oscillab import continuation as ct
 from oscillab.errors import (DivergenceError, ParameterError,
                              StalledBranchError)
@@ -170,19 +170,46 @@ def test_flat_branch_fold_near_reference(fcgl_params):
     assert min(branch.folds) == pytest.approx(1.2070196981508372, rel=2e-3)
 
 
-def test_branch_bookkeeping(fcgl_params):
+def traced_halves(monkeypatch, stall=()):
+    """Record the halves that trace_branch gets from continue_branch; the
+    directions in stall raise StalledBranchError with their half."""
+    halves, real = [], ct.continue_branch
+
+    def spy(problem, z0, param0, direction, controls):
+        branch = real(problem, z0, param0, direction, controls)
+        halves.append((direction, branch))
+        if direction in stall:
+            raise StalledBranchError(branch)
+        return branch
+
+    monkeypatch.setattr(ct, "continue_branch", spy)
+    return halves
+
+
+def flat_trace_setup(fcgl_params, max_points):
     p = replace(fcgl_params, gamma=1.6)
     prob = ct.FcglSteadyProblem(p, n=64, length=LENGTH)
-    z = prob.pack(flat_field(p, 64).values)
+    z = prob.pack(flat_field(p, 64, scale=0.99).values)
     controls = ct.ContinuationControls(param_min=1.5, param_max=1.75,
-                                       max_points=40)
-    back = ct.continue_branch(prob, z, 1.6, -1, controls)
-    fwd = ct.continue_branch(prob, z, 1.6, +1, controls)
-    merged = ct.merge_branches(back, fwd)
+                                       max_points=max_points)
+    polish = ct.SolveStats()
+    ct.newton_solve(prob, z, 1.6, tol=controls.tol, stats=polish)
+    assert polish.gmres_solves > 0
+    return prob, z, controls, polish
+
+
+def test_branch_bookkeeping(fcgl_params, monkeypatch):
+    prob, z, controls, _ = flat_trace_setup(fcgl_params, 40)
+    halves = traced_halves(monkeypatch)
+    merged = ct.trace_branch(prob, z, 1.6, controls)
+    (d_back, back), (d_fwd, fwd) = halves
+    assert (d_back, d_fwd) == (-1, +1)
     assert [pt.index for pt in merged.points] == list(range(len(merged.points)))
     arcs = [pt.arclength for pt in merged.points]
     assert all(b > a for a, b in zip(arcs, arcs[1:]))
     assert len(merged.points) == len(back.points) + len(fwd.points) - 1
+    assert merged.params[0] == back.params[-1]
+    assert merged.params[-1] == fwd.params[-1]
 
 
 def test_stalled_branch_carries_partial_result(fcgl_params):
@@ -197,18 +224,44 @@ def test_stalled_branch_carries_partial_result(fcgl_params):
     assert len(err.value.branch.points) >= 1
 
 
-def test_overlay_of_identical_branches_is_zero(fcgl_params):
-    p = replace(fcgl_params, gamma=1.6)
-    prob = ct.FcglSteadyProblem(p, n=64, length=LENGTH)
-    z = prob.pack(flat_field(p, 64).values)
-    controls = ct.ContinuationControls(param_min=1.4, param_max=1.8,
-                                       max_points=40)
-    branch = ct.continue_branch(prob, z, 1.6, -1, controls)
-    diff = ct.branch_overlay_max_diff(branch, branch)
-    assert diff == pytest.approx(0.0, abs=1e-12)
-    scaled = ct.branch_overlay_max_diff(
-        branch, branch, norm_map=lambda n: 1.03 * n)
-    assert scaled == pytest.approx(0.03, rel=0.05)
+S = np.linspace(-1.5, 1.5, 61)
+S_GAMMA = 1.5 + 0.1 * (S**3 - S)      # folds at s = -+1/sqrt(3)
+S_NORM = 1.0 + 0.2 * S
+
+
+def synthetic_branch(params, norms):
+    pts = [ct.BranchPoint(index=i, param=float(q), norm=float(m),
+                          z=np.zeros(1), arclength=float(i))
+           for i, (q, m) in enumerate(zip(params, norms))]
+    return ct._folded_branch(pts, ct.SolveStats())
+
+
+def test_overlay_of_mapped_copies():
+    scaling = ScalingMap(0.1)
+    fcgl = synthetic_branch(S_GAMMA, S_NORM)
+    assert len(fcgl.folds) == 2
+    pde = synthetic_branch(scaling.to_forcing(S_GAMMA), 0.1 * S_NORM)
+    worst, lo, hi = ct.overlay_mismatch(fcgl, pde, scaling)
+    assert worst == pytest.approx(0.0, abs=1e-12)
+    flagged = [pt.param for pt in fcgl.points if pt.fold]
+    assert min(flagged) < lo < hi < max(flagged)
+    raised = synthetic_branch(scaling.to_forcing(S_GAMMA), 0.103 * S_NORM)
+    worst, _, _ = ct.overlay_mismatch(fcgl, raised, scaling)
+    assert worst == pytest.approx(0.03, rel=1e-9)
+
+
+def test_overlay_needs_two_folds_and_a_shared_window():
+    scaling = ScalingMap(0.1)
+    fcgl = synthetic_branch(S_GAMMA, S_NORM)
+    half = S >= 0.0
+    one_fold = synthetic_branch(scaling.to_forcing(S_GAMMA[half]),
+                                0.1 * S_NORM[half])
+    assert len(one_fold.folds) == 1
+    with pytest.raises(ParameterError, match="needs two"):
+        ct.overlay_mismatch(fcgl, one_fold, scaling)
+    apart = synthetic_branch(scaling.to_forcing(S_GAMMA + 1.0), 0.1 * S_NORM)
+    with pytest.raises(ParameterError, match="do not overlap"):
+        ct.overlay_mismatch(fcgl, apart, scaling)
 
 
 def test_classify_zero_state_across_onset(fcgl_params):
@@ -476,14 +529,11 @@ def test_unconverged_solve_is_counted(fcgl_params):
                                   gmres_unconverged=1)
 
 
-def test_branch_counts_its_solves(fcgl_params):
-    p = replace(fcgl_params, gamma=1.6)
-    prob = ct.FcglSteadyProblem(p, n=64, length=LENGTH)
-    z = prob.pack(flat_field(p, 64).values)
-    controls = ct.ContinuationControls(param_min=1.5, param_max=1.75,
-                                       max_points=20)
-    back = ct.continue_branch(prob, z, 1.6, -1, controls)
-    fwd = ct.continue_branch(prob, z, 1.6, +1, controls)
+def test_branch_counts_its_solves(fcgl_params, monkeypatch):
+    prob, z, controls, polish = flat_trace_setup(fcgl_params, 20)
+    halves = traced_halves(monkeypatch)
+    merged = ct.trace_branch(prob, z, 1.6, controls)
+    (_, back), (_, fwd) = halves
     for branch in (back, fwd):
         s = branch.stats
         # one solve for the tangent and one per corrector iteration, at
@@ -492,9 +542,24 @@ def test_branch_counts_its_solves(fcgl_params):
         assert s.corrector_iterations >= len(branch.points) - 1
         assert s.matvecs > s.gmres_solves
         assert s.gmres_unconverged == 0
-    merged = ct.merge_branches(back, fwd)
-    assert merged.stats == back.stats + fwd.stats
-    assert merged.stats.matvecs == back.stats.matvecs + fwd.stats.matvecs
+    assert merged.stats == polish + back.stats + fwd.stats
+    assert merged.stats.matvecs == (polish.matvecs + back.stats.matvecs
+                                    + fwd.stats.matvecs)
+
+
+def test_trace_branch_keeps_a_stalled_half(fcgl_params, monkeypatch):
+    prob, z, controls, polish = flat_trace_setup(fcgl_params, 20)
+    halves = traced_halves(monkeypatch, stall=(-1,))
+    with pytest.raises(StalledBranchError) as err:
+        ct.trace_branch(prob, z, 1.6, controls)
+    (d_back, back), (d_fwd, fwd) = halves
+    assert (d_back, d_fwd) == (-1, +1)
+    assert fwd.params[-1] > 1.6
+    joined = err.value.branch
+    assert len(joined.points) == len(back.points) + len(fwd.points) - 1
+    assert joined.params[0] == back.params[-1]
+    assert joined.params[-1] == fwd.params[-1]
+    assert joined.stats == polish + back.stats + fwd.stats
 
 
 def test_stalled_branch_counts_rejected_steps(fcgl_params):
