@@ -11,7 +11,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
 
@@ -19,8 +18,7 @@ import numpy as np
 
 from . import __version__, continuation, etd, fileio, spectral
 from .config import RunConfig, load_config, _validate
-from .core import (FcglParams, ScalingMap, flat_state_quadratic, flat_states,
-                   gamma_onset)
+from .core import FcglParams, flat_state_quadratic, flat_states, gamma_onset
 from .errors import (
     BlowUpError,
     ConfigError,
@@ -199,14 +197,10 @@ def cmd_floquet(cfg: RunConfig, out: str) -> int:
                ("weak_limit_formula", weak),
                ("mathieu_residual", fp.mathieu_residual())]
     if cfg.floquet.diagnostics:
-        mults = floquet_multipliers(0.0, mp)
-        for i, m in enumerate(mults):
-            summary += [(f"multiplier_f0_{i}_re", m.real),
-                        (f"multiplier_f0_{i}_im", m.imag)]
-        mults_c = floquet_multipliers(fp.f_c, mp)
-        for i, m in enumerate(mults_c):
-            summary += [(f"multiplier_fc_{i}_re", m.real),
-                        (f"multiplier_fc_{i}_im", m.imag)]
+        for tag, f in (("f0", 0.0), ("fc", fp.f_c)):
+            for i, m in enumerate(floquet_multipliers(f, mp)):
+                summary += [(f"multiplier_{tag}_{i}_re", m.real),
+                            (f"multiplier_{tag}_{i}_im", m.imag)]
     fileio.write_kv(os.path.join(out, "summary.txt"), summary)
     return 0
 
@@ -331,23 +325,24 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
 
 # ---- sweep ----
 
-def _sweep_probe(job) -> tuple:
-    (i, j, system, p, eps, param, grid_n, grid_len, dt, t_probe) = job
-    try:
-        if system == "fcgl":
-            p = eq = replace(p, gamma=param)
-            seed = _probe_seed(p, grid_n, grid_len)
-        else:
-            scaling = ScalingMap(eps)
-            p = replace(p, gamma=scaling.to_gamma(param))
-            seed = _probe_seed(p, grid_n, grid_len, eps=eps,
-                               phase_shift=math.pi / 4)
-            eq = replace(scaling.fcgl_to_pde(p), f=param)
-        stepper = etd.make_stepper(seed, eq, dt)
-        stepper.run(int(round(t_probe / dt)))
-        return (i, j, p.nu, param, _classify_endstate(stepper.field))
-    except OscillabError:
-        return (i, j, p.nu, param, "indeterminate")
+def _probe_setup(cfg: RunConfig, nu: float, param: float):
+    """The seed and the equation of the sweep probe at (nu, param)."""
+    n, length, eps = cfg.grid.n, cfg.grid.length, cfg.params.epsilon
+    p = replace(cfg.fcgl_params(), nu=nu)
+    if cfg.system.kind == "fcgl":
+        p = replace(p, gamma=param)
+        return _probe_seed(p, n, length), p
+    scaling = cfg.scaling()
+    p = replace(p, gamma=scaling.to_gamma(param))
+    seed = _probe_seed(p, n, length, eps=eps, phase_shift=math.pi / 4)
+    return seed, replace(scaling.fcgl_to_pde(p), f=param)
+
+
+def _sweep_probe(i: int, j: int, nu: float, param: float, end) -> tuple:
+    """One sweep.csv row from a probe's end state; a probe without one (its
+    set-up failed or it blew up) is indeterminate."""
+    outcome = "indeterminate" if end is None else _classify_endstate(end)
+    return (i, j, nu, param, outcome)
 
 
 def _probe_seed(p: FcglParams, n: int, length: float, eps: float = 1.0,
@@ -386,42 +381,37 @@ def _classify_endstate(field: ComplexField) -> str:
     return "localized" if edge < 0.2 * peak else "flat"
 
 
-def _worker_count() -> int:
-    """Sweep pool size: OSCILLON_THREADS if set, else the usable CPU count."""
-    raw = os.environ.get("OSCILLON_THREADS")
-    if not raw:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(
-            f"OSCILLON_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
 def cmd_sweep(cfg: RunConfig, out: str) -> int:
-    workers = _worker_count()
-    s = cfg.sweep
-    nus = np.linspace(s.nu_min, s.nu_max, s.nu_count)
-    ps = np.linspace(s.p_min, s.p_max, s.p_count)
-    jobs = [(i, j, cfg.system.kind, replace(cfg.fcgl_params(), nu=float(nu)),
-             cfg.params.epsilon, float(pv), cfg.grid.n, cfg.grid.length,
-             cfg.timestepping.dt, s.t_probe)
-            for i, nu in enumerate(nus) for j, pv in enumerate(ps)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_probe, jobs))
-    else:
-        results = [_sweep_probe(job) for job in jobs]
-    results.sort(key=lambda r: (r[0], r[1]))
+    """Step every probe as one row of a stacked state.  Rows are independent,
+    so when some blow up, the rest are stepped again from their seeds
+    without them."""
+    s, dt = cfg.sweep, cfg.timestepping.dt
+    probes = [(i, j, float(nu), float(pv))
+              for i, nu in enumerate(np.linspace(s.nu_min, s.nu_max, s.nu_count))
+              for j, pv in enumerate(np.linspace(s.p_min, s.p_max, s.p_count))]
+    live = []       # (probe index, seed, equation) of the probes to step
+    for k, (_, _, nu, pv) in enumerate(probes):
+        try:
+            live.append((k, *_probe_setup(cfg, nu, pv)))
+        except OscillabError:
+            pass
+    ends = [None] * len(probes)
+    while live:
+        keys, seeds, eqs = zip(*live)
+        stepper = etd.make_stepper(seeds, eqs, dt)
+        try:
+            stepper.run(int(round(s.t_probe / dt)))
+        except BlowUpError as exc:
+            live = [row for r, row in enumerate(live) if r not in exc.rows]
+        else:
+            for k, u in zip(keys, stepper.u):
+                ends[k] = ComplexField(cfg.grid.length, np.fft.ifft(u))
+            live = []
+    rows = [_sweep_probe(*probe, end) for probe, end in zip(probes, ends)]
     param_name = "gamma" if cfg.system.kind == "fcgl" else "f"
     fileio.write_csv(os.path.join(out, "sweep.csv"),
                      ["nu", param_name, "outcome"],
-                     [(nu, pv, outcome) for _, _, nu, pv, outcome in results])
+                     [(nu, pv, outcome) for _, _, nu, pv, outcome in rows])
     return 0
 
 

@@ -222,8 +222,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("[floquet] j_trunc must be >= 2")
     if cfg.sweep.nu_count < 1 or cfg.sweep.p_count < 1:
         raise ConfigError("[sweep] grid counts must be >= 1")
-    if cfg.sweep.t_probe <= 0:
-        raise ConfigError("[sweep] t_probe must be > 0")
+    if cfg.sweep.t_probe < cfg.timestepping.dt:
+        raise ConfigError("[sweep] t_probe must be >= timestepping.dt")
     if cfg.output.norm_stride < 1:
         raise ConfigError("[output] norm_stride must be >= 1")
 

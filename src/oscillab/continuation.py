@@ -414,17 +414,18 @@ def timestepper_harmonics(stepper: etd.SpectralStepper, f: float,
 
 # ---- branches ----
 
+STEP_GROWTH = 1.3   # step-size factor after a fast corrector
+FAST_ITERS = 3      # corrector iterations that count as fast
+
+
 @dataclass
 class ContinuationControls:
     ds0: float = 0.01
     ds_min: float = 1e-5
     ds_max: float = 0.05
-    grow: float = 1.3
-    fast_iters: int = 3
     max_points: int = 300
     param_min: float = -math.inf
     param_max: float = math.inf
-    norm_max: float = math.inf
     tol: float = 1e-10
     max_corrector: int = 8
 
@@ -564,11 +565,9 @@ def continue_branch(problem, z0: np.ndarray, param0: float, direction: int = -1,
         points.append(BranchPoint(index=len(points), param=param,
                                   norm=problem.norm_of(z), z=z,
                                   arclength=arclength))
-        if iters <= controls.fast_iters:
-            ds = min(ds * controls.grow, controls.ds_max)
+        if iters <= FAST_ITERS:
+            ds = min(ds * STEP_GROWTH, controls.ds_max)
         if not (controls.param_min <= param <= controls.param_max):
-            break
-        if points[-1].norm > controls.norm_max:
             break
     return _folded_branch(points, stats)
 
@@ -689,39 +688,37 @@ def classify_stability_fcgl(problem: FcglSteadyProblem, z: np.ndarray,
     return Label("stable" if rate < threshold else "unstable", rate)
 
 
-def classify_stability_pde(state: HarmonicPdeState, params: ModelParams,
-                           periods: int = 40, noise: float = 1e-6,
-                           rng_seed: int = 0, steps_per_period: int = 200,
-                           threshold: float = 1e-4):
+PDE_LABEL_PERIODS = 40         # stroboscopic samples of the deviation
+PDE_LABEL_STEPS = 200          # ETD steps per forcing period
+PDE_LABEL_NOISE = 1e-6         # perturbation, relative to the state's rms
+PDE_LABEL_RNG_SEED = 0
+PDE_LABEL_THRESHOLD = 1e-4     # fitted rates below this are stable
+
+
+def classify_stability_pde(state: HarmonicPdeState, params: ModelParams):
     """Time-stepping stability flag: perturb the reconstruction by relative
-    noise, evolve, and fit the exponential growth of the stroboscopic
-    deviation.  Returns (label, fitted_rate)."""
+    noise, evolve it beside the unperturbed one as two rows of one stepper,
+    and fit the exponential growth of the stroboscopic deviation.  Returns
+    (label, fitted_rate)."""
     p = replace(params, f=state.f)
-    dt = TWO_PI / steps_per_period
     base = state.reconstruct(0.0)
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(PDE_LABEL_RNG_SEED)
     rms = math.sqrt(float(np.mean(np.abs(base.values) ** 2)))
-    bump = noise * rms * (rng.standard_normal(base.n)
-                          + 1j * rng.standard_normal(base.n)) / math.sqrt(2.0)
-    pert = ComplexField(base.length, base.values + bump)
-    st_base = etd.make_stepper(base, p, dt)
-    st_pert = etd.make_stepper(pert, p, dt)
+    bump = rng.standard_normal(base.n) + 1j * rng.standard_normal(base.n)
+    pert = ComplexField(base.length, base.values
+                        + PDE_LABEL_NOISE * rms * bump / math.sqrt(2.0))
+    stepper = etd.make_stepper([base, pert], [p, p], TWO_PI / PDE_LABEL_STEPS)
     times, devs = [], []
-    for k in range(periods):
-        st_base.run(steps_per_period)
-        st_pert.run(steps_per_period)
-        diff = spectral.parseval_norm(st_pert.u - st_base.u)
-        times.append(st_base.t)
-        devs.append(diff)
-    times = np.asarray(times)
-    devs = np.asarray(devs)
-    norm0 = state.norm
-    ok = (devs > 1e-13) & (devs < 1e-2 * norm0)
+    for _ in range(PDE_LABEL_PERIODS):
+        stepper.run(PDE_LABEL_STEPS)
+        times.append(stepper.t)
+        devs.append(spectral.parseval_norm(stepper.u[1] - stepper.u[0]))
+    times, devs = np.asarray(times), np.asarray(devs)
+    ok = (devs > 1e-13) & (devs < 1e-2 * state.norm)
     if np.count_nonzero(ok) < 5:
         return "indeterminate", math.nan
     rate = float(np.polyfit(times[ok], np.log(devs[ok]), 1)[0])
-    label = "stable" if rate < threshold else "unstable"
-    return label, rate
+    return ("stable" if rate < PDE_LABEL_THRESHOLD else "unstable"), rate
 
 
 def classify_branch(branch: Branch, classify, stride: int = 1) -> None:

@@ -18,10 +18,11 @@ class ShapeError(OscillabError):
 
 
 class BlowUpError(OscillabError):
-    """Time integration produced non-finite values."""
+    """Time integration produced non-finite values, in the listed rows of a
+    stacked state (row 0 of a single field)."""
 
-    def __init__(self, step, message=None):
-        self.step = step
+    def __init__(self, step, rows=(0,), message=None):
+        self.step, self.rows = step, list(rows)
         super().__init__(message or f"non-finite state after step {step}")
 
 

@@ -20,7 +20,6 @@ from typing import Callable
 import numpy as np
 
 from . import spectral
-from .core import FcglParams, ModelParams
 from .errors import BlowUpError, ParameterError
 from .fields import ComplexField
 
@@ -39,20 +38,16 @@ def _etd_weight_funcs(z: np.ndarray):
 def etd2_weights(z: np.ndarray):
     """Weight functions (g1, g0, ge) evaluated stably for complex z."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    g1 = np.empty_like(z)
-    g0 = np.empty_like(z)
-    ge = np.empty_like(z)
+    if z.ndim > 1:      # row by row, which keeps the contour temporaries small
+        return tuple(np.stack(w) for w in zip(*map(etd2_weights, z)))
+    g1, g0, ge = (np.empty_like(z) for _ in range(3))
     small = np.abs(z) < SMALL_Z
-    if np.any(~small):
-        g1[~small], g0[~small], ge[~small] = _etd_weight_funcs(z[~small])
-    if np.any(small):
-        # mean over a circle of radius 1 centred at z (mean value property)
-        theta = 2.0 * np.pi * (np.arange(CONTOUR_POINTS) + 0.5) / CONTOUR_POINTS
-        ring = z[small][:, None] + np.exp(1j * theta)[None, :]
-        a, b, c = _etd_weight_funcs(ring)
-        g1[small] = a.mean(axis=1)
-        g0[small] = b.mean(axis=1)
-        ge[small] = c.mean(axis=1)
+    g1[~small], g0[~small], ge[~small] = _etd_weight_funcs(z[~small])
+    # mean over a circle of radius 1 centred at z (mean value property)
+    theta = 2.0 * np.pi * (np.arange(CONTOUR_POINTS) + 0.5) / CONTOUR_POINTS
+    ring = z[small][:, None] + np.exp(1j * theta)[None, :]
+    g1[small], g0[small], ge[small] = (w.mean(axis=1)
+                                       for w in _etd_weight_funcs(ring))
     return g1, g0, ge
 
 
@@ -74,10 +69,8 @@ def make_scheme(ell, dt: float) -> EtdScheme:
     ell = np.atleast_1d(np.asarray(ell, dtype=complex))
     z = ell * dt
     g1, g0, ge = etd2_weights(z)
-    return EtdScheme(
-        dt=dt, ell=ell, exp_dt=np.exp(z),
-        w_new=dt * g1, w_old=dt * g0, w_euler=dt * ge,
-    )
+    return EtdScheme(dt=dt, ell=ell, exp_dt=np.exp(z),
+                     w_new=dt * g1, w_old=dt * g0, w_euler=dt * ge)
 
 
 class Etd2Stepper:
@@ -102,7 +95,8 @@ class Etd2Stepper:
 
     def step(self) -> None:
         """One step, committed only when the new state is finite: a blow-up
-        raises BlowUpError and leaves u, t and steps at the last finite state."""
+        raises BlowUpError, naming the non-finite rows, and leaves u, t and
+        steps at the last finite state."""
         s = self.scheme
         # overflow on the way to a blow-up is expected and caught below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -111,8 +105,10 @@ class Etd2Stepper:
                 u_new = s.exp_dt * self.u + s.w_euler * n_cur
             else:
                 u_new = s.exp_dt * self.u + s.w_new * n_cur + s.w_old * self._n_prev
-        if not np.all(np.isfinite(u_new)):
-            raise BlowUpError(self.steps + 1)
+        finite = np.isfinite(u_new)
+        if not finite.all():
+            raise BlowUpError(self.steps + 1,
+                              np.flatnonzero(~finite.all(axis=-1)).tolist())
         self._n_prev = n_cur
         self.u = u_new
         self.steps += 1
@@ -126,11 +122,12 @@ class Etd2Stepper:
 
 
 class SpectralStepper(Etd2Stepper):
-    """ETD2 stepper whose state is the Fourier coefficients of a periodic field."""
+    """ETD2 stepper whose state is the Fourier coefficients of a periodic
+    field, or of a stack of fields, one per row (field and norm need one)."""
 
-    def __init__(self, scheme, nonlinear, field: ComplexField, t0: float = 0.0):
-        super().__init__(scheme, nonlinear, np.fft.fft(field.values), t0)
-        self.length = field.length
+    def __init__(self, scheme, nonlinear, length: float, values, t0: float = 0.0):
+        super().__init__(scheme, nonlinear, np.fft.fft(values), t0)
+        self.length = length
 
     @property
     def field(self) -> ComplexField:
@@ -141,23 +138,38 @@ class SpectralStepper(Etd2Stepper):
         return spectral.parseval_norm(self.u)
 
 
-def make_stepper(field: ComplexField, p: FcglParams | ModelParams, dt: float,
-                 t0: float = 0.0) -> SpectralStepper:
+def make_stepper(field, p, dt: float, t0: float = 0.0) -> SpectralStepper:
     """ETD2 for u' = p.symbol(k) u + p.nonlinear(u, t, p.drive), for either
     system, with N evaluated on the dealiasing grid.  A state converged by
     FcglSteadyProblem, whose residual is this right-hand side, is a fixed
-    point of every step, as dt (g1 + g0) ell = dt ge ell = e^{ell dt} - 1."""
-    scheme = make_scheme(p.symbol(spectral.wavenumbers(field.n, field.length)), dt)
+    point of every step, as dt (g1 + g0) ell = dt ge ell = e^{ell dt} - 1.
+
+    field and p may also be equal-length lists: row r of the stepper's
+    (P, n) state is then field[r] under p[r], stepped bit for bit as
+    make_stepper(field[r], p[r], dt) steps it.  The rows share the grid, the
+    system and C; each has its own symbol and drive."""
+    stack = not isinstance(field, ComplexField)
+    fields, ps = (field, p) if stack else ([field], [p])
+    first, n, length = ps[0], fields[0].n, fields[0].length
+    if any((f.n, f.length, type(q), q.c) != (n, length, type(first), first.c)
+           for f, q in zip(fields, ps, strict=True)):
+        raise ParameterError("stacked rows need one grid, system and C")
+    ell = np.stack([q.symbol(spectral.wavenumbers(n, length)) for q in ps])
+    values = np.stack([f.values for f in fields])
+    drive = np.array([[q.drive] for q in ps])
+    if not stack:
+        ell, values, drive = ell[0], values[0], first.drive
+    scheme = make_scheme(ell, dt)
 
     def nonlinear(u_hat, t):
-        fine = p.nonlinear(spectral.to_fine(u_hat), t, p.drive)
-        return spectral.from_fine(fine, u_hat.shape[-1])
+        return spectral.from_fine(
+            first.nonlinear(spectral.to_fine(u_hat), t, drive), n)
 
-    return SpectralStepper(scheme, nonlinear, field, t0)
+    return SpectralStepper(scheme, nonlinear, length, values, t0)
 
 
 def run_to_steady(stepper: Etd2Stepper, period: float, tol: float = 1e-9,
-                  max_periods: int = 10000, observer=None):
+                  max_periods: int = 10000):
     """Advance whole periods until consecutive stroboscopic snapshots differ
     by less than tol in the solution norm.  Returns (converged, periods, diffs).
     """
@@ -170,8 +182,6 @@ def run_to_steady(stepper: Etd2Stepper, period: float, tol: float = 1e-9,
         stepper.run(steps)
         diff = spectral.parseval_norm(stepper.u - prev)
         diffs.append(diff)
-        if observer is not None:
-            observer(stepper, diff)
         if diff < tol:
             return True, k + 1, diffs
         prev = stepper.u.copy()

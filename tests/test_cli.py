@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import oscillab
-from oscillab import continuation, fileio, flat_states
-from oscillab.cli import _probe_seed, _worker_count, build_seed, main
+from oscillab import cli, continuation, fileio, flat_states, make_stepper
+from oscillab.cli import _probe_seed, build_seed, main
 from oscillab.config import load_config
 from oscillab.continuation import HarmonicPdeState
 from oscillab.errors import StalledBranchError
@@ -30,6 +30,10 @@ def run(tmp_path, command, *args):
     out = tmp_path / command
     code = main([command, "--out", str(out), *args])
     return code, out
+
+
+def _overrides(*items):
+    return [arg for item in items for arg in ("--override", item)]
 
 
 def test_flatstates(tmp_path):
@@ -305,27 +309,7 @@ def test_model_probe_seed_has_the_mapped_width():
     assert width == pytest.approx(fcgl_width / eps, abs=dx)
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-2"])
-def test_bad_thread_count_is_config_error(tmp_path, monkeypatch, capsys,
-                                          value):
-    monkeypatch.setenv("OSCILLON_THREADS", value)
-    code, out = run(tmp_path, "sweep", "--override", "grid.n=64")
-    assert code == 2
-    assert "OSCILLON_THREADS" in capsys.readouterr().err
-    assert not (out / "sweep.csv").exists()
-
-
-def test_default_worker_count_is_the_usable_cpu_count(monkeypatch):
-    monkeypatch.delenv("OSCILLON_THREADS", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert _worker_count() == 1
-    monkeypatch.delattr(os, "sched_getaffinity")
-    assert _worker_count() == 8
-
-
-def test_sweep_serial(tmp_path, monkeypatch):
-    monkeypatch.setenv("OSCILLON_THREADS", "1")
+def test_sweep_serial(tmp_path):
     code, out = run(tmp_path, "sweep",
                     "--override", "grid.n=64",
                     "--override", "timestepping.dt=0.05",
@@ -357,6 +341,9 @@ def output_files(out):
                   "--override", "continuation.max_points=4"]),
     ("simulate", ["--override", "grid.n=64", "--override", "timestepping.t_end=5",
                   "--override", "output.snapshot_stride=100"]),
+    ("continue", _overrides("system.kind=pde", "grid.n=64",
+                            "timestepping.max_periods=2",
+                            "continuation.max_points=2")),
 ])
 def test_runs_repeat_byte_for_byte(tmp_path, command, args):
     first, second = tmp_path / "first", tmp_path / "second"
@@ -365,35 +352,75 @@ def test_runs_repeat_byte_for_byte(tmp_path, command, args):
     files = output_files(first)
     assert len(files) > 2
     assert files == output_files(second)
+    if "system.kind=pde" in args:
+        # the forced model's labels come from a fitted growth rate
+        _, rows = fileio.read_csv(first / "branch.csv")
+        for row in rows:
+            rate = float(row[5])
+            assert math.isfinite(rate)
+            assert row[3] == ("stable" if rate < 1e-4 else "unstable")
 
 
-def test_sweep_output_does_not_depend_on_worker_count(tmp_path, monkeypatch):
-    args = ["--override", "grid.n=64", "--override", "sweep.nu_count=2",
-            "--override", "sweep.p_count=2", "--override", "sweep.t_probe=20"]
-    sweeps = []
-    for workers in ("2", "1"):
-        monkeypatch.setenv("OSCILLON_THREADS", workers)
-        out = tmp_path / f"workers{workers}"
-        assert main(["sweep", "--out", str(out), *args]) == 0
-        sweeps.append((out / "sweep.csv").read_bytes())
-    assert sweeps[0] == sweeps[1]
+@pytest.mark.parametrize("kind", ["fcgl", "pde"])
+def test_sweep_rows_equal_probes_stepped_alone(tmp_path, monkeypatch, kind):
+    """The sweep steps its probes as rows of one state; each row must end
+    bit for bit where the probe stepped alone ends."""
+    p_min, p_max = {"fcgl": (1.2, 2.2), "pde": (0.04, 0.08)}[kind]
+    settings = [f"system.kind={kind}", "grid.n=64", "sweep.nu_count=2",
+                "sweep.p_count=2", f"sweep.p_min={p_min}",
+                f"sweep.p_max={p_max}", "sweep.t_probe=20"]
+    real, calls = cli._sweep_probe, []
+
+    def record(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_sweep_probe", record)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--out", str(out), *_overrides(*settings)]) == 0
+    cfg = load_config(overrides=settings)
+    dt = cfg.timestepping.dt
+    rows = []
+    for _, _, nu, param, end in calls:
+        stepper = make_stepper(*cli._probe_setup(cfg, nu, param), dt)
+        stepper.run(round(cfg.sweep.t_probe / dt))
+        assert np.array_equal(end.values, stepper.field.values)
+        rows.append((nu, param, cli._classify_endstate(stepper.field)))
+    assert [call[:2] for call in calls] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    header, _ = fileio.read_csv(out / "sweep.csv")
+    fileio.write_csv(tmp_path / "alone.csv", header, rows)
+    assert (out / "sweep.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+
+def test_sweep_probe_that_blows_up_is_indeterminate(tmp_path):
+    """With a focusing cubic the Gamma = 5 probe blows up and the Gamma = 1
+    probe decays; the blow-up must not change the other probe's outcome."""
+    code, out = run(tmp_path, "sweep", *_overrides(
+        "params.c_re=1.0", "grid.n=64", "sweep.nu_min=-3", "sweep.nu_max=-3",
+        "sweep.nu_count=1", "sweep.p_min=1", "sweep.p_max=5",
+        "sweep.p_count=2", "sweep.t_probe=60"))
+    assert code == 0
+    _, rows = fileio.read_csv(out / "sweep.csv")
+    assert [r[2] for r in rows] == ["decayed", "indeterminate"]
 
 
 COLD_START = """
 import json, sys
 from oscillab.cli import main
+heavy = ("scipy", "concurrent", "multiprocessing")
 loaded = []
 for i, argv in enumerate(json.loads(sys.argv[1])):
     if main([*argv, "--out", f"{sys.argv[2]}/{i}"]) != 0:
         sys.exit(f"{argv} failed")
-    loaded.append(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    loaded.append(sorted(m for m in sys.modules if m.split(".")[0] in heavy))
 print(json.dumps(loaded))
 """
 
 
 def test_fcgl_and_model_commands_run_without_scipy(tmp_path):
-    """scipy is loaded by the Floquet/Hill code alone; a fresh interpreter
-    running continue and sweep commands never imports it."""
+    """scipy is loaded by the Floquet/Hill code alone, and no command starts
+    processes; a fresh interpreter running continue and sweep commands
+    imports neither scipy nor concurrent.futures nor multiprocessing."""
     commands = [
         ["continue", "--override", "grid.n=64",
          "--override", "continuation.max_points=2"],
@@ -407,7 +434,7 @@ def test_fcgl_and_model_commands_run_without_scipy(tmp_path):
         ["floquet", "--override", "system.kind=pde"],
     ]
     src = os.path.dirname(os.path.dirname(oscillab.__file__))
-    env = dict(os.environ, OSCILLON_THREADS="1",
+    env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(

@@ -100,6 +100,7 @@ def test_bad_overrides(override, fragment):
     ("floquet.j_trunc=1", "j_trunc"),
     ("sweep.nu_count=0", "grid counts"),
     ("sweep.t_probe=-5", "t_probe"),
+    ("sweep.t_probe=0.01", "t_probe"),
     ("output.norm_stride=0", "norm_stride"),
 ])
 def test_validation_rejects(override, fragment):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,6 +109,7 @@ def test_blowup_detected():
     with pytest.raises(BlowUpError) as err:
         stepper.run(2000)
     # the stepper stays at the last finite state
+    assert err.value.rows == [0]
     assert stepper.steps == err.value.step - 1
     assert np.all(np.isfinite(stepper.u))
     assert math.isfinite(stepper.norm)
@@ -135,3 +137,46 @@ def test_run_to_steady_rejects_bad_period(fcgl_params):
 def test_make_scheme_rejects_bad_dt():
     with pytest.raises(ParameterError):
         make_scheme(np.array([1.0 + 0j]), 0.0)
+
+
+@pytest.mark.parametrize("system", ["fcgl", "model"])
+def test_stacked_rows_step_as_alone(fcgl_params, weak_model, system):
+    # each row has its own symbol and drive, and must match its lone run
+    if system == "fcgl":
+        ps = [fcgl_params, replace(fcgl_params, nu=0.5, gamma=1.2)]
+        dt = 0.05
+    else:
+        ps = [weak_model, replace(weak_model, omega=1.05, f=0.09)]
+        dt = 2 * math.pi / 100
+    x = np.arange(64) * (20 * math.pi / 64)
+    fields = [ComplexField(20 * math.pi, a / np.cosh(x - 10 * math.pi) + 0j)
+              for a in (0.8, 1.1)]
+    stack = make_stepper(fields, ps, dt)
+    stack.run(200)
+    assert stack.u.shape == (2, 64)
+    for row, field, p in zip(stack.u, fields, ps):
+        alone = make_stepper(field, p, dt)
+        alone.run(200)
+        assert np.array_equal(row, alone.u)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stacked_blowup_names_its_rows():
+    focusing = FcglParams(mu=1.0, nu=0.0, alpha=1.0, beta=0.0,
+                          c_re=1.0, c_im=0.0, gamma=0.0)
+    decaying = replace(focusing, mu=-1.0)
+    field = ComplexField(10.0, np.full(32, 1.0 + 0j))
+    small = ComplexField(10.0, np.full(32, 0.1 + 0j))
+    stepper = make_stepper([small, field], [decaying, focusing], dt=0.1)
+    with pytest.raises(BlowUpError) as err:
+        stepper.run(2000)
+    assert err.value.rows == [1]
+    assert stepper.steps == err.value.step - 1
+    assert np.all(np.isfinite(stepper.u))
+
+
+def test_stacked_rows_must_share_c(fcgl_params):
+    field = ComplexField(10.0, np.zeros(32, dtype=complex))
+    with pytest.raises(ParameterError):
+        make_stepper([field, field],
+                     [fcgl_params, replace(fcgl_params, c_im=0.5)], dt=0.1)
