@@ -21,7 +21,6 @@ from .core import (
     FlatStateSet,
     ModelParams,
     ScalingMap,
-    dispersion,
     flat_states,
     gamma_onset,
 )
@@ -62,7 +61,6 @@ from .reduction import (
     strong_ac_coeffs,
     strong_sech_pde,
     weak_ac_coeffs,
-    weak_response_phase,
     weak_sech_fcgl,
     weak_sech_pde,
 )
@@ -73,11 +71,9 @@ from .continuation import (
     FcglSteadyProblem,
     HarmonicPdeState,
     PdeHarmonicProblem,
-    SteadyFcglState,
     classify_stability_fcgl,
     classify_stability_pde,
     continue_branch,
-    newton_fcgl,
     newton_pde,
     newton_solve,
     overlay_mismatch,
@@ -96,14 +92,12 @@ __all__ = [
     "FlatStateSet", "FloquetPair", "HarmonicPdeState", "InvalidFieldError",
     "ModelParams", "OscillabError", "ParameterError", "PdeHarmonicProblem",
     "ScalingMap", "SechProfile", "ShapeError", "SingularReductionError",
-    "SpectralStepper", "StalledBranchError", "SteadyFcglState",
-    "classify_stability_fcgl", "classify_stability_pde", "continue_branch",
-    "dispersion", "etd2_weights", "flat_states", "floquet_multipliers",
-    "gamma_onset", "make_scheme", "make_stepper", "mathieu_critical",
-    "monodromy_critical", "newton_fcgl", "newton_pde", "newton_solve",
+    "SpectralStepper", "StalledBranchError", "classify_stability_fcgl",
+    "classify_stability_pde", "continue_branch", "etd2_weights", "flat_states",
+    "floquet_multipliers", "gamma_onset", "make_scheme", "make_stepper",
+    "mathieu_critical", "monodromy_critical", "newton_pde", "newton_solve",
     "onset_phase", "overlay_mismatch", "project_snapshots", "run_to_steady",
     "solution_norm", "strong_ac_coeffs", "strong_sech_pde",
     "timestepper_harmonics", "trace_branch", "weak_ac_coeffs",
-    "weak_critical_forcing", "weak_response_phase", "weak_sech_fcgl",
-    "weak_sech_pde",
+    "weak_critical_forcing", "weak_sech_fcgl", "weak_sech_pde",
 ]

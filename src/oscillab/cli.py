@@ -312,7 +312,7 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
         branch = continuation.trace_branch(problem, z0, param, controls)
     except StalledBranchError as exc:
         branch, stalled = exc.branch, True
-    if c.classify and c.classify_stride > 0:
+    if c.classify:
         continuation.classify_branch(branch, classify, c.classify_stride)
     _write_branch_outputs(out, branch, problem, c.snapshot_stride)
     fileio.write_kv(os.path.join(out, "stats.txt"),

@@ -192,6 +192,8 @@ def _validate(cfg: RunConfig) -> None:
             f"[seed] kind must be one of {_SEED_KINDS + ('file',)}")
     if seed_kind == "file" and not cfg.seed.path:
         raise ConfigError("[seed] kind=file requires a path")
+    if cfg.seed.noise_seed < 0:
+        raise ConfigError("[seed] noise_seed must be >= 0")
     p = cfg.params
     if p.alpha <= 0:
         raise ConfigError("[params] alpha must be > 0")
@@ -218,8 +220,12 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("[continuation] max_points must be >= 2")
     if c.newton_tol <= 0:
         raise ConfigError("[continuation] newton_tol must be > 0")
+    if c.classify_stride < 1:
+        raise ConfigError("[continuation] classify_stride must be >= 1")
     if cfg.floquet.j_trunc < 2:
         raise ConfigError("[floquet] j_trunc must be >= 2")
+    if cfg.floquet.n_samples < 1:
+        raise ConfigError("[floquet] n_samples must be >= 1")
     if cfg.sweep.nu_count < 1 or cfg.sweep.p_count < 1:
         raise ConfigError("[sweep] grid counts must be >= 1")
     if cfg.sweep.t_probe < cfg.timestepping.dt:

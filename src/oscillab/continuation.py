@@ -7,10 +7,10 @@ Newton iteration on the periodic pseudospectral collocation residual.  The
 conjugate couplings make the systems only real-linear, so Newton runs on the
 stacked real and imaginary parts with a matrix-free Krylov solver
 preconditioned by the inverse diagonal symbol of the linear part.
-Reflection symmetry about the domain centre is imposed on every iterate,
-which quotients out translations.  Branches are traced with secant
-pseudo-arclength steps; folds are flagged at sign changes of the parameter
-increment and refined with a local quadratic fit.
+The unknowns are the profiles' even part about the domain centre, packed on
+half the grid, which quotients out translations.  Branches are traced with
+secant pseudo-arclength steps; folds are flagged at sign changes of the
+parameter increment and refined with a local quadratic fit.
 """
 from __future__ import annotations
 
@@ -26,11 +26,6 @@ from .errors import (DivergenceError, InvalidFieldError, OscillabError,
 from .fields import ComplexField, solution_norm
 
 TWO_PI = 2.0 * math.pi
-
-
-def reflect(values: np.ndarray) -> np.ndarray:
-    """Samples of x -> f(-x) on the periodic grid (reflection through x = 0)."""
-    return np.roll(values[..., ::-1], 1, axis=-1)
 
 
 GMRES_RESTART = 150     # Krylov vectors per cycle
@@ -139,9 +134,9 @@ class _SteadyProblem:
 
     its Jacobian as a plain callable and its derivative in the drive, all
     generic over the two hooks samples and coeffs.  Also shared: packing of
-    the complex profiles into real unknowns, reflection symmetry, the
-    solution norm and the preconditioner, which divides by the symbol
-    floored at PRECOND_FLOOR in modulus."""
+    the even part of the complex profiles into real unknowns, the solution
+    norm and the preconditioner, which divides by the symbol floored at
+    PRECOND_FLOOR in modulus."""
 
     PRECOND_FLOOR = 1e-2
     times = 0.0                 # the forcing's time at the samples
@@ -151,7 +146,8 @@ class _SteadyProblem:
         self.n = n
         self.length = length
         self.symbol = params.symbol(spectral.wavenumbers(n, length)) - 1j * harmonics
-        self.size = 2 * self.symbol.size
+        self.weight = self.pack(np.full(self.symbol.shape, 1.0 + 1.0j))
+        self.size = self.weight.size
 
     def samples(self, a_hat: np.ndarray) -> np.ndarray:
         """Samples on the dealiasing grid of the profiles with coefficients a_hat."""
@@ -165,37 +161,46 @@ class _SteadyProblem:
         return np.fft.fft(self.unpack(z), axis=-1)
 
     def _grid(self, a_hat: np.ndarray) -> np.ndarray:
-        return self.pack(np.fft.ifft(a_hat, axis=-1))
+        return self._pack_half(np.fft.ifft(a_hat, axis=-1)[..., :self.n // 2 + 1])
 
     def residual(self, z: np.ndarray, drive: float) -> np.ndarray:
         a_hat = self._spectrum(z)
         w = self.params.nonlinear(self.samples(a_hat), self.times, drive)
         return self._grid(self.symbol * a_hat + self.coeffs(w))
 
-    def jacobian(self, z: np.ndarray, drive: float):
+    def linearization(self, z: np.ndarray, drive: float):
+        """The Jacobian at z as a map of full-grid coefficients, any parity."""
         dn = self.params.linearization(self.samples(self._spectrum(z)),
                                        self.times, drive)
+        return lambda d_hat: self.symbol * d_hat + self.coeffs(dn(self.samples(d_hat)))
 
-        def matvec(dz):
-            d_hat = self._spectrum(dz)
-            return self._grid(self.symbol * d_hat + self.coeffs(dn(self.samples(d_hat))))
-
-        return matvec
+    def jacobian(self, z: np.ndarray, drive: float):
+        lin = self.linearization(z, drive)
+        return lambda dz: self._grid(lin(self._spectrum(dz)))
 
     def dparam(self, z: np.ndarray, drive: float) -> np.ndarray:
         u = self.samples(self._spectrum(z))
         return self._grid(self.coeffs(self.params.forcing(u, self.times, 1.0)))
 
-    def unpack(self, z: np.ndarray) -> np.ndarray:
-        half = self.size // 2
-        return (z[:half] + 1j * z[half:]).reshape(self.symbol.shape)
-
     def pack(self, a: np.ndarray) -> np.ndarray:
-        return np.concatenate([a.real.ravel(), a.imag.ravel()])
+        """Unknowns of the even part of the profiles a: samples 0...n/2 of
+        each, real parts then imaginary parts, interior ones times sqrt(2)
+        so that dot products of packed vectors are the full-grid ones."""
+        a, h = np.asarray(a, dtype=complex), self.n // 2 + 1
+        return self._pack_half(0.5 * (a[..., :h] + a[..., -np.arange(h) % self.n]))
 
-    def symmetrize(self, z: np.ndarray) -> np.ndarray:
-        a = self.unpack(z)
-        return self.pack(0.5 * (a + reflect(a)))
+    def _pack_half(self, half: np.ndarray) -> np.ndarray:
+        half[..., 1:-1] *= math.sqrt(2.0)
+        return np.concatenate([half.real.ravel(), half.imag.ravel()])
+
+    def unpack(self, z: np.ndarray) -> np.ndarray:
+        y, k = z / self.weight, self.size // 2
+        half = (y[:k] + 1j * y[k:]).reshape(self.symbol.shape[:-1] + (-1,))
+        return np.concatenate([half, half[..., -2:0:-1]], axis=-1)
+
+    def max_norm(self, z: np.ndarray) -> float:
+        """The largest full-grid real or imaginary part of z in modulus."""
+        return float(np.max(np.abs(z) / self.weight))
 
     def norm_of(self, z: np.ndarray) -> float:
         return solution_norm(self.unpack(z))
@@ -272,14 +277,6 @@ class PdeHarmonicProblem(_SteadyProblem):
 # ---- converged state containers ----
 
 @dataclass
-class SteadyFcglState:
-    field: ComplexField
-    gamma: float
-    residual_norm: float
-    iterations: int
-
-
-@dataclass
 class HarmonicPdeState:
     length: float
     harmonics: np.ndarray
@@ -334,9 +331,9 @@ def newton_solve(problem, z0: np.ndarray, param: float, tol: float = 1e-10,
     Its Krylov solves are counted in stats, when given."""
     stats = stats if stats is not None else SolveStats()
     precond = problem.preconditioner()
-    z = problem.symmetrize(np.asarray(z0, dtype=float))
+    z = np.asarray(z0, dtype=float)
     r = problem.residual(z, param)
-    rn = float(np.max(np.abs(r)))
+    rn = problem.max_norm(r)
     for it in range(max_iter):
         if rn < tol:
             return z, rn, it
@@ -344,9 +341,9 @@ def newton_solve(problem, z0: np.ndarray, param: float, tol: float = 1e-10,
         dz = stats.solve(problem.jacobian(z, param), -r, precond, inner_rtol)
         accepted = False
         for scale in (1.0, 0.5, 0.25, 0.125):
-            z_try = problem.symmetrize(z + scale * dz)
+            z_try = z + scale * dz
             r_try = problem.residual(z_try, param)
-            rn_try = float(np.max(np.abs(r_try)))
+            rn_try = problem.max_norm(r_try)
             if rn_try < rn or rn_try < tol:
                 z, r, rn = z_try, r_try, rn_try
                 accepted = True
@@ -356,17 +353,6 @@ def newton_solve(problem, z0: np.ndarray, param: float, tol: float = 1e-10,
     if rn < tol:
         return z, rn, max_iter
     raise DivergenceError(rn)
-
-
-def newton_fcgl(seed: ComplexField, gamma: float, params: FcglParams,
-                tol: float = 1e-10, max_iter: int = 25) -> SteadyFcglState:
-    """Converge a steady amplitude-equation state from a seed field."""
-    problem = FcglSteadyProblem(replace(params, gamma=gamma), n=seed.n,
-                                length=seed.length)
-    z, rn, it = newton_solve(problem, problem.pack(seed.values), gamma,
-                             tol=tol, max_iter=max_iter)
-    return SteadyFcglState(field=problem.state_of(z, gamma), gamma=gamma,
-                           residual_norm=rn, iterations=it)
 
 
 def newton_pde(seed: HarmonicPdeState, f: float, params: ModelParams,
@@ -461,8 +447,8 @@ class _CorrectorFailed(Exception):
     pass
 
 
-def _wnorm(dz: np.ndarray, dp: float) -> float:
-    return math.sqrt(float(dz @ dz) / dz.size + dp * dp)
+def _wnorm(problem, dz: np.ndarray, dp: float) -> float:
+    return math.sqrt(float(dz @ dz) / (2 * problem.symbol.size) + dp * dp)
 
 
 def _bordered(problem, precond, z, pm, tau_z, tau_p):
@@ -470,8 +456,8 @@ def _bordered(problem, precond, z, pm, tau_z, tau_p):
     (z, pm): the residual's Jacobian with its parameter column, closed by the
     arclength row along the tangent (tau_z, tau_p) normalised to unit size.
     The preconditioner acts on the z-block only."""
-    nz = z.size
-    row = math.sqrt(float(tau_z @ tau_z) / nz**2 + tau_p**2)
+    nz, count = z.size, 2 * problem.symbol.size
+    row = math.sqrt(float(tau_z @ tau_z) / count**2 + tau_p**2)
     jac = problem.jacobian(z, pm)
     rp = problem.dparam(z, pm)
 
@@ -480,7 +466,7 @@ def _bordered(problem, precond, z, pm, tau_z, tau_p):
         out = np.empty(nz + 1)
         out[:nz] = jac(dz)
         out[:nz] += rp * dp
-        out[nz] = (float(tau_z @ dz) / nz + tau_p * dp) / row
+        out[nz] = (float(tau_z @ dz) / count + tau_p * dp) / row
         return out
 
     def psolve(dy):
@@ -495,13 +481,13 @@ def _bordered(problem, precond, z, pm, tau_z, tau_p):
 def _corrector(problem, precond, z_pred, p_pred, tau_z, tau_p, controls,
                stats: SolveStats):
     z, pm = z_pred.copy(), p_pred
-    nz = z.size
-    row = math.sqrt(float(tau_z @ tau_z) / nz**2 + tau_p**2)
+    nz, count = z.size, 2 * problem.symbol.size
+    row = math.sqrt(float(tau_z @ tau_z) / count**2 + tau_p**2)
     # the last pass only checks whether the final update converged
     for it in range(1, controls.max_corrector + 2):
         r = problem.residual(z, pm)
-        cons = (float(tau_z @ (z - z_pred)) / nz + tau_p * (pm - p_pred)) / row
-        rn = float(np.max(np.abs(r)))
+        cons = (float(tau_z @ (z - z_pred)) / count + tau_p * (pm - p_pred)) / row
+        rn = problem.max_norm(r)
         if max(rn, abs(cons)) < controls.tol:
             return z, pm, min(it, controls.max_corrector)
         if it > controls.max_corrector:
@@ -511,7 +497,7 @@ def _corrector(problem, precond, z_pred, p_pred, tau_z, tau_p, controls,
         stats.corrector_iterations += 1
         dy = stats.solve(matvec, -np.concatenate([r, [cons]]), psolve,
                          inner_rtol)
-        z = problem.symmetrize(z + dy[:nz])
+        z = z + dy[:nz]
         pm += float(dy[nz])
     raise _CorrectorFailed
 
@@ -519,7 +505,7 @@ def _corrector(problem, precond, z_pred, p_pred, tau_z, tau_p, controls,
 def _initial_tangent(problem, precond, z, param, direction, stats: SolveStats):
     rp = problem.dparam(z, param)
     b = stats.solve(problem.jacobian(z, param), -rp, precond, 1e-8)
-    scale = _wnorm(b, 1.0)
+    scale = _wnorm(problem, b, 1.0)
     tz, tp = b / scale, 1.0 / scale
     if math.copysign(1.0, tp) != math.copysign(1.0, direction):
         tz, tp = -tz, -tp
@@ -558,7 +544,7 @@ def continue_branch(problem, z0: np.ndarray, param0: float, direction: int = -1,
                 raise StalledBranchError(_folded_branch(points, stats))
             continue
         dz, dp = z_new - z, p_new - param
-        step = _wnorm(dz, dp)
+        step = _wnorm(problem, dz, dp)
         tau_z, tau_p = dz / step, dp / step
         z, param = z_new, p_new
         arclength += step
@@ -596,14 +582,14 @@ def _folded_branch(pts: list[BranchPoint], stats: SolveStats) -> Branch:
     return Branch(points=pts, folds=folds, stats=stats)
 
 
-def _merge_branches(back: Branch, forward: Branch) -> Branch:
+def _merge_branches(problem, back: Branch, forward: Branch) -> Branch:
     """Join two branches traced in opposite directions from one seed point;
     the solver counters of the two add up."""
     pts = list(reversed(back.points[1:])) + forward.points
     merged, arc, prev = [], 0.0, None
     for i, pt in enumerate(pts):
         if prev is not None:
-            arc += _wnorm(pt.z - prev.z, pt.param - prev.param)
+            arc += _wnorm(problem, pt.z - prev.z, pt.param - prev.param)
         merged.append(replace(pt, index=i, arclength=arc, fold=False))
         prev = pt
     return _folded_branch(merged, back.stats + forward.stats)
@@ -625,7 +611,7 @@ def trace_branch(problem, z0: np.ndarray, param0: float,
         except StalledBranchError as exc:
             halves.append(exc.branch)
             stalled = True
-    branch = _merge_branches(*halves)
+    branch = _merge_branches(problem, *halves)
     branch.stats += polish
     if stalled:
         raise StalledBranchError(branch)
@@ -636,28 +622,22 @@ def trace_branch(problem, z0: np.ndarray, param0: float,
 
 def leading_rates_fcgl(problem: FcglSteadyProblem, z: np.ndarray,
                        gamma: float) -> np.ndarray:
-    """Eigenvalue real parts of the discrete Jacobian about a reflection-
-    symmetric steady state, largest first.  The Jacobian maps even fields to
-    even and odd to odd; each block is assembled on half the grid, column i
-    being the Jacobian of e_i +- e_mirror(i), and solved densely on its own."""
-    z = np.asarray(z, dtype=float)
+    """Eigenvalue real parts of the discrete Jacobian about an even steady
+    state, largest first.  The Jacobian maps even fields to even and odd to
+    odd; each block is assembled on half the grid, column i being the full-
+    grid linearization at e_i +- e_mirror(i), and solved densely on its own."""
     if not np.all(np.isfinite(z)):
         raise InvalidFieldError("steady state has non-finite samples")
-    a = problem.unpack(z)
-    if np.max(np.abs(a - reflect(a))) > 1e-12 * max(1.0, np.max(np.abs(a))):
-        raise ParameterError("steady state is not reflection-symmetric")
-    jac = problem.jacobian(z, gamma)
-    n, half = problem.n, problem.n // 2
-    e = np.zeros(problem.size)
+    lin = problem.linearization(z, gamma)
+    even, d = np.arange(problem.n // 2 + 1), np.zeros(problem.n, dtype=complex)
     rates = []
-    for sign, idx in ((1.0, np.arange(half + 1)), (-1.0, np.arange(1, half))):
-        rows = np.concatenate([idx, n + idx])
-        mirrors = np.concatenate([(n - idx) % n, n + (n - idx) % n])
-        block = np.empty((rows.size, rows.size), order="F")
-        for col, (i, m) in enumerate(zip(rows, mirrors)):
-            e[m], e[i] = sign, 1.0
-            block[:, col] = jac(e)[rows]
-            e[m] = e[i] = 0.0
+    for sign, idx in ((1.0, even), (-1.0, even[1:-1])):
+        block = np.empty((2 * idx.size, 2 * idx.size), order="F")
+        for col, (unit, i) in enumerate((u, i) for u in (1.0, 1j) for i in idx):
+            d[-i], d[i] = sign * unit, unit
+            out = np.fft.ifft(lin(np.fft.fft(d)))[idx]
+            block[:, col] = np.concatenate([out.real, out.imag])
+            d[i] = d[-i] = 0.0
         rates.append(np.linalg.eigvals(block).real)
         del block
     return np.sort(np.concatenate(rates))[::-1]
@@ -681,7 +661,7 @@ def classify_stability_fcgl(problem: FcglSteadyProblem, z: np.ndarray,
         rates = leading_rates_fcgl(problem, z, gamma)
     except (np.linalg.LinAlgError, OscillabError):
         return Label("indeterminate")
-    a = problem.unpack(np.asarray(z, dtype=float))
+    a = problem.unpack(z)
     if np.max(np.abs(a - a[0])) > 1e-10 * max(1.0, float(np.max(np.abs(a)))):
         rates = np.delete(rates, np.argmin(np.abs(rates)))
     rate = float(rates[0])
@@ -723,9 +703,8 @@ def classify_stability_pde(state: HarmonicPdeState, params: ModelParams):
 
 def classify_branch(branch: Branch, classify, stride: int = 1) -> None:
     """Set (label, rate) = classify(z, param) on every stride-th point."""
-    for pt in branch.points:
-        if stride > 0 and pt.index % stride == 0:
-            pt.stability, pt.leading_rate = classify(pt.z, pt.param)
+    for pt in branch.points[::stride]:
+        pt.stability, pt.leading_rate = classify(pt.z, pt.param)
 
 
 # ---- branch comparison ----

@@ -23,7 +23,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError
-from .fields import solution_norm  # noqa: F401
 
 __all__ = [
     "ModelParams",
@@ -33,9 +32,7 @@ __all__ = [
     "FlatStateSet",
     "flat_states",
     "flat_state_quadratic",
-    "solution_norm",
     "gamma_onset",
-    "dispersion",
 ]
 
 
@@ -168,12 +165,6 @@ class ScalingMap:
             c_im=p.c_im,
             gamma=self.to_gamma(p.f),
         )
-
-
-def dispersion(k, p: ModelParams):
-    """Linear growth rate sigma(k) of the unforced zero state."""
-    out = p.symbol(np.asarray(k, dtype=float))
-    return out if np.ndim(out) else complex(out)
 
 
 class FlatState(NamedTuple):

@@ -24,7 +24,7 @@ import numpy as np
 # scipy is imported where used: the import costs more than a short FCGL run.
 
 from .core import ModelParams
-from .errors import CriticalForcingNotFoundError, ParameterError, ShapeError
+from .errors import CriticalForcingNotFoundError, ParameterError
 
 DEFAULT_HARMONICS = 16  # J: odd harmonics up to |2J + 1|
 
@@ -32,15 +32,6 @@ DEFAULT_HARMONICS = 16  # J: odd harmonics up to |2J + 1|
 def weak_critical_forcing(mu: float, nu: float) -> float:
     """Small-damping onset estimate F = 4*sqrt(mu^2 + nu^2)."""
     return 4.0 * math.hypot(mu, nu)
-
-
-def time_inner_product(f, g):
-    """<f, g> = (1/2pi) integral_0^{2pi} conj(f) g dt on a uniform period grid."""
-    f = np.asarray(f)
-    g = np.asarray(g)
-    if f.shape != g.shape:
-        raise ShapeError("inner product needs equal sample counts")
-    return complex(np.mean(np.conj(f) * g))
 
 
 def eval_series(coeffs: np.ndarray, harmonics: np.ndarray, t, derivative: int = 0):

@@ -231,9 +231,3 @@ def strong_sech_pde(coeffs: AllenCahnCoeffs, fp: FloquetPair, f: float,
     inv_width = math.sqrt(-coeffs.lin * lam / coeffs.diff)
     return SechProfile(amp=amp, inv_width=inv_width, center=center,
                        kind="pde-strong", pair=fp)
-
-
-def weak_response_phase(fp: FloquetPair) -> float:
-    """Phase of the e^{i t} component of the normalized response p1 + i q1."""
-    idx = int(np.nonzero(fp.harmonics == 1)[0][0])
-    return float(np.angle(fp.u_coeffs[idx]))

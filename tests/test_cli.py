@@ -67,6 +67,22 @@ def test_bad_override_is_config_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, overrides", [
+    # numpy's default_rng refuses a negative seed
+    ("continue", ["seed.noise=0.1", "seed.noise_seed=-1"]),
+    # a stride of 0 would leave every point unclassified
+    ("continue", ["continuation.classify_stride=0"]),
+    # no samples would write a header-only eigenfunctions.csv
+    ("floquet", ["floquet.n_samples=0"]),
+])
+def test_inert_or_crashing_inputs_are_config_errors(tmp_path, capsys,
+                                                    command, overrides):
+    code, out = run(tmp_path, command, *_overrides(*overrides))
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_floquet_weak(tmp_path):
     code, out = run(tmp_path, "floquet",
                     "--override", "system.kind=pde",

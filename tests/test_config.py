@@ -85,6 +85,7 @@ def test_bad_overrides(override, fragment):
     ("system.kind=wave", "kind must be one of"),
     ("seed.kind=blob", "kind must be one of"),
     ("seed.kind=file", "requires a path"),
+    ("seed.noise_seed=-1", "noise_seed"),
     ("params.alpha=-1", "alpha"),
     ("params.epsilon=0", "epsilon"),
     ("params.gamma=-0.1", "gamma"),
@@ -97,7 +98,11 @@ def test_bad_overrides(override, fragment):
     ("continuation.ds_min=0.2", "ds_min <= ds0"),
     ("continuation.max_points=1", "max_points"),
     ("continuation.newton_tol=0", "newton_tol"),
+    ("continuation.classify_stride=0", "classify_stride"),
+    ("continuation.classify_stride=-2", "classify_stride"),
     ("floquet.j_trunc=1", "j_trunc"),
+    ("floquet.n_samples=0", "n_samples"),
+    ("floquet.n_samples=-4", "n_samples"),
     ("sweep.nu_count=0", "grid counts"),
     ("sweep.t_probe=-5", "t_probe"),
     ("sweep.t_probe=0.01", "t_probe"),

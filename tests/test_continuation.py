@@ -22,17 +22,51 @@ def flat_field(p, n=128, length=LENGTH, which=-1, scale=1.0):
                         np.full(n, scale * root.r * np.exp(1j * root.phi)))
 
 
-def test_reflect_is_involution():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
-    assert np.array_equal(ct.reflect(ct.reflect(a)), a)
+def solve_fcgl(seed, gamma, params, **kwargs):
+    """Newton on the steady FCGL problem from a seed field; returns
+    (problem, z, residual, iterations)."""
+    prob = ct.FcglSteadyProblem(params, n=seed.n, length=seed.length)
+    return (prob, *ct.newton_solve(prob, prob.pack(seed.values), gamma,
+                                   **kwargs))
 
 
-def test_reflect_fixes_even_profiles():
-    n = 64
-    x = np.arange(n) * (LENGTH / n)
-    vals = np.exp(-((x - LENGTH / 2) ** 2)) + 0j
-    assert np.max(np.abs(ct.reflect(vals) - vals)) < 1e-12
+def reflect(values):
+    """Samples of x -> f(-x) on the periodic grid."""
+    return np.roll(values[..., ::-1], 1, axis=-1)
+
+
+PACKED_PROBLEMS = [
+    pytest.param(lambda fcgl, model: ct.FcglSteadyProblem(
+        fcgl, n=48, length=LENGTH), id="fcgl"),
+    pytest.param(lambda fcgl, model: ct.PdeHarmonicProblem(
+        model, n=48, length=LENGTH), id="pde"),
+]
+
+
+def random_profiles(prob, rng):
+    shape = prob.symbol.shape
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("make", PACKED_PROBLEMS)
+def test_packing_holds_the_even_part(fcgl_params, weak_model, make):
+    prob = make(fcgl_params, weak_model)
+    rng = np.random.default_rng(1)
+    a, b = random_profiles(prob, rng), random_profiles(prob, rng)
+    even_a, even_b = 0.5 * (a + reflect(a)), 0.5 * (b + reflect(b))
+    scale = np.max(np.abs(even_a))
+    za, zb = prob.pack(a), prob.pack(b)
+    # samples 0...n/2 of each profile, real and imaginary
+    assert za.shape == (prob.size,)
+    assert prob.size == 2 * even_a[..., :prob.n // 2 + 1].size
+    # an even field round-trips; of any other, pack keeps the even part
+    assert np.max(np.abs(prob.unpack(prob.pack(even_a)) - even_a)) <= 1e-15 * scale
+    assert np.max(np.abs(za - prob.pack(even_a))) <= 1e-15 * scale
+    # packed dot products and Newton's max-norm are the full-grid ones
+    terms = even_a.real * even_b.real + even_a.imag * even_b.imag
+    assert abs(za @ zb - np.sum(terms)) <= 1e-14 * np.sum(np.abs(terms))
+    full_max = max(np.max(np.abs(even_a.real)), np.max(np.abs(even_a.imag)))
+    assert prob.max_norm(za) == pytest.approx(full_max, rel=1e-15)
 
 
 def test_fcgl_residual_vanishes_on_flat_state(fcgl_params):
@@ -43,33 +77,32 @@ def test_fcgl_residual_vanishes_on_flat_state(fcgl_params):
 
 @pytest.mark.parametrize("which", [0, -1])
 def test_newton_recovers_flat_roots(fcgl_params, which):
-    state = ct.newton_fcgl(flat_field(fcgl_params, 64, which=which,
-                                      scale=1.02),
-                           fcgl_params.gamma, fcgl_params)
+    seed = flat_field(fcgl_params, 64, which=which, scale=1.02)
+    prob, z, rn, _ = solve_fcgl(seed, fcgl_params.gamma, fcgl_params)
     root = flat_states(fcgl_params).roots[which]
-    assert state.residual_norm < 1e-10
-    assert np.max(np.abs(state.field.values)) == pytest.approx(root.r,
-                                                               rel=1e-8)
+    assert rn < 1e-10
+    assert np.max(np.abs(prob.unpack(z))) == pytest.approx(root.r, rel=1e-8)
 
 
 def test_newton_zero_to_zero(fcgl_params):
     seed = ComplexField(LENGTH, np.zeros(64, dtype=complex))
-    state = ct.newton_fcgl(seed, 1.9, fcgl_params)
-    assert np.max(np.abs(state.field.values)) < 1e-12
+    prob, z, _, _ = solve_fcgl(seed, 1.9, fcgl_params)
+    assert np.max(np.abs(prob.unpack(z))) < 1e-12
 
 
 def test_newton_from_sech_seed(fcgl_params):
     # near-onset seed converges to a symmetric localized state
     p = replace(fcgl_params, gamma=1.95)
     seed = weak_sech_fcgl(p, 1.95, center=LENGTH / 2).as_field(256, LENGTH)
-    state = ct.newton_fcgl(seed, 1.95, p)
-    assert state.residual_norm < 1e-10
-    assert state.iterations <= 8
-    mags = np.abs(state.field.values)
+    prob, z, rn, iterations = solve_fcgl(seed, 1.95, p)
+    assert rn < 1e-10
+    assert iterations <= 8
+    values = prob.state_of(z, 1.95).values
+    mags = np.abs(values)
     assert mags.max() > 0.05
     edge = max(mags[:32].max(), mags[-32:].max())
     assert edge < 0.05 * mags.max()
-    sym_gap = np.abs(state.field.values - ct.reflect(state.field.values))
+    sym_gap = np.abs(values - reflect(values))
     assert np.max(sym_gap) < 1e-9
 
 
@@ -77,7 +110,7 @@ def test_newton_divergence(fcgl_params):
     # a huge seed far from any basin must fail loudly, not silently
     seed = ComplexField(LENGTH, np.full(64, 50.0 + 50.0j))
     with pytest.raises(DivergenceError):
-        ct.newton_fcgl(seed, 1.496, fcgl_params, max_iter=4)
+        solve_fcgl(seed, 1.496, fcgl_params, max_iter=4)
 
 
 def finite_difference_check(problem, z, param, rng):
@@ -295,12 +328,23 @@ def test_leading_rate_of_zero_state_closed_form(fcgl_params, n, gamma):
     assert np.all(np.abs(rates - exact) <= 1e-10 * np.maximum(1.0, np.abs(exact)))
 
 
-def test_rates_refuse_asymmetric_state(fcgl_params):
-    prob = ct.FcglSteadyProblem(fcgl_params, n=64, length=LENGTH)
-    z = np.zeros(prob.size)
-    z[3] = 1e-3
-    with pytest.raises(ParameterError, match="reflection"):
-        ct.leading_rates_fcgl(prob, z, 1.9)
+def test_rates_are_the_full_jacobian_spectrum(fcgl_params):
+    # the oracle: the dense 2n x 2n Jacobian on the full grid, column by
+    # column from unit-vector matvecs, with no use of the state's parity
+    p = replace(fcgl_params, gamma=1.95)
+    n = 64
+    seed = weak_sech_fcgl(p, 1.95, center=LENGTH / 2).as_field(n, LENGTH)
+    prob, z, rn, _ = solve_fcgl(seed, 1.95, p)
+    assert rn < 1e-10 and np.ptp(np.abs(prob.unpack(z))) > 0.05
+    lin = prob.linearization(z, 1.95)
+    full = np.empty((2 * n, 2 * n))
+    for col, e in enumerate(np.concatenate([np.eye(n), 1j * np.eye(n)])):
+        out = np.fft.ifft(lin(np.fft.fft(e)))
+        full[:, col] = np.concatenate([out.real, out.imag])
+    exact = np.sort(np.linalg.eigvals(full).real)[::-1]
+    rates = ct.leading_rates_fcgl(prob, z, 1.95)
+    assert rates.shape == exact.shape
+    assert np.all(np.abs(rates - exact) <= 1e-10 * np.maximum(1.0, np.abs(exact)))
 
 
 def test_classify_nan_state_is_indeterminate(fcgl_params):
@@ -386,7 +430,9 @@ def test_steady_residuals_are_the_stepper_right_hand_side(fcgl_params,
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(got - expected)) < 1e-12 * scale
 
+    # even profiles: the packed unknowns hold no odd part
     a = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    a = 0.5 * (a + reflect(a))
     assert abs(np.fft.fft(a)[n // 2]) > 0.1
     prob = ct.FcglSteadyProblem(fcgl_params, n=n, length=LENGTH)
     assert_close(prob.unpack(prob.residual(prob.pack(a), fcgl_params.gamma)),
@@ -396,6 +442,7 @@ def test_steady_residuals_are_the_stepper_right_hand_side(fcgl_params,
     j = prob.harmonics[:, None]
     profiles = 0.1 * (rng.standard_normal((j.size, n))
                       + 1j * rng.standard_normal((j.size, n)))
+    profiles = 0.5 * (profiles + reflect(profiles))
     times = 2 * math.pi * np.arange(m) / m
     stack = np.array([rhs(np.exp(1j * j[:, 0] * t) @ profiles, weak_model, t)
                       for t in times])
@@ -519,7 +566,8 @@ def test_unconverged_solve_is_counted(fcgl_params):
         def preconditioner(self):
             return lambda dz: dz
 
-    prob = Stalled(fcgl_params, n=128, length=LENGTH)
+    # n + 2 = 322 packed unknowns, more than one cycle of GMRES_RESTART
+    prob = Stalled(fcgl_params, n=320, length=LENGTH)
     stats = ct.SolveStats()
     with pytest.raises(DivergenceError):
         ct.newton_solve(prob, np.zeros(prob.size), 1.0, stats=stats)
