@@ -47,7 +47,7 @@ TWO_PI = 2.0 * math.pi
 # ---- seeds ----
 
 def _add_noise(values: np.ndarray, cfg: RunConfig) -> np.ndarray:
-    if cfg.seed.noise <= 0:
+    if cfg.seed.noise == 0:
         return values
     rng = np.random.default_rng(cfg.seed.noise_seed)
     rms = math.sqrt(float(np.mean(np.abs(values) ** 2)))
@@ -273,8 +273,9 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
         problem = continuation.FcglSteadyProblem(p, cfg.grid.n, cfg.grid.length)
         z0 = problem.pack(build_seed(cfg).values)
 
-        def classify(z, g):
-            label = continuation.classify_stability_fcgl(problem, z, g)
+        def classify(z, g, stats):
+            label = continuation.classify_stability_fcgl(problem, z, g,
+                                                         stats=stats)
             return str(label), label.rate
     else:
         mp = cfg.model_params()
@@ -304,7 +305,7 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
             state = continuation.timestepper_harmonics(stepper, mp.f)
         z0 = problem.pack(state.profiles)
 
-        def classify(z, f_val):
+        def classify(z, f_val, stats):
             return continuation.classify_stability_pde(
                 problem.state_of(z, f_val), mp)
     stalled = False

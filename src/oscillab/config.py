@@ -192,6 +192,8 @@ def _validate(cfg: RunConfig) -> None:
             f"[seed] kind must be one of {_SEED_KINDS + ('file',)}")
     if seed_kind == "file" and not cfg.seed.path:
         raise ConfigError("[seed] kind=file requires a path")
+    if cfg.seed.noise < 0:
+        raise ConfigError("[seed] noise must be >= 0")
     if cfg.seed.noise_seed < 0:
         raise ConfigError("[seed] noise_seed must be >= 0")
     p = cfg.params

@@ -44,6 +44,17 @@ def _givens(f: float, g: float) -> tuple[float, float, float]:
     return abs(f) / d, g / r, r
 
 
+def _orthogonalize(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Make w orthogonal to the orthonormal rows of basis, in place, by
+    classical Gram-Schmidt applied twice (CGS2, as stable as modified
+    Gram-Schmidt), one BLAS product per pass; returns the coefficients."""
+    h = basis @ w
+    w -= h @ basis
+    h2 = basis @ w
+    w -= h2 @ basis
+    return h + h2
+
+
 def _gmres(matvec, b: np.ndarray, psolve, rtol: float):
     """Restarted GMRES (Saad & Schultz 1986) for A x = b from x = 0, left-
     preconditioned by psolve ~ A^-1; returns (x, info, matvecs), info 0 when
@@ -53,10 +64,8 @@ def _gmres(matvec, b: np.ndarray, psolve, rtol: float):
     residual estimate meets a tolerance that is adapted between cycles as in
     scipy gh-8400, or on breakdown, and convergence is judged on the true
     residual at the end of each cycle.  The Krylov basis is preallocated and
-    orthogonalised by classical Gram-Schmidt applied twice (CGS2, as stable
-    as modified Gram-Schmidt), one BLAS product per pass; the Givens
-    rotations act on Python floats and the triangular solve runs once per
-    cycle.
+    orthogonalised by CGS2; the Givens rotations act on Python floats and the
+    triangular solve runs once per cycle.
     """
     b = np.asarray(b, dtype=float)
     x = np.zeros(b.size)
@@ -81,12 +90,7 @@ def _gmres(matvec, b: np.ndarray, psolve, rtol: float):
             w = psolve(matvec(basis[j]))
             matvecs += 1
             h0 = float(np.linalg.norm(w))
-            vj = basis[:j + 1]
-            h = vj @ w
-            w -= h @ vj
-            h2 = vj @ w
-            w -= h2 @ vj
-            h += h2
+            h = _orthogonalize(basis[:j + 1], w)
             h1 = float(np.linalg.norm(w))
             if h1 <= _EPS * h0:
                 h1, breakdown = 0.0, True
@@ -301,13 +305,14 @@ class HarmonicPdeState:
 
 @dataclass
 class SolveStats:
-    """Solver work counters of a Newton solve or a branch.  They are
-    deterministic, so they belong in the output files."""
+    """Solver work counters of a Newton solve or a branch and its labels.
+    They are deterministic, so they belong in the output files."""
     gmres_solves: int = 0
     matvecs: int = 0
     gmres_unconverged: int = 0
     corrector_iterations: int = 0
     step_rejections: int = 0
+    label_krylov_steps: int = 0
 
     def solve(self, matvec, b, psolve, rtol: float) -> np.ndarray:
         """_gmres(matvec, b, psolve, rtol), counted; returns the solution."""
@@ -620,27 +625,142 @@ def trace_branch(problem, z0: np.ndarray, param0: float,
 
 # ---- stability ----
 
+LABEL_BATCH = 16        # unit columns per linearization call in a block
+LABEL_CUT = -1e-3       # rates are resolved down to the first one below this
+LABEL_KRYLOV = 16       # first Arnoldi dimension; doubled until converged
+LABEL_TOL = 1e-12       # Ritz value error allowed, times max(1, |lambda|)
+
+
+def _parity_block(lin, n: int, sign: float) -> np.ndarray:
+    """The Jacobian lin on the fields of one parity, even (sign +1) or odd
+    (-1), as a dense real matrix in the orthonormal basis of the packed
+    format: real then imaginary parts at samples 0...n/2 (odd: 1...n/2-1),
+    an interior one standing for (e_i + sign e_-i)/sqrt(2).  The columns come
+    from the full-grid linearization, LABEL_BATCH per call."""
+    half = n // 2
+    idx = np.arange(half + 1) if sign > 0 else np.arange(1, half)
+    h = idx.size
+    scale = np.where((idx > 0) & (idx < half), math.sqrt(2.0), 1.0)
+    block = np.empty((2 * h, 2 * h), order="F")
+    for start in range(0, 2 * h, LABEL_BATCH):
+        cols = np.arange(start, min(start + LABEL_BATCH, 2 * h))
+        unit = np.where(cols < h, 1.0, 1.0j)
+        i, rows = idx[cols % h], np.arange(cols.size)
+        d = np.zeros((cols.size, n), dtype=complex)
+        d[rows, -i] = sign * unit
+        d[rows, i] = unit
+        out = np.fft.ifft(lin(np.fft.fft(d, axis=-1)), axis=-1)[:, idx]
+        out *= scale / scale[cols % h, None]
+        block[:h, cols] = out.real.T
+        block[h:, cols] = out.imag.T
+    return block
+
+
+def _shifted_inverse(block: np.ndarray, sigma: float):
+    """x -> (block - sigma)^-1 x, with block overwritten by its factors.  The
+    shifted block is eliminated as a 2x2 block matrix [[P, Q], [R, T]]: P is
+    replaced by P^-1, Q by P^-1 Q and T by the inverse of the Schur complement
+    T - R P^-1 Q.  When sigma exceeds the numerical abscissa of block by 1,
+    P and the Schur complement have fields of values in Re <= -1, so neither
+    is singular and both inverses have norm at most 1."""
+    size = block.shape[0]
+    block.flat[::size + 1] -= sigma
+    m = size // 2
+    p, q, r, t = block[:m, :m], block[:m, m:], block[m:, :m], block[m:, m:]
+    p[...] = np.linalg.inv(p)
+    q[...] = p @ q
+    t -= r @ q
+    t[...] = np.linalg.inv(t)
+
+    def apply(x):
+        y = p @ x[:m]
+        x2 = t @ (x[m:] - r @ y)
+        return np.concatenate([y - q @ x2, x2])
+
+    return apply
+
+
+def rightmost_eigenvalues(block: np.ndarray, bound: float):
+    """(eigenvalues, dimension): the eigenvalues of the real square matrix
+    block, rightmost first, down to the first one with real part below
+    LABEL_CUT (all of them if none is), and the Arnoldi dimension that
+    resolved them.
+
+    bound must bound the numerical abscissa of block, the largest eigenvalue
+    of its symmetric part.  Arnoldi with CGS2 runs on (block - sigma)^-1,
+    sigma = bound + 1, whose eigenvalues 1/(lambda - sigma) are largest for
+    lambda near the right edge of the spectrum (Meerbergen & Roose 1996).
+    The Krylov dimension doubles from LABEL_KRYLOV until each Ritz value,
+    from the rightmost down to the first below LABEL_CUT, has an error
+    estimate within LABEL_TOL max(1, |lambda|); at the full dimension
+    Arnoldi is exact.  block is overwritten."""
+    size = block.shape[0]
+    if size == 0:
+        return np.empty(0, dtype=complex), 0
+    sigma = bound + 1.0
+    apply = _shifted_inverse(block, sigma)
+    # a fixed start vector spread over every mode, without numpy.random:
+    # the centred fractional parts of j^2 times the golden ratio
+    j = np.arange(1.0, size + 1.0)
+    start = np.modf(j * j * (0.5 + 0.5 * math.sqrt(5.0)))[0] - 0.5
+    basis = (start / np.linalg.norm(start))[None, :]
+    hess = np.zeros((1, 0))
+    m, dim, last = 0, min(LABEL_KRYLOV, size), 0.0
+    while True:
+        basis = np.concatenate([basis[:m + 1], np.empty((dim - m, size))])
+        hess = np.pad(hess[:m + 1, :m], ((0, dim - m), (0, dim - m)))
+        while m < dim:
+            w = apply(basis[m])
+            h0 = float(np.linalg.norm(w))
+            hess[:m + 1, m] = _orthogonalize(basis[:m + 1], w)
+            last = float(np.linalg.norm(w))
+            m += 1
+            if last <= _EPS * h0:       # an invariant subspace: exact
+                last = 0.0
+                break
+            hess[m, m - 1] = last
+            basis[m] = w / last
+        theta, vecs = np.linalg.eig(hess[:m, :m])
+        order = np.argsort(-(1.0 / theta).real, kind="stable")
+        theta, vecs = theta[order], vecs[:, order]
+        lam = sigma + 1.0 / theta
+        err = last * np.abs(vecs[-1]) / np.abs(theta) ** 2
+        below = np.flatnonzero(lam.real < LABEL_CUT)
+        keep = below[0] + 1 if below.size else m
+        if last == 0.0 or m == size or np.all(
+                err[:keep] <= LABEL_TOL * np.maximum(1.0, np.abs(lam[:keep]))):
+            return lam[:keep], m
+        dim = min(2 * dim, size)
+
+
 def leading_rates_fcgl(problem: FcglSteadyProblem, z: np.ndarray,
-                       gamma: float) -> np.ndarray:
-    """Eigenvalue real parts of the discrete Jacobian about an even steady
-    state, largest first.  The Jacobian maps even fields to even and odd to
-    odd; each block is assembled on half the grid, column i being the full-
-    grid linearization at e_i +- e_mirror(i), and solved densely on its own."""
+                       gamma: float, stats: SolveStats | None = None
+                       ) -> np.ndarray:
+    """Real parts of the rightmost eigenvalues of the discrete Jacobian about
+    an even steady state, largest first: every one down to the largest of
+    the two parity blocks' last rates, the neutral translation mode included.
+    The Jacobian maps even fields to even and odd to odd, and each block's
+    rightmost eigenvalues come from rightmost_eigenvalues, one block alive at
+    a time, with max Re(symbol) + |gamma| + 3|C| max|u|^2 over the fine-grid
+    samples u as the right bound.  The Arnoldi dimensions are counted in
+    stats, when given."""
     if not np.all(np.isfinite(z)):
         raise InvalidFieldError("steady state has non-finite samples")
     lin = problem.linearization(z, gamma)
-    even, d = np.arange(problem.n // 2 + 1), np.zeros(problem.n, dtype=complex)
-    rates = []
-    for sign, idx in ((1.0, even), (-1.0, even[1:-1])):
-        block = np.empty((2 * idx.size, 2 * idx.size), order="F")
-        for col, (unit, i) in enumerate((u, i) for u in (1.0, 1j) for i in idx):
-            d[-i], d[i] = sign * unit, unit
-            out = np.fft.ifft(lin(np.fft.fft(d)))[idx]
-            block[:, col] = np.concatenate([out.real, out.imag])
-            d[i] = d[-i] = 0.0
-        rates.append(np.linalg.eigvals(block).real)
-        del block
-    return np.sort(np.concatenate(rates))[::-1]
+    u = problem.samples(problem._spectrum(z))
+    bound = (float(np.max(problem.symbol.real)) + abs(gamma)
+             + 3.0 * abs(problem.params.c) * float(np.max(np.abs(u) ** 2)))
+    rates, floor = [], -math.inf
+    for sign in (1.0, -1.0):
+        values, dim = rightmost_eigenvalues(
+            _parity_block(lin, problem.n, sign), bound)
+        if stats is not None:
+            stats.label_krylov_steps += dim
+        if values.size:
+            rates.append(values.real)
+            floor = max(floor, float(values.real.min()))
+    rates = np.sort(np.concatenate(rates))[::-1]
+    return rates[rates >= floor]
 
 
 class Label(str):
@@ -653,12 +773,14 @@ class Label(str):
 
 
 def classify_stability_fcgl(problem: FcglSteadyProblem, z: np.ndarray,
-                            gamma: float, threshold: float = 1e-8) -> Label:
+                            gamma: float, threshold: float = 1e-8,
+                            stats: SolveStats | None = None) -> Label:
     """Label by the largest eigenvalue real part.  A non-uniform state has a
     neutral translation mode, the rate nearest zero, which is left out so
-    that the rate shows the stability margin."""
+    that the rate shows the stability margin.  The eigensolver's work is
+    counted in stats, when given."""
     try:
-        rates = leading_rates_fcgl(problem, z, gamma)
+        rates = leading_rates_fcgl(problem, z, gamma, stats)
     except (np.linalg.LinAlgError, OscillabError):
         return Label("indeterminate")
     a = problem.unpack(z)
@@ -702,9 +824,10 @@ def classify_stability_pde(state: HarmonicPdeState, params: ModelParams):
 
 
 def classify_branch(branch: Branch, classify, stride: int = 1) -> None:
-    """Set (label, rate) = classify(z, param) on every stride-th point."""
+    """Set (label, rate) = classify(z, param, stats) on every stride-th
+    point, stats being the branch's counters."""
     for pt in branch.points[::stride]:
-        pt.stability, pt.leading_rate = classify(pt.z, pt.param)
+        pt.stability, pt.leading_rate = classify(pt.z, pt.param, branch.stats)
 
 
 # ---- branch comparison ----

@@ -74,6 +74,8 @@ def test_bad_override_is_config_error(tmp_path):
     ("continue", ["continuation.classify_stride=0"]),
     # no samples would write a header-only eigenfunctions.csv
     ("floquet", ["floquet.n_samples=0"]),
+    # negative noise would be a silent no-op beside zero noise
+    ("simulate", ["seed.noise=-0.5"]),
 ])
 def test_inert_or_crashing_inputs_are_config_errors(tmp_path, capsys,
                                                     command, overrides):
@@ -226,10 +228,12 @@ def test_continue_writes_solver_stats(tmp_path):
     assert code == 0
     stats = {key: int(val) for key, val in read_kv(out / "stats.txt").items()}
     assert list(stats) == ["gmres_solves", "matvecs", "gmres_unconverged",
-                           "corrector_iterations", "step_rejections"]
+                           "corrector_iterations", "step_rejections",
+                           "label_krylov_steps"]
     assert stats["gmres_solves"] > stats["corrector_iterations"] >= 4
     assert stats["matvecs"] > stats["gmres_solves"]
     assert stats["gmres_unconverged"] == 0
+    assert stats["label_krylov_steps"] == 0
 
 
 def test_continue_writes_leading_rates(tmp_path):
@@ -243,6 +247,7 @@ def test_continue_writes_leading_rates(tmp_path):
     for row in rows:
         rate = float(row[5])
         assert row[3] == ("stable" if rate < 1e-8 else "unstable")
+    assert int(read_kv(out / "stats.txt")["label_krylov_steps"]) > 0
 
 
 def test_stalled_continue_writes_the_partial_branch(tmp_path, monkeypatch,

@@ -314,37 +314,81 @@ def test_classify_flat_roots(fcgl_params):
 
 
 @pytest.mark.parametrize("n", [96, 512])
-@pytest.mark.parametrize("gamma", [1.9, 2.1, 2.2])
-def test_leading_rate_of_zero_state_closed_form(fcgl_params, n, gamma):
+@pytest.mark.parametrize("gamma, beta", [
+    pytest.param(1.9, -2.0, id="1.9"),
+    pytest.param(2.1, -2.0, id="2.1"),
+    pytest.param(2.2, -2.0, id="2.2"),
+    # beta > 0 moves the rightmost mode off k = 0, toward k^2 = nu/beta
+    pytest.param(1.9, 2.0, id="1.9-beta2"),
+])
+def test_leading_rate_of_zero_state_closed_form(fcgl_params, n, gamma, beta):
     # About A = 0, mode k couples only to the conjugate of mode -k, so the
     # rates are Re(s_k) +- Re sqrt(gamma^2 - Im(s_k)^2) over the symbol s_k.
     # gamma = nu = 2 is avoided: the k = 0 pair is a Jordan block there.
-    prob = ct.FcglSteadyProblem(fcgl_params, n=n, length=LENGTH)
+    prob = ct.FcglSteadyProblem(replace(fcgl_params, beta=beta), n=n,
+                                length=LENGTH)
     s = prob.symbol
     root = np.sqrt(gamma**2 - s.imag**2 + 0j).real
     exact = np.sort(np.concatenate([s.real + root, s.real - root]))[::-1]
     rates = ct.leading_rates_fcgl(prob, np.zeros(prob.size), gamma)
+    assert rates[-1] < ct.LABEL_CUT
+    exact = exact[:rates.size]
     assert rates[0] == pytest.approx(exact[0], abs=1e-10)
     assert np.all(np.abs(rates - exact) <= 1e-10 * np.maximum(1.0, np.abs(exact)))
 
 
+def pulse_state(p, n):
+    """(problem, z): a pulse on the upper flat state at p.gamma, converged."""
+    prob = ct.FcglSteadyProblem(p, n=n, length=LENGTH)
+    root = flat_states(p).roots[-1]
+    x = np.arange(n) * (LENGTH / n)
+    seed = root.r * np.exp(1j * root.phi) / np.cosh(0.5 * (x - LENGTH / 2))
+    z, rn, _ = ct.newton_solve(prob, prob.pack(seed), p.gamma)
+    assert rn < 1e-10
+    return prob, z
+
+
 def test_rates_are_the_full_jacobian_spectrum(fcgl_params):
     # the oracle: the dense 2n x 2n Jacobian on the full grid, column by
-    # column from unit-vector matvecs, with no use of the state's parity
-    p = replace(fcgl_params, gamma=1.95)
+    # column from unit-vector matvecs, with no use of the state's parity;
+    # an unstable sech state at gamma = 1.95 and a stable pulse at 1.46
     n = 64
+    p = replace(fcgl_params, gamma=1.95)
     seed = weak_sech_fcgl(p, 1.95, center=LENGTH / 2).as_field(n, LENGTH)
     prob, z, rn, _ = solve_fcgl(seed, 1.95, p)
-    assert rn < 1e-10 and np.ptp(np.abs(prob.unpack(z))) > 0.05
-    lin = prob.linearization(z, 1.95)
-    full = np.empty((2 * n, 2 * n))
-    for col, e in enumerate(np.concatenate([np.eye(n), 1j * np.eye(n)])):
-        out = np.fft.ifft(lin(np.fft.fft(e)))
-        full[:, col] = np.concatenate([out.real, out.imag])
-    exact = np.sort(np.linalg.eigvals(full).real)[::-1]
-    rates = ct.leading_rates_fcgl(prob, z, 1.95)
-    assert rates.shape == exact.shape
-    assert np.all(np.abs(rates - exact) <= 1e-10 * np.maximum(1.0, np.abs(exact)))
+    assert rn < 1e-10
+    states = [(prob, z, 1.95), (*pulse_state(replace(p, gamma=1.46), n), 1.46)]
+    for prob, z, gamma in states:
+        assert np.ptp(np.abs(prob.unpack(z))) > 0.05
+        lin = prob.linearization(z, gamma)
+        full = np.empty((2 * n, 2 * n))
+        for col, e in enumerate(np.concatenate([np.eye(n), 1j * np.eye(n)])):
+            out = np.fft.ifft(lin(np.fft.fft(e)))
+            full[:, col] = np.concatenate([out.real, out.imag])
+        exact = np.sort(np.linalg.eigvals(full).real)[::-1]
+        rates = ct.leading_rates_fcgl(prob, z, gamma)
+        assert 2 <= rates.size < exact.size and rates[-1] < ct.LABEL_CUT
+        exact = exact[:rates.size]
+        assert np.all(np.abs(rates - exact)
+                      <= 1e-10 * np.maximum(1.0, np.abs(exact)))
+
+
+def test_rightmost_eigenvalues_of_a_dense_matrix():
+    # a nonnormal matrix with its numerical abscissa as the bound, beside
+    # the empty block and a bound far to the right
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((40, 40)) - 2.0 * np.eye(40)
+    a[np.triu_indices(40, 1)] *= 3.0
+    exact = np.linalg.eigvals(a)
+    exact = exact[np.argsort(-exact.real)]
+    for bound in (np.linalg.eigvalsh(0.5 * (a + a.T))[-1], 100.0):
+        values, dim = ct.rightmost_eigenvalues(a.copy(), bound)
+        assert 0 < dim <= 40 and values.size >= 2
+        assert values[-1].real < ct.LABEL_CUT <= values[-2].real
+        assert np.allclose(values.real, exact[:values.size].real,
+                           rtol=0.0, atol=1e-10)
+    values, dim = ct.rightmost_eigenvalues(np.empty((0, 0)), 0.0)
+    assert values.size == 0 and dim == 0
 
 
 def test_classify_nan_state_is_indeterminate(fcgl_params):
@@ -367,15 +411,9 @@ def test_classify_propagates_unexpected_errors(fcgl_params, monkeypatch):
 
 def test_stable_localized_state_reports_its_margin(fcgl_params):
     # a pulse on the upper flat state converges to a stable localized state
-    p = replace(fcgl_params, gamma=1.46)
-    n = 128
-    prob = ct.FcglSteadyProblem(p, n=n, length=LENGTH)
-    root = flat_states(p).roots[-1]
-    x = np.arange(n) * (LENGTH / n)
-    seed = root.r * np.exp(1j * root.phi) / np.cosh(0.5 * (x - LENGTH / 2))
-    z, _, _ = ct.newton_solve(prob, prob.pack(seed), 1.46)
+    prob, z = pulse_state(replace(fcgl_params, gamma=1.46), 128)
     rates = ct.leading_rates_fcgl(prob, z, 1.46)
-    # the neutral translation mode is still in the full spectrum ...
+    # the neutral translation mode is still among the rightmost rates ...
     assert np.min(np.abs(rates)) < 1e-9
     # ... but the label and its rate come from the least stable other mode
     label = ct.classify_stability_fcgl(prob, z, 1.46)
