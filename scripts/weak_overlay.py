@@ -38,12 +38,11 @@ def pde_branch(mp: ModelParams, n: int, length: float) -> ct.Branch:
                                           max_periods=900)
     if not converged:
         raise RuntimeError(f"seeding run did not settle in {periods} periods")
-    projected = ct.timestepper_harmonics(stepper, mp.f)
     problem = ct.PdeHarmonicProblem(mp, n=n, length=length)
     controls = ct.ContinuationControls(ds0=0.005, ds_max=0.02,
                                        param_min=0.0545, param_max=0.0625,
                                        max_points=150)
-    return ct.trace_branch(problem, problem.pack(projected.profiles), mp.f,
+    return ct.trace_branch(problem, problem.pack_cycle(stepper), mp.f,
                            controls)
 
 

@@ -74,11 +74,8 @@ from .continuation import (
     classify_stability_fcgl,
     classify_stability_pde,
     continue_branch,
-    newton_pde,
     newton_solve,
     overlay_mismatch,
-    project_snapshots,
-    timestepper_harmonics,
     trace_branch,
 )
 
@@ -95,9 +92,8 @@ __all__ = [
     "SpectralStepper", "StalledBranchError", "classify_stability_fcgl",
     "classify_stability_pde", "continue_branch", "etd2_weights", "flat_states",
     "floquet_multipliers", "gamma_onset", "make_scheme", "make_stepper",
-    "mathieu_critical", "monodromy_critical", "newton_pde", "newton_solve",
-    "onset_phase", "overlay_mismatch", "project_snapshots", "run_to_steady",
-    "solution_norm", "strong_ac_coeffs", "strong_sech_pde",
-    "timestepper_harmonics", "trace_branch", "weak_ac_coeffs",
+    "mathieu_critical", "monodromy_critical", "newton_solve", "onset_phase",
+    "overlay_mismatch", "run_to_steady", "solution_norm", "strong_ac_coeffs",
+    "strong_sech_pde", "trace_branch", "weak_ac_coeffs",
     "weak_critical_forcing", "weak_sech_fcgl", "weak_sech_pde",
 ]

@@ -24,6 +24,7 @@ from .errors import (
     ConfigError,
     ExistenceError,
     OscillabError,
+    ParameterError,
     StalledBranchError,
 )
 from .fields import ComplexField
@@ -129,23 +130,23 @@ def cmd_simulate(cfg: RunConfig, out: str) -> int:
     try:
         stepper.run(n_steps, observer=observer, stride=cfg.output.norm_stride)
         summary += [("final_time", stepper.t), ("final_norm", stepper.norm)]
-        steps_per_strobe = int(round(strobe / dt))
-        if abs(steps_per_strobe * dt - strobe) < 1e-9 * strobe:
+        try:
             converged, periods, diffs = etd.run_to_steady(
                 stepper, strobe, tol=ts.steady_tol, max_periods=ts.max_periods)
+        except ParameterError:
+            summary.append(("steady_converged",
+                            "skipped: dt does not divide period"))
+        else:
             summary += [("steady_converged", converged),
                         ("steady_periods", periods),
                         ("final_strobe_diff", diffs[-1] if diffs else math.nan)]
             if cfg.system.kind == "pde":
                 ref = stepper.u.copy()
-                stepper.run(steps_per_strobe)
+                stepper.run(etd.steps_in(strobe, dt))
                 diff = spectral.parseval_norm(stepper.u - ref)
                 summary.append(("subharmonic_period_diff", diff))
                 summary.append(("subharmonic_rel_diff",
                                 diff / stepper.norm if stepper.norm > 0 else 0.0))
-        else:
-            summary.append(("steady_converged",
-                            "skipped: dt does not divide period"))
     except BlowUpError as exc:
         # final.txt then holds the last finite state
         print(f"numerical failure: BlowUpError: {exc}", file=sys.stderr)
@@ -260,6 +261,19 @@ def _write_branch_outputs(out, branch, problem, snapshot_stride: int) -> None:
                 problem.state_of(pt.z, pt.param))
 
 
+def _on_run_grid(problem, seed):
+    """The seed, if it holds the run's grid and harmonics; packing it on
+    others would silently mix its samples."""
+    def grid(s):
+        return s.n, s.length, [int(j) for j in getattr(s, "harmonics", [])]
+    have, want = grid(seed), grid(problem)
+    if have[::2] != want[::2] or not math.isclose(have[1], want[1],
+                                                  rel_tol=1e-12):
+        raise ConfigError(f"seed file holds (n, length, harmonics) = {have}, "
+                          f"the run needs {want}")
+    return seed
+
+
 def cmd_continue(cfg: RunConfig, out: str) -> int:
     c = cfg.continuation
     controls = continuation.ContinuationControls(
@@ -271,7 +285,7 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
         p = cfg.fcgl_params()
         param = p.gamma
         problem = continuation.FcglSteadyProblem(p, cfg.grid.n, cfg.grid.length)
-        z0 = problem.pack(build_seed(cfg).values)
+        z0 = problem.pack(_on_run_grid(problem, build_seed(cfg)).values)
 
         def classify(z, g, stats):
             label = continuation.classify_stability_fcgl(problem, z, g,
@@ -283,16 +297,14 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
         problem = continuation.PdeHarmonicProblem(mp, cfg.grid.n,
                                                   cfg.grid.length)
         if cfg.seed.kind == "file":
-            state = fileio.read_snapshot(cfg.seed.path, f=mp.f)
-            if isinstance(state, ComplexField):
-                raise ConfigError(
-                    "pde continuation from file needs a harmonic snapshot")
+            state = fileio.read_snapshot(cfg.seed.path)
+            z0 = problem.pack(_on_run_grid(problem, state).profiles)
         else:
-            seed = build_seed(cfg)
-            # converge toward the periodic attractor before projecting;
-            # steps per period must be a multiple of the snapshot count
-            steps = 16 * max(1, math.ceil(TWO_PI / cfg.timestepping.dt / 16))
-            stepper = etd.make_stepper(seed, mp, TWO_PI / steps)
+            # converge toward the periodic attractor, then sample its cycle
+            # at the collocation times, which the steps must divide
+            m = problem.times.size
+            steps = m * max(1, math.ceil(TWO_PI / cfg.timestepping.dt / m))
+            stepper = etd.make_stepper(build_seed(cfg), mp, TWO_PI / steps)
             tol = max(cfg.timestepping.steady_tol, 1e-9)
             converged, periods, _ = etd.run_to_steady(
                 stepper, TWO_PI, tol=tol,
@@ -302,8 +314,7 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
             if not converged:
                 print(f"seed trajectory not steady after {periods} periods; "
                       "continuing from its last period", file=sys.stderr)
-            state = continuation.timestepper_harmonics(stepper, mp.f)
-        z0 = problem.pack(state.profiles)
+            z0 = problem.pack_cycle(stepper)
 
         def classify(z, f_val, stats):
             return continuation.classify_stability_pde(
@@ -326,17 +337,16 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
 
 # ---- sweep ----
 
-def _probe_setup(cfg: RunConfig, nu: float, param: float):
-    """The seed and the equation of the sweep probe at (nu, param)."""
-    n, length, eps = cfg.grid.n, cfg.grid.length, cfg.params.epsilon
-    p = replace(cfg.fcgl_params(), nu=nu)
+def _probe_setup(cfg: RunConfig, nu: float, gamma: float):
+    """The seed and the equation of the sweep probe at (nu, gamma), both in
+    the slow frame; the forced model's probe is their scaling-map image."""
+    n, length = cfg.grid.n, cfg.grid.length
+    p = replace(cfg.fcgl_params(), nu=nu, gamma=gamma)
     if cfg.system.kind == "fcgl":
-        p = replace(p, gamma=param)
         return _probe_seed(p, n, length), p
-    scaling = cfg.scaling()
-    p = replace(p, gamma=scaling.to_gamma(param))
-    seed = _probe_seed(p, n, length, eps=eps, phase_shift=math.pi / 4)
-    return seed, replace(scaling.fcgl_to_pde(p), f=param)
+    seed = _probe_seed(p, n, length, eps=cfg.params.epsilon,
+                       phase_shift=math.pi / 4)
+    return seed, cfg.scaling().fcgl_to_pde(p)
 
 
 def _sweep_probe(i: int, j: int, nu: float, param: float, end) -> tuple:
@@ -409,9 +419,7 @@ def cmd_sweep(cfg: RunConfig, out: str) -> int:
                 ends[k] = ComplexField(cfg.grid.length, np.fft.ifft(u))
             live = []
     rows = [_sweep_probe(*probe, end) for probe, end in zip(probes, ends)]
-    param_name = "gamma" if cfg.system.kind == "fcgl" else "f"
-    fileio.write_csv(os.path.join(out, "sweep.csv"),
-                     ["nu", param_name, "outcome"],
+    fileio.write_csv(os.path.join(out, "sweep.csv"), ["nu", "gamma", "outcome"],
                      [(nu, pv, outcome) for _, _, nu, pv, outcome in rows])
     return 0
 

@@ -232,9 +232,6 @@ class FcglSteadyProblem(_SteadyProblem):
 
 # ---- harmonic collocation problem for the forced model ----
 
-DEFAULT_PDE_HARMONICS = (-3, -1, 1, 3)
-
-
 class PdeHarmonicProblem(_SteadyProblem):
     """Time-periodic states of the forced model as coupled harmonic profiles.
 
@@ -253,7 +250,7 @@ class PdeHarmonicProblem(_SteadyProblem):
 
     def __init__(self, params: ModelParams, n: int = 1280,
                  length: float = 200.0 * math.pi,
-                 harmonics=DEFAULT_PDE_HARMONICS, n_colloc: int | None = None):
+                 harmonics=(-3, -1, 1, 3), n_colloc: int | None = None):
         self.harmonics = np.asarray(harmonics, dtype=int)
         top = 4 * int(np.max(np.abs(self.harmonics)))
         if n_colloc is None:
@@ -273,6 +270,19 @@ class PdeHarmonicProblem(_SteadyProblem):
     def coeffs(self, w: np.ndarray) -> np.ndarray:
         return spectral.from_fine(self.project @ w, self.n)
 
+    def pack_cycle(self, stepper: etd.SpectralStepper) -> np.ndarray:
+        """Unknowns of the stepper's cycle: U at the collocation times from
+        t0 = stepper.t on, which the steps must divide, projected and moved to
+        t = 0 by U_j e^{-i j t0}.  The stepper ends one period later."""
+        t0, m = stepper.t, self.times.size
+        sub = etd.steps_in(TWO_PI / m, stepper.scheme.dt)
+        snapshots = []
+        for _ in range(m):
+            snapshots.append(stepper.field.values)
+            stepper.run(sub)
+        profiles = self.project @ np.stack(snapshots)
+        return self.pack(np.exp(-1j * t0 * self.harmonics)[:, None] * profiles)
+
     def state_of(self, z: np.ndarray, f: float) -> HarmonicPdeState:
         return HarmonicPdeState(length=self.length, harmonics=self.harmonics,
                                 profiles=self.unpack(z), f=f)
@@ -286,7 +296,6 @@ class HarmonicPdeState:
     harmonics: np.ndarray
     profiles: np.ndarray          # (n_harmonics, n) complex
     f: float
-    residual_norm: float = math.nan
 
     @property
     def n(self) -> int:
@@ -358,49 +367,6 @@ def newton_solve(problem, z0: np.ndarray, param: float, tol: float = 1e-10,
     if rn < tol:
         return z, rn, max_iter
     raise DivergenceError(rn)
-
-
-def newton_pde(seed: HarmonicPdeState, f: float, params: ModelParams,
-               tol: float = 1e-10, max_iter: int = 25) -> HarmonicPdeState:
-    """Converge a harmonic time-periodic state of the forced model."""
-    problem = PdeHarmonicProblem(params, n=seed.n, length=seed.length,
-                                 harmonics=tuple(seed.harmonics))
-    z, rn, _ = newton_solve(problem, problem.pack(seed.profiles), f,
-                            tol=tol, max_iter=max_iter)
-    return replace(problem.state_of(z, f), residual_norm=rn)
-
-
-# ---- snapshot projection ----
-
-def project_snapshots(fields: list[ComplexField], times: np.ndarray,
-                      harmonics=DEFAULT_PDE_HARMONICS, f: float = math.nan
-                      ) -> HarmonicPdeState:
-    """Least-squares fit of harmonic profiles to stroboscopically offset
-    snapshots; for equispaced times this is the discrete Fourier projection
-    P_j = (1/M) sum_s U(x, t_s) e^{-i j t_s}."""
-    harmonics = np.asarray(harmonics, dtype=int)
-    stack = np.stack([fld.values for fld in fields])          # (M, n)
-    design = np.exp(1j * np.outer(np.asarray(times), harmonics))
-    profiles, *_ = np.linalg.lstsq(design, stack, rcond=None)
-    return HarmonicPdeState(length=fields[0].length, harmonics=harmonics,
-                            profiles=profiles, f=f)
-
-
-def timestepper_harmonics(stepper: etd.SpectralStepper, f: float,
-                          harmonics=DEFAULT_PDE_HARMONICS,
-                          n_snapshots: int = 16) -> HarmonicPdeState:
-    """Collect n_snapshots over one response period and project; the stepper
-    dt must divide the snapshot spacing 2*pi/n_snapshots."""
-    spacing = TWO_PI / n_snapshots
-    sub = int(round(spacing / stepper.scheme.dt))
-    if abs(sub * stepper.scheme.dt - spacing) > 1e-9 * spacing:
-        raise ParameterError("dt must divide the snapshot spacing")
-    fields, times = [], []
-    for _ in range(n_snapshots):
-        fields.append(stepper.field)
-        times.append(stepper.t)
-        stepper.run(sub)
-    return project_snapshots(fields, np.asarray(times), harmonics, f=f)
 
 
 # ---- branches ----

@@ -168,14 +168,20 @@ def make_stepper(field, p, dt: float, t0: float = 0.0) -> SpectralStepper:
     return SpectralStepper(scheme, nonlinear, length, values, t0)
 
 
+def steps_in(span: float, dt: float) -> int:
+    """The number of steps dt in span, which dt must divide."""
+    steps = int(round(span / dt))
+    if abs(steps * dt - span) > 1e-9 * span:
+        raise ParameterError(f"dt = {dt!r} does not divide the span {span!r}")
+    return steps
+
+
 def run_to_steady(stepper: Etd2Stepper, period: float, tol: float = 1e-9,
                   max_periods: int = 10000):
     """Advance whole periods until consecutive stroboscopic snapshots differ
     by less than tol in the solution norm.  Returns (converged, periods, diffs).
     """
-    steps = int(round(period / stepper.scheme.dt))
-    if abs(steps * stepper.scheme.dt - period) > 1e-9 * period:
-        raise ParameterError("dt must divide the stroboscopic period")
+    steps = steps_in(period, stepper.scheme.dt)
     diffs = []
     prev = stepper.u.copy()
     for k in range(max_periods):

@@ -33,12 +33,11 @@ def write_kv(path: str, items) -> None:
             fh.write(f"{key} = {_fmt(value)}\n")
 
 
-def write_manifest(out_dir: str, version: str, command: str, config_items,
-                   extra=()) -> str:
+def write_manifest(out_dir: str, version: str, command: str,
+                   config_items) -> str:
     path = os.path.join(out_dir, "manifest.txt")
     items = [("version", version), ("command", command)]
     items += [(f"{sec}.{key}", val) for sec, key, val in config_items]
-    items += list(extra)
     write_kv(path, items)
     return path
 

@@ -78,12 +78,11 @@ def oscillon_run():
 def pde_branch(oscillon_run):
     """Localized branch of the forced model in the harmonic representation."""
     stepper, _, _ = oscillon_run
-    projected = ct.timestepper_harmonics(stepper, WEAK.f)
     problem = ct.PdeHarmonicProblem(WEAK, n=640, length=L_PDE)
     controls = ct.ContinuationControls(ds0=0.005, ds_max=0.02,
                                        param_min=0.0545, param_max=0.0625,
                                        max_points=150)
-    return ct.trace_branch(problem, problem.pack(projected.profiles), WEAK.f,
+    return ct.trace_branch(problem, problem.pack_cycle(stepper), WEAK.f,
                            controls)
 
 

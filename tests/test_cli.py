@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oscillab
-from oscillab import cli, continuation, fileio, flat_states, make_stepper
+from oscillab import cli, continuation, etd, fileio, flat_states, make_stepper
 from oscillab.cli import _probe_seed, build_seed, main
 from oscillab.config import load_config
 from oscillab.continuation import HarmonicPdeState
@@ -290,6 +290,66 @@ def test_pde_continue_records_its_seed_trajectory(tmp_path, capsys):
     assert "not steady after 2 periods" in capsys.readouterr().err
 
 
+def test_pde_continue_steps_its_seed_through_run_to_steady(tmp_path,
+                                                           monkeypatch):
+    """The seed's run to its cycle is one call of the module attribute
+    etd.run_to_steady, whose periods stats.txt records."""
+    real, calls = etd.run_to_steady, []
+
+    def record(*args, **kwargs):
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(etd, "run_to_steady", record)
+    code, out = run(tmp_path, "continue", *_overrides(
+        "system.kind=pde", "grid.n=64", "timestepping.max_periods=3",
+        "continuation.max_points=2", "continuation.classify=false"))
+    assert code == 0
+    assert len(calls) == 1
+    stats = read_kv(out / "stats.txt")
+    assert stats["seed_steady_periods"] == str(calls[0][1])
+
+
+@pytest.mark.parametrize("kind, n, stretch, harmonics", [
+    ("fcgl", 128, 1.0, None), ("fcgl", 64, 1.5, None),
+    ("pde", 128, 1.0, (-3, -1, 1, 3)), ("pde", 64, 1.0, (-1, 1)),
+], ids=["fcgl-n", "fcgl-length", "pde-n", "pde-harmonics"])
+def test_continue_rejects_a_file_seed_on_another_grid(tmp_path, capsys, kind,
+                                                      n, stretch, harmonics):
+    settings = [f"system.kind={kind}", "grid.n=64", "params.gamma=1.6",
+                "continuation.max_points=2", "continuation.classify=false"]
+    length = stretch * load_config(overrides=settings).grid.length
+    if harmonics is None:
+        root = flat_states(replace(load_config().fcgl_params(),
+                                   gamma=1.6)).roots[-1]
+        state = ComplexField(length,
+                             np.full(n, root.r * np.exp(1j * root.phi)))
+    else:
+        state = HarmonicPdeState(length=length, harmonics=np.array(harmonics),
+                                 profiles=np.zeros((len(harmonics), n)) + 0j,
+                                 f=0.05)
+    snap = tmp_path / "seed.txt"
+    fileio.write_snapshot(snap, state)
+    code, _ = run(tmp_path, "continue", "--seed", f"file:{snap}",
+                  *_overrides(*settings))
+    assert code == 2
+    assert "seed file holds" in capsys.readouterr().err
+    if kind == "fcgl":      # the same state on the run's grid is a good seed
+        fileio.write_snapshot(snap, ComplexField(
+            length / stretch, np.full(64, state.values[0])))
+        code, _ = run(tmp_path, "continue", "--seed", f"file:{snap}",
+                      *_overrides(*settings))
+        assert code == 0
+
+
+def test_model_probe_is_at_the_mapped_forcing():
+    cfg = load_config(overrides=["system.kind=pde"])
+    eps = cfg.params.epsilon
+    _, mp = cli._probe_setup(cfg, 0.5, 1.5)
+    assert mp.f == pytest.approx(4 * eps**2 * 1.5, rel=1e-15)
+    assert mp.omega == pytest.approx(1.0 + eps**2 * 0.5, rel=1e-15)
+
+
 @pytest.mark.parametrize("kind", ["zero", "flat", "file"])
 def test_model_seeds(tmp_path, kind):
     overrides = ["system.kind=pde", "grid.n=64", f"seed.kind={kind}"]
@@ -386,7 +446,7 @@ def test_runs_repeat_byte_for_byte(tmp_path, command, args):
 def test_sweep_rows_equal_probes_stepped_alone(tmp_path, monkeypatch, kind):
     """The sweep steps its probes as rows of one state; each row must end
     bit for bit where the probe stepped alone ends."""
-    p_min, p_max = {"fcgl": (1.2, 2.2), "pde": (0.04, 0.08)}[kind]
+    p_min, p_max = {"fcgl": (1.2, 2.2), "pde": (1.0, 2.0)}[kind]
     settings = [f"system.kind={kind}", "grid.n=64", "sweep.nu_count=2",
                 "sweep.p_count=2", f"sweep.p_min={p_min}",
                 f"sweep.p_max={p_max}", "sweep.t_probe=20"]

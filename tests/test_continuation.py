@@ -7,6 +7,7 @@ import scipy.sparse.linalg
 
 from oscillab import FcglParams, ScalingMap, flat_states, make_stepper
 from oscillab import continuation as ct
+from oscillab import etd
 from oscillab.errors import (DivergenceError, ParameterError,
                              StalledBranchError)
 from oscillab.fields import ComplexField
@@ -143,49 +144,68 @@ def test_pde_jacobian_matches_finite_differences(weak_model):
     finite_difference_check(prob, prob.pack(profiles), weak_model.f, rng)
 
 
-def test_newton_pde_polishes_on_seven_harmonics(strong_model):
+def test_newton_polishes_on_seven_harmonics(strong_model):
     # +-7 needs more collocation times than the default harmonics do
     fp = mathieu_critical(strong_model)
     harmonics = np.arange(-7, 8, 2)
     f = 0.99 * fp.f_c
     carrier = fp.u_coeffs[np.isin(fp.harmonics, harmonics)]
-    seed = ct.HarmonicPdeState(length=LENGTH, harmonics=harmonics,
-                               profiles=np.outer(0.04 * carrier, np.ones(8)),
-                               f=f)
-    state = ct.newton_pde(seed, f, strong_model)
-    assert state.residual_norm < 1e-10
+    problem = ct.PdeHarmonicProblem(strong_model, n=8, length=LENGTH,
+                                    harmonics=harmonics)
+    assert problem.times.size == 32
+    seed = problem.pack(np.outer(0.04 * carrier, np.ones(8)))
+    z, residual, _ = ct.newton_solve(problem, seed, f)
+    assert residual < 1e-10
+    state = problem.state_of(z, f)
     assert list(state.harmonics) == list(harmonics)
     assert state.norm > 0.01
 
 
-def test_project_snapshots_recovers_harmonics():
-    harmonics = (-3, -1, 1, 3)
-    n, length = 32, 10.0
+class CycleStepper(etd.Etd2Stepper):
+    """A stepper whose field is the exact cycle U(t) = sum_j U_j e^{i j t}:
+    its steps only advance the clock."""
+
+    def __init__(self, profiles, harmonics, dt, t0):
+        super().__init__(etd.make_scheme(0.0, dt), lambda u, t: 0.0 * u,
+                         0.0, t0)
+        self.profiles, self.harmonics = profiles, np.asarray(harmonics)
+
+    @property
+    def field(self):
+        phases = np.exp(1j * self.harmonics * self.t)
+        return ComplexField(LENGTH, phases @ self.profiles)
+
+
+def test_pack_cycle_recovers_harmonics(weak_model):
+    n, t0 = 32, 0.7
+    problem = ct.PdeHarmonicProblem(weak_model, n=n, length=LENGTH)
     rng = np.random.default_rng(9)
     profiles = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
-    times = 2 * math.pi * np.arange(16) / 16
-    fields = [ComplexField(length,
-                           sum(profiles[k] * np.exp(1j * harmonics[k] * t)
-                               for k in range(4)))
-              for t in times]
-    state = ct.project_snapshots(fields, times, harmonics, f=0.5)
-    assert np.max(np.abs(state.profiles - profiles)) < 1e-12
-    assert state.f == 0.5
+    profiles += profiles[:, -np.arange(n) % n]      # even, as packed
+    stepper = CycleStepper(profiles, problem.harmonics, 2 * math.pi / 48, t0)
+    z = problem.pack_cycle(stepper)
+    assert np.max(np.abs(problem.unpack(z) - profiles)) < 1e-12
+    assert stepper.steps == 48
+    # 40 steps a period do not divide the 16 collocation intervals
+    with pytest.raises(ParameterError):
+        problem.pack_cycle(CycleStepper(profiles, problem.harmonics,
+                                        2 * math.pi / 40, t0))
 
 
-def test_timestepper_harmonics_then_newton(weak_model):
+def test_pack_cycle_then_newton(weak_model):
     """Projecting a converged simulation and polishing with Newton must agree
     with the simulation itself."""
     n, length = 640, 200 * math.pi
     seed = weak_sech_pde(weak_model, center=length / 2).as_field(
         n, length, t=0.0)
     stepper = make_stepper(seed, weak_model, 2 * math.pi / 208)
-    from oscillab.etd import run_to_steady
-    run_to_steady(stepper, 2 * math.pi, tol=1e-7, max_periods=400)
-    projected = ct.timestepper_harmonics(stepper, weak_model.f)
-    state = ct.newton_pde(projected, weak_model.f, weak_model)
-    assert state.residual_norm < 1e-10
-    assert state.norm == pytest.approx(projected.norm, rel=1e-3)
+    etd.run_to_steady(stepper, 2 * math.pi, tol=1e-7, max_periods=400)
+    problem = ct.PdeHarmonicProblem(weak_model, n=n, length=length)
+    projected = problem.pack_cycle(stepper)
+    z, residual, _ = ct.newton_solve(problem, projected, weak_model.f)
+    assert residual < 1e-10
+    state = problem.state_of(z, weak_model.f)
+    assert state.norm == pytest.approx(problem.norm_of(projected), rel=1e-3)
     # agreement is limited by the truncated harmonic content (|m| <= 3)
     recon = state.reconstruct(stepper.t)
     gap = np.max(np.abs(recon.values - stepper.field.values))
