@@ -57,6 +57,19 @@ def _add_noise(values: np.ndarray, cfg: RunConfig) -> np.ndarray:
     return values + scale * bump / math.sqrt(2.0)
 
 
+def _on_run_grid(run, seed):
+    """The seed, if it holds the run's grid and harmonics; stepping or
+    packing it on others would silently mix its samples."""
+    def grid(s):
+        return s.n, s.length, [int(j) for j in getattr(s, "harmonics", [])]
+    have, want = grid(seed), grid(run)
+    if have[::2] != want[::2] or not math.isclose(have[1], want[1],
+                                                  rel_tol=1e-12):
+        raise ConfigError(f"seed file holds (n, length, harmonics) = {have}, "
+                          f"the run needs {want}")
+    return seed
+
+
 def build_seed(cfg: RunConfig) -> ComplexField:
     """The configured seed field.  The forced model's flat seed is the upper
     flat state at the mapped forcing, carried to the fast frame as
@@ -95,7 +108,7 @@ def build_seed(cfg: RunConfig) -> ComplexField:
                 raise ConfigError(
                     "seed file holds a harmonic state, not a field")
             state = state.reconstruct(0.0)
-        length, values = state.length, state.values
+        length, values = state.length, _on_run_grid(cfg.grid, state).values
     else:
         raise ConfigError(
             f"seed kind {kind!r} is not valid for system={cfg.system.kind}")
@@ -261,19 +274,6 @@ def _write_branch_outputs(out, branch, problem, snapshot_stride: int) -> None:
                 problem.state_of(pt.z, pt.param))
 
 
-def _on_run_grid(problem, seed):
-    """The seed, if it holds the run's grid and harmonics; packing it on
-    others would silently mix its samples."""
-    def grid(s):
-        return s.n, s.length, [int(j) for j in getattr(s, "harmonics", [])]
-    have, want = grid(seed), grid(problem)
-    if have[::2] != want[::2] or not math.isclose(have[1], want[1],
-                                                  rel_tol=1e-12):
-        raise ConfigError(f"seed file holds (n, length, harmonics) = {have}, "
-                          f"the run needs {want}")
-    return seed
-
-
 def cmd_continue(cfg: RunConfig, out: str) -> int:
     c = cfg.continuation
     controls = continuation.ContinuationControls(
@@ -285,7 +285,7 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
         p = cfg.fcgl_params()
         param = p.gamma
         problem = continuation.FcglSteadyProblem(p, cfg.grid.n, cfg.grid.length)
-        z0 = problem.pack(_on_run_grid(problem, build_seed(cfg)).values)
+        z0 = problem.pack(build_seed(cfg).values)
 
         def classify(z, g, stats):
             label = continuation.classify_stability_fcgl(problem, z, g,
@@ -349,6 +349,9 @@ def _probe_setup(cfg: RunConfig, nu: float, gamma: float):
     return seed, cfg.scaling().fcgl_to_pde(p)
 
 
+SWEEP_OUTCOMES = ("decayed", "localized", "flat", "indeterminate")
+
+
 def _sweep_probe(i: int, j: int, nu: float, param: float, end) -> tuple:
     """One sweep.csv row from a probe's end state; a probe without one (its
     set-up failed or it blew up) is indeterminate."""
@@ -395,8 +398,9 @@ def _classify_endstate(field: ComplexField) -> str:
 def cmd_sweep(cfg: RunConfig, out: str) -> int:
     """Step every probe as one row of a stacked state.  Rows are independent,
     so when some blow up, the rest are stepped again from their seeds
-    without them."""
+    without them, in another round."""
     s, dt = cfg.sweep, cfg.timestepping.dt
+    steps = int(round(s.t_probe / dt))
     probes = [(i, j, float(nu), float(pv))
               for i, nu in enumerate(np.linspace(s.nu_min, s.nu_max, s.nu_count))
               for j, pv in enumerate(np.linspace(s.p_min, s.p_max, s.p_count))]
@@ -406,13 +410,16 @@ def cmd_sweep(cfg: RunConfig, out: str) -> int:
             live.append((k, *_probe_setup(cfg, nu, pv)))
         except OscillabError:
             pass
+    setup_failed, rounds, blown = len(probes) - len(live), 0, 0
     ends = [None] * len(probes)
     while live:
+        rounds += 1
         keys, seeds, eqs = zip(*live)
         stepper = etd.make_stepper(seeds, eqs, dt)
         try:
-            stepper.run(int(round(s.t_probe / dt)))
+            stepper.run(steps)
         except BlowUpError as exc:
+            blown += len(exc.rows)
             live = [row for r, row in enumerate(live) if r not in exc.rows]
         else:
             for k, u in zip(keys, stepper.u):
@@ -421,6 +428,13 @@ def cmd_sweep(cfg: RunConfig, out: str) -> int:
     rows = [_sweep_probe(*probe, end) for probe, end in zip(probes, ends)]
     fileio.write_csv(os.path.join(out, "sweep.csv"), ["nu", "gamma", "outcome"],
                      [(nu, pv, outcome) for _, _, nu, pv, outcome in rows])
+    outcomes = [row[-1] for row in rows]
+    fileio.write_kv(os.path.join(out, "stats.txt"), [
+        ("probes", len(probes)), ("steps_per_probe", steps),
+        ("rounds", rounds),
+        *((name, outcomes.count(name)) for name in SWEEP_OUTCOMES),
+        ("indeterminate_setup", setup_failed),
+        ("indeterminate_blowup", blown)])
     return 0
 
 

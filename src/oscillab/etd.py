@@ -25,6 +25,7 @@ from .fields import ComplexField
 
 CONTOUR_POINTS = 32
 SMALL_Z = 0.5
+TINY, HUGE = np.finfo(float).tiny, np.finfo(float).max
 
 
 def _etd_weight_funcs(z: np.ndarray):
@@ -77,40 +78,62 @@ class Etd2Stepper:
     """Advance coefficient vectors with ETD2; representation-agnostic.
 
     nonlinear(u, t) must return the non-stiff part in the same representation
-    as u.  The previous evaluation is cached; the first step uses exponential
-    Euler.
-    """
+    as u.  The previous evaluation is kept; the first step uses exponential
+    Euler.  The stepper writes every step into buffers it reuses, u among
+    them: copy u to keep a state.
+
+    Each step flushes to zero every real and imaginary part of the new state
+    below the smallest normal float.  A mode that decays geometrically, such
+    as a non-mean mode of a state relaxing to a flat one, would otherwise
+    spend hundreds of steps among the subnormals, where FFTs and products run
+    several times slower."""
 
     def __init__(self, scheme: EtdScheme, nonlinear: Callable, u0, t0: float = 0.0):
         self.scheme = scheme
         self.nonlinear = nonlinear
-        self.u = np.asarray(u0, dtype=complex).copy()
+        shape = np.broadcast_shapes(np.shape(u0), scheme.exp_dt.shape)
+        self.u = np.array(np.broadcast_to(u0, shape), dtype=complex)
         self.t0 = float(t0)
         self.steps = 0
+        self._u_new, self._term, self._n_cur = (np.empty_like(self.u)
+                                                for _ in range(3))
         self._n_prev = None
+        self._mags = np.empty(2 * self.u.size)
+        self._below_tiny = np.empty(self._mags.shape, dtype=bool)
 
     @property
     def t(self) -> float:
         return self.t0 + self.steps * self.scheme.dt
 
+    def _nonlinear(self, out: np.ndarray) -> None:
+        """N at the current state, written into out."""
+        out[...] = self.nonlinear(self.u, self.t)
+
     def step(self) -> None:
         """One step, committed only when the new state is finite: a blow-up
         raises BlowUpError, naming the non-finite rows, and leaves u, t and
         steps at the last finite state."""
-        s = self.scheme
+        s, u_new, term = self.scheme, self._u_new, self._term
+        n_cur = self._n_cur
         # overflow on the way to a blow-up is expected and caught below
         with np.errstate(over="ignore", invalid="ignore"):
-            n_cur = self.nonlinear(self.u, self.t)
+            self._nonlinear(n_cur)
+            np.multiply(s.exp_dt, self.u, out=u_new)
             if self._n_prev is None:
-                u_new = s.exp_dt * self.u + s.w_euler * n_cur
+                u_new += np.multiply(s.w_euler, n_cur, out=term)
             else:
-                u_new = s.exp_dt * self.u + s.w_new * n_cur + s.w_old * self._n_prev
-        finite = np.isfinite(u_new)
-        if not finite.all():
-            raise BlowUpError(self.steps + 1,
-                              np.flatnonzero(~finite.all(axis=-1)).tolist())
+                u_new += np.multiply(s.w_new, n_cur, out=term)
+                u_new += np.multiply(s.w_old, self._n_prev, out=term)
+        parts = u_new.view(float).ravel()
+        mags = np.abs(parts, out=self._mags)
+        if not mags[mags.argmax()] <= HUGE:     # argmax finds a NaN first
+            rows = np.isfinite(u_new).reshape(-1, u_new.shape[-1]).all(axis=-1)
+            raise BlowUpError(self.steps + 1, np.flatnonzero(~rows).tolist())
+        np.putmask(parts, np.less(mags, TINY, out=self._below_tiny), 0.0)
+        self.u, self._u_new = u_new, self.u
+        self._n_cur = (self._n_prev if self._n_prev is not None
+                       else np.empty_like(n_cur))
         self._n_prev = n_cur
-        self.u = u_new
         self.steps += 1
 
     def run(self, n_steps: int, observer: Callable | None = None, stride: int = 1):
@@ -123,11 +146,15 @@ class Etd2Stepper:
 
 class SpectralStepper(Etd2Stepper):
     """ETD2 stepper whose state is the Fourier coefficients of a periodic
-    field, or of a stack of fields, one per row (field and norm need one)."""
+    field, or of a stack of fields, one per row (field and norm need one).
+    nonlinear(u, t, out=None) writes N into out when it is given."""
 
     def __init__(self, scheme, nonlinear, length: float, values, t0: float = 0.0):
         super().__init__(scheme, nonlinear, np.fft.fft(values), t0)
         self.length = length
+
+    def _nonlinear(self, out: np.ndarray) -> None:
+        self.nonlinear(self.u, self.t, out)
 
     @property
     def field(self) -> ComplexField:
@@ -136,6 +163,12 @@ class SpectralStepper(Etd2Stepper):
     @property
     def norm(self) -> float:
         return spectral.parseval_norm(self.u)
+
+
+# Most bytes in one row block of the nonlinear term on the fine grid, a
+# little below glibc's default mmap threshold of 128 KiB: each temporary
+# above it is mapped afresh and faulted in again on every step.
+BLOCK_BYTES = 120 * 1024
 
 
 def make_stepper(field, p, dt: float, t0: float = 0.0) -> SpectralStepper:
@@ -147,7 +180,8 @@ def make_stepper(field, p, dt: float, t0: float = 0.0) -> SpectralStepper:
     field and p may also be equal-length lists: row r of the stepper's
     (P, n) state is then field[r] under p[r], stepped bit for bit as
     make_stepper(field[r], p[r], dt) steps it.  The rows share the grid, the
-    system and C; each has its own symbol and drive."""
+    system and C; each has its own symbol and drive.  N is formed in blocks
+    of rows, each the same arithmetic as the row alone."""
     stack = not isinstance(field, ComplexField)
     fields, ps = (field, p) if stack else ([field], [p])
     first, n, length = ps[0], fields[0].n, fields[0].length
@@ -160,10 +194,22 @@ def make_stepper(field, p, dt: float, t0: float = 0.0) -> SpectralStepper:
     if not stack:
         ell, values, drive = ell[0], values[0], first.drive
     scheme = make_scheme(ell, dt)
+    m = spectral.padded_size(n)
+    rows = max(1, BLOCK_BYTES // (np.dtype(complex).itemsize * m))
+    fine = np.empty((min(rows, len(ps)), m), dtype=complex)
+    blocks = [(slice(r, r + rows), fine[:len(ps[r:r + rows])],
+               drive[r:r + rows] if stack else drive)
+              for r in range(0, len(ps), rows)]
 
-    def nonlinear(u_hat, t):
-        return spectral.from_fine(
-            first.nonlinear(spectral.to_fine(u_hat), t, drive), n)
+    def nonlinear(u_hat, t, out=None):
+        if out is None:
+            out = np.empty_like(u_hat)
+        u_rows, out_rows = u_hat.reshape(-1, n), out.reshape(-1, n)
+        for block, samples, block_drive in blocks:
+            spectral.to_fine(u_rows[block], out=samples)
+            spectral.from_fine(first.nonlinear(samples, t, block_drive), n,
+                               out=out_rows[block])
+        return out
 
     return SpectralStepper(scheme, nonlinear, length, values, t0)
 

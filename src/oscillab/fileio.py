@@ -83,8 +83,9 @@ def write_snapshot(path: str, state: ComplexField | HarmonicPdeState) -> None:
             fh.write(" ".join(parts) + "\n")
 
 
-def read_snapshot(path: str, f: float = math.nan
-                  ) -> ComplexField | HarmonicPdeState:
+def read_snapshot(path: str) -> ComplexField | HarmonicPdeState:
+    """The field or harmonic state of a snapshot file; a harmonic state's
+    forcing is not in the file, so it reads as NaN."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         tokens = header.lstrip("#").split()
@@ -105,7 +106,7 @@ def read_snapshot(path: str, f: float = math.nan
         return ComplexField(length, cols[0])
     harmonics = np.array([int(lbl.removeprefix("re_u")) for lbl in pair_labels])
     return HarmonicPdeState(length=length, harmonics=harmonics,
-                            profiles=np.stack(cols), f=f)
+                            profiles=np.stack(cols), f=math.nan)
 
 
 # ---- branches ----

@@ -26,25 +26,31 @@ def wavenumbers(n: int, length: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
 
 
-def pad_coeffs(coeffs: np.ndarray, m: int) -> np.ndarray:
-    """Embed n unnormalized coefficients into m slots; the Nyquist mode is dropped."""
+def pad_coeffs(coeffs: np.ndarray, m: int, out=None) -> np.ndarray:
+    """Embed n unnormalized coefficients into m slots; the Nyquist mode is
+    dropped.  All of out, when given, is written."""
     n = coeffs.shape[-1]
     if m < n:
         raise ShapeError("padded size must not be smaller than the original")
     h = n // 2
-    out = np.zeros(coeffs.shape[:-1] + (m,), dtype=complex)
+    if out is None:
+        out = np.empty(coeffs.shape[:-1] + (m,), dtype=complex)
+    out[..., h:m - h + 1] = 0.0
     out[..., :h] = coeffs[..., :h]
     out[..., m - h + 1:] = coeffs[..., n - h + 1:]
     return out
 
 
-def truncate_coeffs(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """The n lowest of m unnormalized coefficients; the Nyquist slot stays empty."""
+def truncate_coeffs(coeffs: np.ndarray, n: int, out=None) -> np.ndarray:
+    """The n lowest of m unnormalized coefficients; the Nyquist slot stays
+    empty.  All of out, when given, is written."""
     m = coeffs.shape[-1]
     if n > m:
         raise ShapeError("truncated size must not exceed the original")
     h = n // 2
-    out = np.zeros(coeffs.shape[:-1] + (n,), dtype=complex)
+    if out is None:
+        out = np.empty(coeffs.shape[:-1] + (n,), dtype=complex)
+    out[..., h:n - h + 1] = 0.0
     out[..., :h] = coeffs[..., :h]
     out[..., n - h + 1:] = coeffs[..., m - h + 1:]
     return out
@@ -54,16 +60,23 @@ def padded_size(n: int) -> int:
     return (PAD_NUM * n) // PAD_DEN
 
 
-def to_fine(coeffs: np.ndarray) -> np.ndarray:
-    """Samples on the 3/2-rule grid of the field with these n coefficients."""
+def to_fine(coeffs: np.ndarray, out=None) -> np.ndarray:
+    """Samples on the 3/2-rule grid of the field with these n coefficients,
+    written into out when it is given."""
     n = coeffs.shape[-1]
     m = padded_size(n)
-    return np.fft.ifft(pad_coeffs(coeffs, m), axis=-1) * (m / n)
+    fine = pad_coeffs(coeffs, m, out=out)
+    np.fft.ifft(fine, axis=-1, out=fine)
+    fine *= m / n
+    return fine
 
 
-def from_fine(fine: np.ndarray, n: int) -> np.ndarray:
-    """The n lowest coefficients of fine-grid samples, scaled by n/m last."""
-    return truncate_coeffs(np.fft.fft(fine, axis=-1), n) * (n / fine.shape[-1])
+def from_fine(fine: np.ndarray, n: int, out=None) -> np.ndarray:
+    """The n lowest coefficients of fine-grid samples, scaled by n/m last and
+    written into out when it is given."""
+    coeffs = truncate_coeffs(np.fft.fft(fine, axis=-1), n, out=out)
+    coeffs *= n / fine.shape[-1]
+    return coeffs
 
 
 def parseval_norm(coeffs: np.ndarray) -> float:

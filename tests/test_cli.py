@@ -186,6 +186,19 @@ def test_simulate_file_seed_round_trip(tmp_path):
     assert float(b["final_norm"]) > 0.5
 
 
+def test_simulate_rejects_a_file_seed_on_another_grid(tmp_path, capsys):
+    code, first = run(tmp_path, "simulate", "--seed", "flat",
+                      *_overrides("grid.n=64", "timestepping.t_end=1.0"))
+    assert code == 0
+    out = tmp_path / "second"
+    code = main(["simulate", "--out", str(out),
+                 "--seed", f"file:{first / 'final.txt'}",
+                 *_overrides("grid.n=32", "timestepping.t_end=1.0")])
+    assert code == 2
+    assert "seed file holds" in capsys.readouterr().err
+    assert not (out / "final.txt").exists()
+
+
 def test_simulate_rejects_harmonic_file_for_fcgl(tmp_path):
     rng = np.random.default_rng(0)
     state = HarmonicPdeState(length=20 * math.pi,
@@ -358,8 +371,8 @@ def test_model_seeds(tmp_path, kind):
         profiles = rng.standard_normal((4, 64)) + 1j * rng.standard_normal((4, 64))
         snap = tmp_path / "harm.txt"
         fileio.write_snapshot(snap, HarmonicPdeState(
-            length=50.0, harmonics=np.array([-3, -1, 1, 3]),
-            profiles=profiles, f=0.05))
+            length=load_config(overrides=overrides[:2]).grid.length,
+            harmonics=np.array([-3, -1, 1, 3]), profiles=profiles, f=0.05))
         overrides.append(f"seed.path={snap}")
     cfg = load_config(overrides=overrides)
     seed = build_seed(cfg)
@@ -483,6 +496,12 @@ def test_sweep_probe_that_blows_up_is_indeterminate(tmp_path):
     assert code == 0
     _, rows = fileio.read_csv(out / "sweep.csv")
     assert [r[2] for r in rows] == ["decayed", "indeterminate"]
+    # the survivor is stepped again alone, in a second round
+    steps = round(60 / load_config().timestepping.dt)
+    assert read_kv(out / "stats.txt") == {
+        "probes": "2", "steps_per_probe": str(steps), "rounds": "2",
+        "decayed": "1", "localized": "0", "flat": "0", "indeterminate": "1",
+        "indeterminate_setup": "0", "indeterminate_blowup": "1"}
 
 
 COLD_START = """

@@ -464,7 +464,7 @@ def test_stepper_and_newton_share_one_system(fcgl_params):
     seed = weak_sech_fcgl(p, 1.95, center=LENGTH / 2).as_field(n, LENGTH)
     z, _, _ = ct.newton_solve(prob, prob.pack(seed.values), 1.95)
     stepper = make_stepper(prob.state_of(z, 1.95), p, 0.01)
-    a_hat = stepper.u
+    a_hat = stepper.u.copy()
     rhs = stepper.scheme.ell * a_hat + stepper.nonlinear(a_hat, 0.0)
     assert np.max(np.abs(np.fft.ifft(rhs))) < 1e-10
     # so the state is a fixed point of the ETD2 map as well

@@ -1,10 +1,11 @@
+import collections
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oscillab import FcglParams, flat_states, make_stepper
+from oscillab import FcglParams, etd, flat_states, make_stepper, spectral
 from oscillab.errors import BlowUpError, ParameterError
 from oscillab.etd import Etd2Stepper, etd2_weights, make_scheme, run_to_steady
 from oscillab.fields import ComplexField
@@ -180,3 +181,46 @@ def test_stacked_rows_must_share_c(fcgl_params):
     with pytest.raises(ParameterError):
         make_stepper([field, field],
                      [fcgl_params, replace(fcgl_params, c_im=0.5)], dt=0.1)
+
+
+def test_state_carries_no_subnormals(fcgl_params):
+    # the non-mean modes of a state relaxing to the flat one decay
+    # geometrically: they must leave the state through 0, not through the
+    # subnormal floats, where arithmetic is slow
+    root = flat_states(fcgl_params).roots[-1]
+    length = math.pi
+    x = np.arange(32) * (length / 32)
+    flat = root.r * np.exp(1j * root.phi)
+    bump = 1e-3 * np.cos(2 * math.pi * x / length)
+    field = ComplexField(length, flat * (1 + bump))
+    tiny = np.finfo(float).tiny
+
+    def normal_or_zero(st):
+        parts = np.abs(st.u.view(float))
+        assert np.all((parts == 0) | (parts >= tiny))
+
+    stepper = make_stepper(field, fcgl_params, dt=0.1)
+    stepper.run(2000, observer=normal_or_zero)
+    assert np.all(stepper.u[1:] == 0)
+    assert stepper.u[0] / 32 == pytest.approx(flat, rel=1e-12)
+
+
+def test_benchmark_hooks_are_called_each_step(monkeypatch, fcgl_params):
+    # the benchmark traces the kernel by replacing these module attributes,
+    # so the stepper must reach each of them through its module
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    hooks = ((spectral, "pad_coeffs"), (spectral, "truncate_coeffs"),
+             (etd.Etd2Stepper, "step"))
+    for owner, name in hooks:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    field = ComplexField(20 * math.pi, np.full(64, 0.5 + 0j))
+    stepper = make_stepper([field, field], [fcgl_params, fcgl_params], dt=0.05)
+    stepper.run(10)
+    assert calls == {"pad_coeffs": 10, "truncate_coeffs": 10, "step": 10}
