@@ -5,12 +5,12 @@ the forced model written as a truncated harmonic expansion
 U(x, t) = sum_j U_j(x) e^{i j t} over j in {-3, -1, 1, 3}, are found by
 Newton iteration on the periodic pseudospectral collocation residual.  The
 conjugate couplings make the systems only real-linear, so Newton runs on the
-stacked real and imaginary parts with a matrix-free Krylov solver
-preconditioned by the inverse diagonal symbol of the linear part.
-The unknowns are the profiles' even part about the domain centre, packed on
-half the grid, which quotients out translations.  Branches are traced with
-secant pseudo-arclength steps; folds are flagged at sign changes of the
-parameter increment and refined with a local quadratic fit.
+stacked real and imaginary parts with a matrix-free Krylov solver.  The
+unknowns are the even Fourier coefficients of the profiles, their even part
+about the domain centre, which quotients out translations.  The linear part
+is diagonal in them, and its inverse symbol is the diagonal preconditioner.
+Branches are traced with secant pseudo-arclength steps; folds are flagged at
+sign changes of the parameter increment and refined with a local quadratic fit.
 """
 from __future__ import annotations
 
@@ -134,13 +134,12 @@ class _SteadyProblem:
     """Steady states of u' = symbol u + N(u, t), the right-hand side of the
     ETD stepper for the same parameters: the residual
 
-        ifft(symbol * a_hat + coeffs(N(samples(a_hat), times))),
+        symbol * a_hat + coeffs(N(samples(a_hat), times)),
 
     its Jacobian as a plain callable and its derivative in the drive, all
-    generic over the two hooks samples and coeffs.  Also shared: packing of
-    the even part of the complex profiles into real unknowns, the solution
-    norm and the preconditioner, which divides by the symbol floored at
-    PRECOND_FLOOR in modulus."""
+    generic over the two hooks samples and coeffs.  The unknowns are even
+    Fourier coefficients (pack), so only the dealiased product transforms and
+    the diagonal preconditioner divides by the symbol floored at PRECOND_FLOOR."""
 
     PRECOND_FLOOR = 1e-2
     times = 0.0                 # the forcing's time at the samples
@@ -150,8 +149,10 @@ class _SteadyProblem:
         self.n = n
         self.length = length
         self.symbol = params.symbol(spectral.wavenumbers(n, length)) - 1j * harmonics
-        self.weight = self.pack(np.full(self.symbol.shape, 1.0 + 1.0j))
-        self.size = self.weight.size
+        # Parseval: coefficients over sqrt(n), interior ones (for k, -k) times sqrt(2)
+        self.scale = np.full(n // 2 + 1, math.sqrt(2.0 / n))
+        self.scale[[0, -1]] = 1.0 / math.sqrt(n)
+        self.size = 2 * self.scale.size * (self.symbol.size // n)
 
     def samples(self, a_hat: np.ndarray) -> np.ndarray:
         """Samples on the dealiasing grid of the profiles with coefficients a_hat."""
@@ -161,16 +162,24 @@ class _SteadyProblem:
         """Profile coefficients of the samples w, the inverse of samples."""
         return spectral.from_fine(w, self.n)
 
-    def _spectrum(self, z: np.ndarray) -> np.ndarray:
-        return np.fft.fft(self.unpack(z), axis=-1)
+    def _half(self, z: np.ndarray) -> np.ndarray:
+        k = z.size // 2
+        return (z[:k] + 1j * z[k:]).reshape(self.symbol.shape[:-1] + (-1,))
 
-    def _grid(self, a_hat: np.ndarray) -> np.ndarray:
-        return self._pack_half(np.fft.ifft(a_hat, axis=-1)[..., :self.n // 2 + 1])
+    def _real(self, half: np.ndarray) -> np.ndarray:
+        return np.concatenate([half.real.ravel(), half.imag.ravel()])
+
+    def _spectrum(self, z: np.ndarray) -> np.ndarray:
+        half = self._half(z) / self.scale
+        return np.concatenate([half, half[..., -2:0:-1]], axis=-1)
+
+    def _packed(self, a_hat: np.ndarray) -> np.ndarray:
+        return self._real(a_hat[..., :self.scale.size] * self.scale)
 
     def residual(self, z: np.ndarray, drive: float) -> np.ndarray:
         a_hat = self._spectrum(z)
         w = self.params.nonlinear(self.samples(a_hat), self.times, drive)
-        return self._grid(self.symbol * a_hat + self.coeffs(w))
+        return self._packed(self.symbol * a_hat + self.coeffs(w))
 
     def linearization(self, z: np.ndarray, drive: float):
         """The Jacobian at z as a map of full-grid coefficients, any parity."""
@@ -180,41 +189,33 @@ class _SteadyProblem:
 
     def jacobian(self, z: np.ndarray, drive: float):
         lin = self.linearization(z, drive)
-        return lambda dz: self._grid(lin(self._spectrum(dz)))
+        return lambda dz: self._packed(lin(self._spectrum(dz)))
 
     def dparam(self, z: np.ndarray, drive: float) -> np.ndarray:
         u = self.samples(self._spectrum(z))
-        return self._grid(self.coeffs(self.params.forcing(u, self.times, 1.0)))
+        return self._packed(self.coeffs(self.params.forcing(u, self.times, 1.0)))
 
     def pack(self, a: np.ndarray) -> np.ndarray:
-        """Unknowns of the even part of the profiles a: samples 0...n/2 of
-        each, real parts then imaginary parts, interior ones times sqrt(2)
-        so that dot products of packed vectors are the full-grid ones."""
-        a, h = np.asarray(a, dtype=complex), self.n // 2 + 1
-        return self._pack_half(0.5 * (a[..., :h] + a[..., -np.arange(h) % self.n]))
-
-    def _pack_half(self, half: np.ndarray) -> np.ndarray:
-        half[..., 1:-1] *= math.sqrt(2.0)
-        return np.concatenate([half.real.ravel(), half.imag.ravel()])
+        """Unknowns of the even part of the profiles a: their even Fourier
+        coefficients 0...n/2, real parts then imaginary parts, times scale so
+        that by Parseval dot products of packed vectors are the full-grid ones."""
+        a_hat = np.fft.fft(a, axis=-1)
+        return self._packed(0.5 * (a_hat + a_hat[..., -np.arange(self.n) % self.n]))
 
     def unpack(self, z: np.ndarray) -> np.ndarray:
-        y, k = z / self.weight, self.size // 2
-        half = (y[:k] + 1j * y[k:]).reshape(self.symbol.shape[:-1] + (-1,))
-        return np.concatenate([half, half[..., -2:0:-1]], axis=-1)
+        return np.fft.ifft(self._spectrum(z), axis=-1)
 
     def max_norm(self, z: np.ndarray) -> float:
         """The largest full-grid real or imaginary part of z in modulus."""
-        return float(np.max(np.abs(z) / self.weight))
+        return float(np.max(np.abs(self.unpack(z).view(float))))
 
     def norm_of(self, z: np.ndarray) -> float:
         return solution_norm(self.unpack(z))
 
     def preconditioner(self):
-        floor = self.PRECOND_FLOOR
-        sym = self.symbol.copy()
-        small = np.abs(sym) < floor
-        sym[small] = floor * np.exp(1j * np.angle(sym[small]))
-        return lambda z: self._grid(self._spectrum(z) / sym)
+        sym, floor = self.symbol[..., :self.scale.size], self.PRECOND_FLOOR
+        sym = np.where(abs(sym) < floor, floor * np.exp(1j * np.angle(sym)), sym)
+        return lambda z: self._real(self._half(z) / sym)
 
 
 # ---- steady amplitude-equation problem ----
@@ -422,13 +423,11 @@ def _wnorm(problem, dz: np.ndarray, dp: float) -> float:
     return math.sqrt(float(dz @ dz) / (2 * problem.symbol.size) + dp * dp)
 
 
-def _bordered(problem, precond, z, pm, tau_z, tau_p):
+def _bordered(problem, precond, z, pm, tau_z, tau_p, count, row):
     """Matvec and preconditioner of the arclength-bordered Jacobian at
     (z, pm): the residual's Jacobian with its parameter column, closed by the
-    arclength row along the tangent (tau_z, tau_p) normalised to unit size.
-    The preconditioner acts on the z-block only."""
-    nz, count = z.size, 2 * problem.symbol.size
-    row = math.sqrt(float(tau_z @ tau_z) / count**2 + tau_p**2)
+    arclength row of _corrector; the preconditioner acts on the z-block."""
+    nz = z.size
     jac = problem.jacobian(z, pm)
     rp = problem.dparam(z, pm)
 
@@ -464,7 +463,7 @@ def _corrector(problem, precond, z_pred, p_pred, tau_z, tau_p, controls,
         if it > controls.max_corrector:
             break
         inner_rtol = 1e-5 if rn > 1e-5 else 1e-8
-        matvec, psolve = _bordered(problem, precond, z, pm, tau_z, tau_p)
+        matvec, psolve = _bordered(problem, precond, z, pm, tau_z, tau_p, count, row)
         stats.corrector_iterations += 1
         dy = stats.solve(matvec, -np.concatenate([r, [cons]]), psolve,
                          inner_rtol)
@@ -600,9 +599,9 @@ LABEL_TOL = 1e-12       # Ritz value error allowed, times max(1, |lambda|)
 def _parity_block(lin, n: int, sign: float) -> np.ndarray:
     """The Jacobian lin on the fields of one parity, even (sign +1) or odd
     (-1), as a dense real matrix in the orthonormal basis of the packed
-    format: real then imaginary parts at samples 0...n/2 (odd: 1...n/2-1),
-    an interior one standing for (e_i + sign e_-i)/sqrt(2).  The columns come
-    from the full-grid linearization, LABEL_BATCH per call."""
+    format: real then imaginary parts of Fourier coefficients 0...n/2 (odd:
+    1...n/2-1), an interior one standing for (e_k + sign e_-k)/sqrt(2).  The
+    columns are lin of unit coefficient vectors, LABEL_BATCH per call."""
     half = n // 2
     idx = np.arange(half + 1) if sign > 0 else np.arange(1, half)
     h = idx.size
@@ -615,7 +614,7 @@ def _parity_block(lin, n: int, sign: float) -> np.ndarray:
         d = np.zeros((cols.size, n), dtype=complex)
         d[rows, -i] = sign * unit
         d[rows, i] = unit
-        out = np.fft.ifft(lin(np.fft.fft(d, axis=-1)), axis=-1)[:, idx]
+        out = lin(d)[:, idx]
         out *= scale / scale[cols % h, None]
         block[:h, cols] = out.real.T
         block[h:, cols] = out.imag.T

@@ -57,7 +57,7 @@ def test_packing_holds_the_even_part(fcgl_params, weak_model, make):
     even_a, even_b = 0.5 * (a + reflect(a)), 0.5 * (b + reflect(b))
     scale = np.max(np.abs(even_a))
     za, zb = prob.pack(a), prob.pack(b)
-    # samples 0...n/2 of each profile, real and imaginary
+    # the even Fourier coefficients 0...n/2 of each profile, real and imaginary
     assert za.shape == (prob.size,)
     assert prob.size == 2 * even_a[..., :prob.n // 2 + 1].size
     # an even field round-trips; of any other, pack keeps the even part
@@ -68,6 +68,57 @@ def test_packing_holds_the_even_part(fcgl_params, weak_model, make):
     assert abs(za @ zb - np.sum(terms)) <= 1e-14 * np.sum(np.abs(terms))
     full_max = max(np.max(np.abs(even_a.real)), np.max(np.abs(even_a.imag)))
     assert prob.max_norm(za) == pytest.approx(full_max, rel=1e-15)
+
+
+@pytest.mark.parametrize("make", PACKED_PROBLEMS)
+def test_krylov_step_transforms_only_the_product(fcgl_params, weak_model,
+                                                 make, monkeypatch):
+    # a Jacobian matvec makes one batched forward and one batched inverse
+    # FFT, the dealiased product's; the diagonal preconditioner makes none
+    prob = make(fcgl_params, weak_model)
+    rng = np.random.default_rng(2)
+    z = prob.pack(0.3 * random_profiles(prob, rng))
+    jac, precond = prob.jacobian(z, 1.0), prob.preconditioner()
+    calls = {"fft": 0, "ifft": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    jac(rng.standard_normal(prob.size))
+    assert calls == {"fft": 1, "ifft": 1}
+    precond(rng.standard_normal(prob.size))
+    assert calls == {"fft": 1, "ifft": 1}
+
+
+@pytest.mark.parametrize("make", PACKED_PROBLEMS)
+def test_diagonal_preconditioner_is_the_grid_operator(fcgl_params, weak_model,
+                                                      make):
+    # dividing the packed coefficients by the floored symbol is the same
+    # operator as transforming the profiles, dividing and transforming back
+    prob = make(fcgl_params, weak_model)
+    a = random_profiles(prob, np.random.default_rng(3))
+    floor, sym = prob.PRECOND_FLOOR, prob.symbol.copy()
+    small = np.abs(sym) < floor
+    sym[small] = floor * np.exp(1j * np.angle(sym[small]))
+    expected = prob.pack(np.fft.ifft(np.fft.fft(a, axis=-1) / sym, axis=-1))
+    got = prob.preconditioner()(prob.pack(a))
+    assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+def test_even_block_is_the_packed_jacobian(fcgl_params):
+    # the stability code and the solver share one basis: the even parity
+    # block is the dense matrix of the Jacobian on the packed unit vectors
+    n = 48
+    prob = ct.FcglSteadyProblem(fcgl_params, n=n, length=LENGTH)
+    z = prob.pack(0.3 * random_profiles(prob, np.random.default_rng(4)))
+    jac = prob.jacobian(z, fcgl_params.gamma)
+    dense = np.column_stack([jac(e) for e in np.eye(prob.size)])
+    block = ct._parity_block(prob.linearization(z, fcgl_params.gamma), n, +1)
+    assert np.max(np.abs(block - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_fcgl_residual_vanishes_on_flat_state(fcgl_params):
@@ -598,7 +649,10 @@ def test_gmres_on_a_corrector_system_agrees_with_scipy(fcgl_params):
     tau_z, tau_p = ct._initial_tangent(prob, precond, z, 1.95, -1,
                                        ct.SolveStats())
     z_pred, p_pred = z + 0.04 * tau_z, 1.95 + 0.04 * tau_p
-    matvec, psolve = ct._bordered(prob, precond, z_pred, p_pred, tau_z, tau_p)
+    count = 2 * prob.symbol.size
+    row = math.sqrt(float(tau_z @ tau_z) / count**2 + tau_p**2)
+    matvec, psolve = ct._bordered(prob, precond, z_pred, p_pred, tau_z, tau_p,
+                                  count, row)
     rhs = -np.concatenate([prob.residual(z_pred, p_pred), [0.0]])
     for rtol in (1e-5, 1e-8):
         x, info, matvecs = ct._gmres(matvec, rhs, psolve, rtol)
