@@ -291,6 +291,10 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
             label = continuation.classify_stability_fcgl(problem, z, g,
                                                          stats=stats)
             return str(label), label.rate
+        if c.classify and continuation.blas_thread_calls() is None:
+            fileio.write_kv(os.path.join(out, "manifest.txt"), [(
+                "note", "no OpenBLAS thread control found: the labels ran "
+                        "on the default BLAS threads")], mode="a")
     else:
         mp = cfg.model_params()
         param = mp.f

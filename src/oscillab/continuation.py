@@ -7,15 +7,22 @@ Newton iteration on the periodic pseudospectral collocation residual.  The
 conjugate couplings make the systems only real-linear, so Newton runs on the
 stacked real and imaginary parts with a matrix-free Krylov solver.  The
 unknowns are the even Fourier coefficients of the profiles, their even part
-about the domain centre, which quotients out translations.  The linear part
-is diagonal in them, and its inverse symbol is the diagonal preconditioner.
+about the domain centre, which quotients out translations.  The Jacobian at
+the zero state, the linear part plus the forcing, is block-diagonal in them,
+one small real block per wavenumber, and its exact inverse is the
+preconditioner of every Krylov solve.
 Branches are traced with secant pseudo-arclength steps; folds are flagged at
 sign changes of the parameter increment and refined with a local quadratic fit.
 """
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, field, replace
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -138,10 +145,12 @@ class _SteadyProblem:
 
     its Jacobian as a plain callable and its derivative in the drive, all
     generic over the two hooks samples and coeffs.  The unknowns are even
-    Fourier coefficients (pack), so only the dealiased product transforms and
-    the diagonal preconditioner divides by the symbol floored at PRECOND_FLOOR."""
+    Fourier coefficients (pack), so only the dealiased product transforms.
+    The preconditioner is the inverse of the Jacobian at the zero state, one
+    block per wavenumber read off the Jacobian itself, with singular values
+    floored at PRECOND_FLOOR; it makes no transform."""
 
-    PRECOND_FLOOR = 1e-2
+    PRECOND_FLOOR = 1e-3
     times = 0.0                 # the forcing's time at the samples
 
     def __init__(self, params, n: int, length: float, harmonics=0):
@@ -212,10 +221,38 @@ class _SteadyProblem:
     def norm_of(self, z: np.ndarray) -> float:
         return solution_norm(self.unpack(z))
 
-    def preconditioner(self):
-        sym, floor = self.symbol[..., :self.scale.size], self.PRECOND_FLOOR
-        sym = np.where(abs(sym) < floor, floor * np.exp(1j * np.angle(sym)), sym)
-        return lambda z: self._real(self._half(z) / sym)
+    @cached_property
+    def _zero_state_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(B0, B1), (n/2 + 1, m, m) each: the Jacobian at the zero state is
+        B0 + drive B1, one real block per wavenumber k on the m packed
+        components (real then imaginary part, harmonic) of k, the forcing
+        being linear in the drive.  It is constant-coefficient in x, so its
+        matvec of a comb, one component set at every k, is one column of
+        every block."""
+        m, nk = self.size // self.scale.size, self.scale.size
+        zero, combs = np.zeros(self.size), np.repeat(np.eye(m), nk, axis=1)
+
+        def blocks(drive):
+            jac = self.jacobian(zero, drive)
+            cols = [jac(comb).reshape(m, nk) for comb in combs]
+            return np.stack(cols, axis=-1).transpose(1, 0, 2)
+        b0 = blocks(0.0)
+        return b0, blocks(1.0) - b0
+
+    def _zero_state_svd(self, drive: float):
+        """(u, s, vt) of the zero-state blocks at drive, s floored."""
+        b0, b1 = self._zero_state_blocks
+        u, s, vt = np.linalg.svd(b0 + drive * b1)
+        return u, np.maximum(s, self.PRECOND_FLOOR), vt
+
+    def preconditioner(self, drive: float):
+        """z -> the inverse of the Jacobian at the zero state at drive, each
+        block's singular values floored at PRECOND_FLOOR."""
+        u, s, vt = self._zero_state_svd(drive)
+        inv = np.swapaxes(vt, 1, 2) @ (np.swapaxes(u, 1, 2) / s[..., None])
+        inv = np.ascontiguousarray(inv.transpose(1, 2, 0))     # (m, m, k)
+        m = inv.shape[0]
+        return lambda z: np.einsum("abk,bk->ak", inv, z.reshape(m, -1)).ravel()
 
 
 # ---- steady amplitude-equation problem ----
@@ -246,8 +283,6 @@ class PdeHarmonicProblem(_SteadyProblem):
     4 max|j|, which is 16 for the default harmonics.  The continuation
     parameter is F.
     """
-
-    PRECOND_FLOOR = 2e-2
 
     def __init__(self, params: ModelParams, n: int = 1280,
                  length: float = 200.0 * math.pi,
@@ -345,7 +380,7 @@ def newton_solve(problem, z0: np.ndarray, param: float, tol: float = 1e-10,
     """Damped inexact Newton on the packed real system; returns (z, res, iters).
     Its Krylov solves are counted in stats, when given."""
     stats = stats if stats is not None else SolveStats()
-    precond = problem.preconditioner()
+    precond = problem.preconditioner(param)
     z = np.asarray(z0, dtype=float)
     r = problem.residual(z, param)
     rn = problem.max_norm(r)
@@ -448,9 +483,10 @@ def _bordered(problem, precond, z, pm, tau_z, tau_p, count, row):
     return matvec, psolve
 
 
-def _corrector(problem, precond, z_pred, p_pred, tau_z, tau_p, controls,
+def _corrector(problem, z_pred, p_pred, tau_z, tau_p, controls,
                stats: SolveStats):
     z, pm = z_pred.copy(), p_pred
+    precond = problem.preconditioner(p_pred)
     nz, count = z.size, 2 * problem.symbol.size
     row = math.sqrt(float(tau_z @ tau_z) / count**2 + tau_p**2)
     # the last pass only checks whether the final update converged
@@ -472,9 +508,10 @@ def _corrector(problem, precond, z_pred, p_pred, tau_z, tau_p, controls,
     raise _CorrectorFailed
 
 
-def _initial_tangent(problem, precond, z, param, direction, stats: SolveStats):
+def _initial_tangent(problem, z, param, direction, stats: SolveStats):
     rp = problem.dparam(z, param)
-    b = stats.solve(problem.jacobian(z, param), -rp, precond, 1e-8)
+    b = stats.solve(problem.jacobian(z, param), -rp,
+                    problem.preconditioner(param), 1e-8)
     scale = _wnorm(problem, b, 1.0)
     tz, tp = b / scale, 1.0 / scale
     if math.copysign(1.0, tp) != math.copysign(1.0, direction):
@@ -493,11 +530,9 @@ def continue_branch(problem, z0: np.ndarray, param0: float, direction: int = -1,
     """
     controls = controls or ContinuationControls()
     stats = SolveStats()
-    precond = problem.preconditioner()
     z, rn, _ = newton_solve(problem, z0, param0, tol=controls.tol, stats=stats)
     points = [BranchPoint(index=0, param=param0, norm=problem.norm_of(z), z=z)]
-    tau_z, tau_p = _initial_tangent(problem, precond, z, param0, direction,
-                                    stats)
+    tau_z, tau_p = _initial_tangent(problem, z, param0, direction, stats)
     param = param0
     ds = controls.ds0
     arclength = 0.0
@@ -505,8 +540,8 @@ def continue_branch(problem, z0: np.ndarray, param0: float, direction: int = -1,
         z_pred = z + ds * tau_z
         p_pred = param + ds * tau_p
         try:
-            z_new, p_new, iters = _corrector(problem, precond, z_pred, p_pred,
-                                             tau_z, tau_p, controls, stats)
+            z_new, p_new, iters = _corrector(problem, z_pred, p_pred, tau_z,
+                                             tau_p, controls, stats)
         except _CorrectorFailed:
             stats.step_rejections += 1
             ds *= 0.5
@@ -621,6 +656,40 @@ def _parity_block(lin, n: int, sign: float) -> np.ndarray:
     return block
 
 
+@cache
+def blas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy,
+    through ctypes, or None where there is no such library."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir,
+                        "numpy.libs", "*openblas*")
+    for path in sorted(glob.glob(libs)):
+        lib = ctypes.CDLL(path)
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and put is not None:
+            get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+            return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one BLAS thread, so that no sum is split by thread
+    and the results do not depend on the thread count; without thread
+    control (blas_thread_calls() is None) the count is left as it is."""
+    calls = blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
+
+
 def _shifted_inverse(block: np.ndarray, sigma: float):
     """x -> (block - sigma)^-1 x, with block overwritten by its factors.  The
     shifted block is eliminated as a 2x2 block matrix [[P, Q], [R, T]]: P is
@@ -707,7 +776,8 @@ def leading_rates_fcgl(problem: FcglSteadyProblem, z: np.ndarray,
     The Jacobian maps even fields to even and odd to odd, and each block's
     rightmost eigenvalues come from rightmost_eigenvalues, one block alive at
     a time, with max Re(symbol) + |gamma| + 3|C| max|u|^2 over the fine-grid
-    samples u as the right bound.  The Arnoldi dimensions are counted in
+    samples u as the right bound, on one BLAS thread so that the rates do
+    not depend on the thread count.  The Arnoldi dimensions are counted in
     stats, when given."""
     if not np.all(np.isfinite(z)):
         raise InvalidFieldError("steady state has non-finite samples")
@@ -717,8 +787,9 @@ def leading_rates_fcgl(problem: FcglSteadyProblem, z: np.ndarray,
              + 3.0 * abs(problem.params.c) * float(np.max(np.abs(u) ** 2)))
     rates, floor = [], -math.inf
     for sign in (1.0, -1.0):
-        values, dim = rightmost_eigenvalues(
-            _parity_block(lin, problem.n, sign), bound)
+        with _one_blas_thread():
+            values, dim = rightmost_eigenvalues(
+                _parity_block(lin, problem.n, sign), bound)
         if stats is not None:
             stats.label_krylov_steps += dim
         if values.size:

@@ -26,9 +26,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_kv(path: str, items) -> None:
-    """key = value lines; items is an iterable of (key, value) pairs."""
-    with open(path, "w", encoding="utf-8") as fh:
+def write_kv(path: str, items, mode: str = "w") -> None:
+    """key = value lines; items is an iterable of (key, value) pairs.  Mode
+    "a" appends them to the file."""
+    with open(path, mode, encoding="utf-8") as fh:
         for key, value in items:
             fh.write(f"{key} = {_fmt(value)}\n")
 

@@ -263,6 +263,16 @@ def test_continue_writes_leading_rates(tmp_path):
     assert int(read_kv(out / "stats.txt")["label_krylov_steps"]) > 0
 
 
+def test_labels_without_blas_thread_control_say_so(tmp_path, monkeypatch):
+    monkeypatch.setattr(continuation, "blas_thread_calls", lambda: None)
+    code, out = run(tmp_path, "continue", "--seed", "flat",
+                    *_overrides("params.gamma=1.6", "grid.n=64",
+                                "continuation.max_points=2"))
+    assert code == 0
+    assert "default BLAS threads" in read_kv(out / "manifest.txt")["note"]
+    assert int(read_kv(out / "stats.txt")["label_krylov_steps"]) > 0
+
+
 def test_stalled_continue_writes_the_partial_branch(tmp_path, monkeypatch,
                                                    capsys):
     real, sizes = continuation.continue_branch, []
@@ -544,3 +554,25 @@ def test_fcgl_and_model_commands_run_without_scipy(tmp_path):
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert loaded[:3] == [[], [], []]
     assert "scipy.integrate" in loaded[3]
+
+
+def test_fcgl_labels_do_not_depend_on_blas_threads(tmp_path):
+    """A labelled FCGL continue writes the same bytes on one BLAS thread and
+    on two: the labels' factorizations run on one thread.  n = 198 is the
+    smallest grid at which the leading rates differed in their last digits
+    when those ran on the default threads."""
+    args = ["continue", *_overrides("params.gamma=1.95", "grid.n=198",
+                                    "continuation.max_points=2")]
+    src = os.path.dirname(os.path.dirname(oscillab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "oscillab.cli", *args, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(out / name).read_bytes()
+                        for name in ("branch.csv", "folds.csv", "stats.txt")])
+    assert outputs[0] == outputs[1]

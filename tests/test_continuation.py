@@ -74,11 +74,11 @@ def test_packing_holds_the_even_part(fcgl_params, weak_model, make):
 def test_krylov_step_transforms_only_the_product(fcgl_params, weak_model,
                                                  make, monkeypatch):
     # a Jacobian matvec makes one batched forward and one batched inverse
-    # FFT, the dealiased product's; the diagonal preconditioner makes none
+    # FFT, the dealiased product's; the zero-state preconditioner makes none
     prob = make(fcgl_params, weak_model)
     rng = np.random.default_rng(2)
     z = prob.pack(0.3 * random_profiles(prob, rng))
-    jac, precond = prob.jacobian(z, 1.0), prob.preconditioner()
+    jac, precond = prob.jacobian(z, 1.0), prob.preconditioner(1.0)
     calls = {"fft": 0, "ifft": 0}
 
     def counted(name, fn):
@@ -94,19 +94,62 @@ def test_krylov_step_transforms_only_the_product(fcgl_params, weak_model,
     assert calls == {"fft": 1, "ifft": 1}
 
 
+def dense_jacobian(prob, z, drive):
+    """The Jacobian at z as a dense matrix, its columns from unit packed vectors."""
+    jac = prob.jacobian(z, drive)
+    return np.column_stack([jac(e) for e in np.eye(prob.size)])
+
+
 @pytest.mark.parametrize("make", PACKED_PROBLEMS)
-def test_diagonal_preconditioner_is_the_grid_operator(fcgl_params, weak_model,
-                                                      make):
-    # dividing the packed coefficients by the floored symbol is the same
-    # operator as transforming the profiles, dividing and transforming back
+def test_preconditioner_inverts_the_zero_state_jacobian(fcgl_params,
+                                                        weak_model, make):
     prob = make(fcgl_params, weak_model)
-    a = random_profiles(prob, np.random.default_rng(3))
-    floor, sym = prob.PRECOND_FLOOR, prob.symbol.copy()
-    small = np.abs(sym) < floor
-    sym[small] = floor * np.exp(1j * np.angle(sym[small]))
-    expected = prob.pack(np.fft.ifft(np.fft.fft(a, axis=-1) / sym, axis=-1))
-    got = prob.preconditioner()(prob.pack(a))
-    assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+    drive = prob.params.drive
+    # no singular value of the zero-state blocks is floored at this drive
+    assert np.min(prob._zero_state_svd(drive)[1]) > prob.PRECOND_FLOOR
+    dense = dense_jacobian(prob, np.zeros(prob.size), drive)
+    precond = prob.preconditioner(drive)
+    product = np.column_stack([precond(col) for col in dense.T])
+    assert np.max(np.abs(product - np.eye(prob.size))) <= 1e-12
+
+
+def test_preconditioner_floors_the_onset_mode(fcgl_params):
+    # at gamma0 = |mu + i nu| the uniform mode of the zero state is neutral:
+    # its k = 0 block is singular, and only its small singular value is
+    # floored, so every other wavenumber is still inverted exactly
+    prob = ct.FcglSteadyProblem(fcgl_params, n=48, length=LENGTH)
+    gamma0 = math.hypot(fcgl_params.mu, fcgl_params.nu)
+    s = prob._zero_state_svd(gamma0)[1]
+    assert s[0, -1] == prob.PRECOND_FLOOR
+    assert np.min(s[1:]) > prob.PRECOND_FLOOR
+    dense = dense_jacobian(prob, np.zeros(prob.size), gamma0)
+    precond = prob.preconditioner(gamma0)
+    product = np.column_stack([precond(col) for col in dense.T])
+    k = np.arange(prob.size) % (prob.n // 2 + 1)
+    rest = np.ix_(k > 0, k > 0)
+    assert np.max(np.abs(product[rest] - np.eye(prob.size)[rest])) <= 1e-12
+    assert np.max(np.abs(product[k == 0][:, k > 0])) <= 1e-12
+
+
+@pytest.mark.parametrize("j", [0, 1])
+@pytest.mark.parametrize("model", ["weak_model", "strong_model"])
+def test_zero_mode_block_is_the_hill_operator(model, j, request):
+    # the k = 0 block of the forced model's zero-state Jacobian on the odd
+    # harmonics up to 2j + 1 is singular where the truncated Mathieu balance
+    # has its periodic solution: the first positive F of B0 + F B1
+    import scipy.linalg
+    p = request.getfixturevalue(model)
+    top = 2 * j + 1
+    harmonics = np.concatenate([np.arange(-top, 0, 2),
+                                np.arange(1, top + 1, 2)])
+    prob = ct.PdeHarmonicProblem(p, n=4, length=2 * math.pi,
+                                 harmonics=harmonics)
+    b0, b1 = (b[0] for b in prob._zero_state_blocks)
+    vals = -scipy.linalg.eigvals(b0, b1)
+    vals = vals[np.isfinite(vals)]
+    real = vals[np.abs(vals.imag) <= 1e-8 * np.abs(vals)].real
+    f_c = np.min(real[real > 0])
+    assert f_c == pytest.approx(mathieu_critical(p, j).f_c, rel=1e-12, abs=0)
 
 
 def test_even_block_is_the_packed_jacobian(fcgl_params):
@@ -115,8 +158,7 @@ def test_even_block_is_the_packed_jacobian(fcgl_params):
     n = 48
     prob = ct.FcglSteadyProblem(fcgl_params, n=n, length=LENGTH)
     z = prob.pack(0.3 * random_profiles(prob, np.random.default_rng(4)))
-    jac = prob.jacobian(z, fcgl_params.gamma)
-    dense = np.column_stack([jac(e) for e in np.eye(prob.size)])
+    dense = dense_jacobian(prob, z, fcgl_params.gamma)
     block = ct._parity_block(prob.linearization(z, fcgl_params.gamma), n, +1)
     assert np.max(np.abs(block - dense)) <= 1e-12 * np.max(np.abs(dense))
 
@@ -462,6 +504,17 @@ def test_rightmost_eigenvalues_of_a_dense_matrix():
     assert values.size == 0 and dim == 0
 
 
+def test_one_blas_thread_restores_the_count():
+    calls = ct.blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's OpenBLAS thread control is not found")
+    get, _ = calls
+    before = get()
+    with ct._one_blas_thread():
+        assert get() == 1
+    assert get() == before
+
+
 def test_classify_nan_state_is_indeterminate(fcgl_params):
     prob = ct.FcglSteadyProblem(fcgl_params, n=64, length=LENGTH)
     z = np.zeros(prob.size)
@@ -639,16 +692,32 @@ def test_gmres_reports_cycles_run_out():
     assert not x.any()
 
 
+def test_localized_branch_matvecs_per_solve(fcgl_params):
+    # the first 50 points of the acceptance branch (criterion 03) at n = 128,
+    # through both outer folds: the zero-state preconditioner leaves GMRES
+    # the localized core, 12.6 matvecs a solve (28.2 with the symbol alone)
+    p = replace(fcgl_params, gamma=1.95)
+    n = 128
+    prob = ct.FcglSteadyProblem(p, n=n, length=LENGTH)
+    seed = weak_sech_fcgl(p, 1.95, center=LENGTH / 2).as_field(n, LENGTH)
+    controls = ct.ContinuationControls(ds0=0.01, ds_max=0.04, param_min=1.35,
+                                       param_max=2.05, max_points=40)
+    branch = ct.trace_branch(prob, prob.pack(seed.values), 1.95, controls)
+    stats = branch.stats
+    assert len(branch.points) == 50
+    assert stats.gmres_unconverged == 0
+    assert stats.matvecs / stats.gmres_solves <= 16
+
+
 def test_gmres_on_a_corrector_system_agrees_with_scipy(fcgl_params):
     p = replace(fcgl_params, gamma=1.95)
     n = 128
     prob = ct.FcglSteadyProblem(p, n=n, length=LENGTH)
     seed = weak_sech_fcgl(p, 1.95, center=LENGTH / 2).as_field(n, LENGTH)
     z, _, _ = ct.newton_solve(prob, prob.pack(seed.values), 1.95)
-    precond = prob.preconditioner()
-    tau_z, tau_p = ct._initial_tangent(prob, precond, z, 1.95, -1,
-                                       ct.SolveStats())
+    tau_z, tau_p = ct._initial_tangent(prob, z, 1.95, -1, ct.SolveStats())
     z_pred, p_pred = z + 0.04 * tau_z, 1.95 + 0.04 * tau_p
+    precond = prob.preconditioner(p_pred)
     count = 2 * prob.symbol.size
     row = math.sqrt(float(tau_z @ tau_z) / count**2 + tau_p**2)
     matvec, psolve = ct._bordered(prob, precond, z_pred, p_pred, tau_z, tau_p,
@@ -675,7 +744,7 @@ def test_unconverged_solve_is_counted(fcgl_params):
         def jacobian(self, z, gamma):
             return lambda dz: np.roll(dz, 1)
 
-        def preconditioner(self):
+        def preconditioner(self, drive):
             return lambda dz: dz
 
     # n + 2 = 322 packed unknowns, more than one cycle of GMRES_RESTART
