@@ -52,7 +52,6 @@ from .floquet import (
     floquet_multipliers,
     mathieu_critical,
     monodromy_critical,
-    weak_critical_forcing,
 )
 from .reduction import (
     AllenCahnCoeffs,
@@ -94,6 +93,6 @@ __all__ = [
     "floquet_multipliers", "gamma_onset", "make_scheme", "make_stepper",
     "mathieu_critical", "monodromy_critical", "newton_solve", "onset_phase",
     "overlay_mismatch", "run_to_steady", "solution_norm", "strong_ac_coeffs",
-    "strong_sech_pde", "trace_branch", "weak_ac_coeffs",
-    "weak_critical_forcing", "weak_sech_fcgl", "weak_sech_pde",
+    "strong_sech_pde", "trace_branch", "weak_ac_coeffs", "weak_sech_fcgl",
+    "weak_sech_pde",
 ]

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import __version__, continuation, etd, fileio, spectral
 from .config import RunConfig, load_config, _validate
-from .core import FcglParams, flat_state_quadratic, flat_states, gamma_onset
+from .core import (FcglParams, ScalingMap, flat_state_quadratic, flat_states,
+                   gamma_onset)
 from .errors import (
     BlowUpError,
     ConfigError,
@@ -28,12 +29,7 @@ from .errors import (
     StalledBranchError,
 )
 from .fields import ComplexField
-from .floquet import (
-    floquet_multipliers,
-    mathieu_critical,
-    monodromy_critical,
-    weak_critical_forcing,
-)
+from .floquet import floquet_multipliers, mathieu_critical, monodromy_critical
 from .reduction import (
     strong_ac_coeffs,
     strong_sech_pde,
@@ -203,7 +199,7 @@ def cmd_floquet(cfg: RunConfig, out: str) -> int:
     mp = cfg.model_params()
     fp = mathieu_critical(mp, cfg.floquet.j_trunc)
     f_mono = monodromy_critical(mp)
-    weak = weak_critical_forcing(mp.mu, mp.omega - 1.0)
+    weak = ScalingMap(1.0).to_forcing(gamma_onset(mp.mu, mp.omega - 1.0))
     fileio.write_eigenfunctions(os.path.join(out, "eigenfunctions.csv"), fp,
                                 cfg.floquet.n_samples)
     summary = [("f_c", fp.f_c), ("f_c_monodromy", f_mono),
@@ -286,11 +282,7 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
         param = p.gamma
         problem = continuation.FcglSteadyProblem(p, cfg.grid.n, cfg.grid.length)
         z0 = problem.pack(build_seed(cfg).values)
-
-        def classify(z, g, stats):
-            label = continuation.classify_stability_fcgl(problem, z, g,
-                                                         stats=stats)
-            return str(label), label.rate
+        classify = partial(continuation.classify_stability_fcgl, problem)
         if c.classify and continuation.blas_thread_calls() is None:
             fileio.write_kv(os.path.join(out, "manifest.txt"), [(
                 "note", "no OpenBLAS thread control found: the labels ran "

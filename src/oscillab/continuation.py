@@ -222,7 +222,7 @@ class _SteadyProblem:
         return solution_norm(self.unpack(z))
 
     @cached_property
-    def _zero_state_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+    def zero_state_blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """(B0, B1), (n/2 + 1, m, m) each: the Jacobian at the zero state is
         B0 + drive B1, one real block per wavenumber k on the m packed
         components (real then imaginary part, harmonic) of k, the forcing
@@ -241,7 +241,7 @@ class _SteadyProblem:
 
     def _zero_state_svd(self, drive: float):
         """(u, s, vt) of the zero-state blocks at drive, s floored."""
-        b0, b1 = self._zero_state_blocks
+        b0, b1 = self.zero_state_blocks
         u, s, vt = np.linalg.svd(b0 + drive * b1)
         return u, np.maximum(s, self.PRECOND_FLOOR), vt
 
@@ -799,31 +799,22 @@ def leading_rates_fcgl(problem: FcglSteadyProblem, z: np.ndarray,
     return rates[rates >= floor]
 
 
-class Label(str):
-    """A stability label that also carries the leading rate behind it."""
-
-    def __new__(cls, label: str, rate: float = math.nan):
-        obj = super().__new__(cls, label)
-        obj.rate = rate
-        return obj
-
-
 def classify_stability_fcgl(problem: FcglSteadyProblem, z: np.ndarray,
                             gamma: float, threshold: float = 1e-8,
-                            stats: SolveStats | None = None) -> Label:
-    """Label by the largest eigenvalue real part.  A non-uniform state has a
-    neutral translation mode, the rate nearest zero, which is left out so
-    that the rate shows the stability margin.  The eigensolver's work is
-    counted in stats, when given."""
+                            stats: SolveStats | None = None) -> tuple[str, float]:
+    """(label, rate), the rate being the largest eigenvalue real part.  A
+    non-uniform state has a neutral translation mode, the rate nearest zero,
+    which is left out so that the rate shows the stability margin.  The
+    eigensolver's work is counted in stats, when given."""
     try:
         rates = leading_rates_fcgl(problem, z, gamma, stats)
     except (np.linalg.LinAlgError, OscillabError):
-        return Label("indeterminate")
+        return "indeterminate", math.nan
     a = problem.unpack(z)
     if np.max(np.abs(a - a[0])) > 1e-10 * max(1.0, float(np.max(np.abs(a)))):
         rates = np.delete(rates, np.argmin(np.abs(rates)))
     rate = float(rates[0])
-    return Label("stable" if rate < threshold else "unstable", rate)
+    return ("stable" if rate < threshold else "unstable"), rate
 
 
 PDE_LABEL_PERIODS = 40         # stroboscopic samples of the deviation
@@ -860,10 +851,11 @@ def classify_stability_pde(state: HarmonicPdeState, params: ModelParams):
 
 
 def classify_branch(branch: Branch, classify, stride: int = 1) -> None:
-    """Set (label, rate) = classify(z, param, stats) on every stride-th
-    point, stats being the branch's counters."""
+    """Set (label, rate) = classify(z, param, stats=stats) on every
+    stride-th point, stats being the branch's counters."""
     for pt in branch.points[::stride]:
-        pt.stability, pt.leading_rate = classify(pt.z, pt.param, branch.stats)
+        pt.stability, pt.leading_rate = classify(pt.z, pt.param,
+                                                 stats=branch.stats)
 
 
 # ---- branch comparison ----

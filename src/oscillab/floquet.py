@@ -12,8 +12,12 @@ equivalent to the damped Mathieu equation
 
 The 2:1 subharmonic onset F_c is the smallest forcing with a non-trivial
 2*pi-periodic solution built from odd harmonics.  Two independent routes are
-provided: a truncated harmonic (Hill) eigenproblem, and bisection on the
-Floquet multipliers of the monodromy matrix over one forcing period pi.
+provided.  Hill's method truncates the harmonics: the Hill matrix is the k = 0
+block of the forced model's harmonic Jacobian at the zero state
+(hill_problem), the operator the steady solver preconditions with, and F_c is
+the first positive forcing at which it is singular.  The monodromy route
+bisects on the Floquet multipliers over one forcing period pi, integrating
+the Mathieu equation with no code shared with the harmonic problem.
 """
 from __future__ import annotations
 
@@ -23,15 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 # scipy is imported where used: the import costs more than a short FCGL run.
 
-from .core import ModelParams
+from .continuation import PdeHarmonicProblem
+from .core import ModelParams, ScalingMap, gamma_onset
 from .errors import CriticalForcingNotFoundError, ParameterError
 
 DEFAULT_HARMONICS = 16  # J: odd harmonics up to |2J + 1|
-
-
-def weak_critical_forcing(mu: float, nu: float) -> float:
-    """Small-damping onset estimate F = 4*sqrt(mu^2 + nu^2)."""
-    return 4.0 * math.hypot(mu, nu)
 
 
 def eval_series(coeffs: np.ndarray, harmonics: np.ndarray, t, derivative: int = 0):
@@ -93,67 +93,49 @@ class FloquetPair:
         return float(np.max(np.abs(res)))
 
 
-def _hill_matrices(mu: float, omega: float, j_trunc: int):
-    """Diagonal and coupling blocks of the odd-harmonic Hill system
-    d_m a_m + (omega F / 2)(a_{m-2} + a_{m+2}) = 0."""
-    m = np.arange(-(2 * j_trunc + 1), 2 * j_trunc + 2, 2)
-    d = np.diag(mu**2 + omega**2 - m.astype(float) ** 2 - 2j * mu * m)
-    w = np.zeros_like(d)
-    idx = np.arange(m.size - 1)
-    w[idx, idx + 1] = 0.5 * omega
-    w[idx + 1, idx] = 0.5 * omega
-    return m, d, w
+def hill_problem(p: ModelParams, harmonics) -> PdeHarmonicProblem:
+    """The forced model's harmonic problem on flat profiles over harmonics.
 
-
-def _null_vector(a: np.ndarray) -> np.ndarray:
-    import scipy.linalg
-    _, s, vh = scipy.linalg.svd(a)
-    if s[-1] > 1e-6 * s[0]:
-        raise CriticalForcingNotFoundError(0.0, 0.0,
-                                           "harmonic system is not singular at F_c")
-    return np.conj(vh[-1])
-
-
-def _realize(coeffs: np.ndarray, harmonics: np.ndarray) -> np.ndarray:
-    """Rotate a null vector by a global phase so the function it represents
-    is real, i.e. coefficients become conjugate-symmetric under m -> -m."""
-    flipped = np.conj(coeffs[::-1])  # harmonics are symmetric about zero
-    denom = np.vdot(coeffs, coeffs)
-    rho = np.vdot(coeffs, flipped) / denom
-    if abs(abs(rho) - 1.0) > 1e-8:
-        raise CriticalForcingNotFoundError(0.0, 0.0,
-                                           "critical eigenvector is not real")
-    out = coeffs * np.exp(1j * np.angle(rho) / 2.0)
-    sym_err = np.max(np.abs(np.conj(out[::-1]) - out))
-    if sym_err > 1e-8 * np.max(np.abs(out)):
-        raise CriticalForcingNotFoundError(0.0, 0.0,
-                                           "failed to gauge-fix a real eigenvector")
-    # exact symmetrization to suppress roundoff
-    return 0.5 * (out + np.conj(out[::-1]))
+    Its zero-state blocks at k = 0, B0 + F B1 on the real then imaginary
+    parts of the coefficients U_m, are the Hill matrix of the flat
+    linearization (Deconinck & Kutz, J. Comput. Phys. 219, 2006); on length
+    2*pi, B0[0] - B0[1] is the diffusion alpha + i beta.
+    """
+    return PdeHarmonicProblem(p, n=4, length=2.0 * math.pi, harmonics=harmonics)
 
 
 def mathieu_critical(p: ModelParams, j_trunc: int = DEFAULT_HARMONICS) -> FloquetPair:
     """Smallest positive forcing with a 2*pi-periodic Mathieu solution.
 
-    Solves the generalized eigenproblem D a = -F W a on the truncated odd
-    harmonics, then extracts the critical eigenfunction and its adjoint
-    (the operator with the sign of the damping reversed) at F_c.
+    F_c is the first positive real generalized eigenvalue of the Hill matrix
+    B0 + F B1 on the odd harmonics up to 2 j_trunc + 1.  At F_c its right null
+    vector is U = p1 + i q1, and its left null vector Y has Im Y = p1_adj: the
+    adjoint of the first-order system reduces to the Mathieu adjoint (the
+    sign of the damping reversed) on its second component.
     """
     import scipy.linalg
     if p.mu >= 0:
         raise ParameterError("subharmonic onset needs damping mu < 0")
-    harmonics, d, w = _hill_matrices(p.mu, p.omega, j_trunc)
-    vals = scipy.linalg.eigvals(d, w)
-    cand = -vals
-    real = cand[np.abs(cand.imag) <= 1e-8 * (1.0 + np.abs(cand.real))].real
+    harmonics = np.arange(-(2 * j_trunc + 1), 2 * j_trunc + 2, 2)
+    b0, b1 = (b[0] for b in hill_problem(p, harmonics).zero_state_blocks)
+    vals = -scipy.linalg.eigvals(b0, b1)
+    vals = vals[np.isfinite(vals)]
+    real = vals[np.abs(vals.imag) <= 1e-8 * (1.0 + np.abs(vals.real))].real
     positive = np.sort(real[real > 1e-12])
     if positive.size == 0:
         raise CriticalForcingNotFoundError(0.0, float("inf"),
                                            "no real positive Hill eigenvalue")
     f_c = float(positive[0])
 
-    a = _realize(_null_vector(d + f_c * w), harmonics)
-    adj = _realize(_null_vector(np.conj(d) + f_c * w), harmonics)
+    left, s, right = np.linalg.svd(b0 + f_c * b1)
+    if s[-1] > 1e-6 * s[0]:
+        raise CriticalForcingNotFoundError(0.0, 0.0,
+                                           "harmonic system is not singular at F_c")
+    nh = harmonics.size
+    u = right[-1, :nh] + 1j * right[-1, nh:]
+    y = left[:nh, -1] + 1j * left[nh:, -1]
+    a = 0.5 * (u + np.conj(u[::-1]))            # Re U, harmonics symmetric
+    adj = -0.5j * (y - np.conj(y[::-1]))        # Im Y
 
     # normalize <p1 + i q1, p1 + i q1> = 1 and fix the sign gauge
     u_coeffs = a * (p.omega + harmonics + 1j * p.mu) / p.omega
@@ -161,7 +143,8 @@ def mathieu_critical(p: ModelParams, j_trunc: int = DEFAULT_HARMONICS) -> Floque
     i_one = int(np.nonzero(harmonics == 1)[0][0])
     if (a[i_one] * (p.omega + 1.0 + 1j * p.mu)).real < 0:
         a = -a
-    # adjoint sign: make <p1_adj, p1> positive (scale cancels in all ratios)
+    # adjoint: unit coefficient norm and <p1_adj, p1> positive
+    adj = adj / np.linalg.norm(adj)
     if float(np.real(np.vdot(adj, a))) < 0:
         adj = -adj
     return FloquetPair(f_c=f_c, mu=p.mu, omega=p.omega, harmonics=harmonics,
@@ -209,7 +192,8 @@ def monodromy_critical(p: ModelParams, f_hi: float | None = None,
 
     f_lo = 0.0
     if f_hi is None:
-        f_hi = max(2.0 * weak_critical_forcing(p.mu, p.omega - 1.0), 8.0 * abs(p.mu))
+        weak = ScalingMap(1.0).to_forcing(gamma_onset(p.mu, p.omega - 1.0))
+        f_hi = max(2.0 * weak, 8.0 * abs(p.mu))
     for _ in range(max_doublings):
         if crit(f_hi) < 0.0:
             break

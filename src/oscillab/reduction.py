@@ -7,9 +7,11 @@ real amplitude B(X, T) obeying
 
 where lam measures the forcing offset from threshold.  Two routes compute
 (lin, diff, cub): a closed form valid in the weak-damping limit of the
-amplitude equation, and solvability integrals against the critical Floquet
-eigenfunction that remain valid at order-one damping.  Stationary sech
-solutions of the reduction provide localized seeds and overlay checks.
+amplitude equation, and, valid at order-one damping, solvability products
+against the left null vector of the Hill matrix, the forced model's harmonic
+Jacobian at the zero state, whose right null vector is the critical Floquet
+eigenfunction.  Stationary sech solutions of the reduction provide localized
+seeds and overlay checks.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from .core import FcglParams, ModelParams, ScalingMap, gamma_onset
 from .errors import (DegenerateReductionError, ExistenceError,
                      SingularReductionError)
 from .fields import ComplexField
-from .floquet import FloquetPair
+from .floquet import FloquetPair, hill_problem
 
 __all__ = [
     "AllenCahnCoeffs",
@@ -158,57 +160,39 @@ def weak_sech_pde(p: ModelParams, center: float = 0.0) -> SechProfile:
 
 # ---- order-one damping route ----
 
-def _oversampled_times(harmonics: np.ndarray) -> np.ndarray:
-    # cubic integrands reach 4x the largest stored harmonic
-    n = 4 * int(harmonics.max()) + 8
-    return 2.0 * np.pi * np.arange(n) / n
-
-
 def strong_ac_coeffs(fp: FloquetPair, p: ModelParams) -> AllenCahnCoeffs:
-    """Solvability integrals against the adjoint eigenfunction at F_c.
+    """Solvability products against the adjoint null vector at F_c.
 
-    With lam = F/F_c - 1, projecting the slow-amplitude hierarchy onto the
-    adjoint null function p1_adj yields
+    U = p1 + i q1 and Y = y1 + i p1_adj, y1 = (mu + d/dt) p1_adj / omega, are
+    the right and left null vectors of the Hill matrix B0 + F_c B1 of
+    hill_problem.  With lam = F/F_c - 1, projecting the slow-amplitude
+    hierarchy onto Y yields
 
-        mass * B_T = -<p1_adj, omega f_c p1> lam B
-                     + <p1_adj, (d/dt - mu)(alpha p1 - beta q1)
-                                - omega (alpha q1 + beta p1)> B_XX
-                     + <p1_adj, (d/dt - mu)(c_re e p1 - c_im e q1)
-                                - omega (c_re e q1 + c_im e p1)> B^3,
+        mass * B_T = f_c <Y, B1 U> lam B + <Y, (alpha + i beta) U> B_XX
+                     + <Y, C |U|^2 U> B^3,
 
-    where e = p1^2 + q1^2 and mass = <p1_adj, 2 (d/dt - mu) p1>.
+    where mass = <Y, U> and <., .> is the dot product of the real and
+    imaginary parts of the harmonic coefficients.  alpha + i beta is
+    B0[k=0] - B0[k=1], and C |U|^2 U the problem's residual at the flat
+    state U at F_c, where the linear part vanishes.
     """
-    t = _oversampled_times(fp.harmonics)
-    nt = t.size
-    p1 = fp.p1(t)
-    q1 = fp.q1(t)
-    dp1 = fp.p1(t, derivative=1)
-    dq1 = fp.q1(t, derivative=1)
-    adj = fp.p1_adj(t)
+    def parts(coeffs):
+        return np.concatenate([coeffs.real, coeffs.imag])
 
-    def ip(g):
-        return float(np.mean(adj * g))
-
-    def ddt(g):
-        freqs = np.fft.fftfreq(nt, d=1.0 / nt)
-        return np.fft.ifft(1j * freqs * np.fft.fft(g)).real
-
-    mass = ip(2.0 * (dp1 - fp.mu * p1))
+    u = parts(fp.u_coeffs)
+    y = parts(((fp.mu + 1j * fp.harmonics) / fp.omega + 1j) * fp.p1_adj_coeffs)
+    mass = float(y @ u)
     if abs(mass) < 1e-10:
         raise DegenerateReductionError("solvability mass inner product vanishes")
 
-    forcing = fp.f_c * np.cos(2.0 * t)
-    lin_num = -ip(fp.omega * forcing * p1)
-
-    diff_num = ip((p.alpha * dp1 - p.beta * dq1) - fp.mu * (p.alpha * p1 - p.beta * q1)
-                  - fp.omega * (p.alpha * q1 + p.beta * p1))
-
-    e = p1**2 + q1**2
-    g_cub = p.c_re * e * p1 - p.c_im * e * q1
-    cub_num = ip(ddt(g_cub) - fp.mu * g_cub - fp.omega * (p.c_re * e * q1 + p.c_im * e * p1))
-
-    return AllenCahnCoeffs(lin=lin_num / mass, diff=diff_num / mass,
-                           cub=cub_num / mass, regime="strong", pair=fp)
+    problem = hill_problem(p, fp.harmonics)
+    b0, b1 = problem.zero_state_blocks
+    flat = problem.pack(np.repeat(fp.u_coeffs[:, None], problem.n, axis=1))
+    cubic = problem.unpack(problem.residual(flat, fp.f_c))[:, 0]
+    return AllenCahnCoeffs(lin=fp.f_c * float(y @ b1[0] @ u) / mass,
+                           diff=float(y @ (b0[0] - b0[1]) @ u) / mass,
+                           cub=float(y @ parts(cubic)) / mass,
+                           regime="strong", pair=fp)
 
 
 def strong_sech_pde(coeffs: AllenCahnCoeffs, fp: FloquetPair, f: float,

@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from oscillab import (FcglParams, ModelParams, ScalingMap, flat_states,
-                      make_stepper)
+                      gamma_onset, make_stepper)
 from oscillab import continuation as ct
 from oscillab.etd import run_to_steady
 from oscillab.fields import ComplexField
 from oscillab.floquet import (floquet_multipliers, mathieu_critical,
-                              monodromy_critical, weak_critical_forcing)
+                              monodromy_critical)
 from oscillab.reduction import strong_ac_coeffs, weak_sech_fcgl, weak_sech_pde
 
 TWO_PI = 2.0 * math.pi
@@ -141,7 +141,8 @@ def test_criterion_05_weak_floquet_onset(report):
     two_harmonic = mathieu_critical(WEAK, j_trunc=0).f_c
     fp = mathieu_critical(WEAK)
     f_mono = monodromy_critical(WEAK)
-    formula = weak_critical_forcing(WEAK.mu, WEAK.omega - 1.0)
+    formula = ScalingMap(1.0).to_forcing(gamma_onset(WEAK.mu,
+                                                     WEAK.omega - 1.0))
     gap_ref = rel(two_harmonic, 0.08165)
     gap_routes = rel(fp.f_c, f_mono)
     gap_formula = rel(formula, fp.f_c)

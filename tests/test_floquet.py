@@ -3,24 +3,29 @@ import math
 import numpy as np
 import pytest
 
-from oscillab import ModelParams
+from oscillab import ModelParams, ScalingMap, gamma_onset
 from oscillab.errors import CriticalForcingNotFoundError
 from oscillab.floquet import (
     eval_series,
     floquet_multipliers,
     mathieu_critical,
     monodromy_critical,
-    weak_critical_forcing,
 )
 
 TWO_PI = 2.0 * math.pi
 
 
-def test_weak_critical_forcing():
-    assert weak_critical_forcing(3.0, 4.0) == pytest.approx(20.0, abs=1e-14)
-    assert weak_critical_forcing(-0.005, 0.02) == pytest.approx(
+def weak_onset(mu, nu):
+    """The small-damping onset F0 = 4 sqrt(mu^2 + nu^2), nu = omega - 1: the
+    amplitude equation's onset mapped at epsilon = 1."""
+    return ScalingMap(1.0).to_forcing(gamma_onset(mu, nu))
+
+
+def test_weak_onset_forcing():
+    assert weak_onset(3.0, 4.0) == pytest.approx(20.0, abs=1e-14)
+    assert weak_onset(-0.005, 0.02) == pytest.approx(
         0.08246211251235325, abs=1e-15)
-    assert weak_critical_forcing(0.1, -0.2) == weak_critical_forcing(0.1, 0.2)
+    assert weak_onset(0.1, -0.2) == weak_onset(0.1, 0.2)
 
 
 def test_eval_series_derivative():
@@ -44,6 +49,38 @@ def test_strong_onset_frozen(strong_model):
     fp = mathieu_critical(strong_model)
     assert fp.f_c == pytest.approx(2.3332865129003815, rel=1e-9)
     assert fp.mathieu_residual() < 1e-11
+
+
+# Hill onsets on the harmonics up to 2j + 1, as the scalar Mathieu balance
+# gave them; criteria 05 and 06 quote 0.08165391, 0.08207334, 2.3083182 and
+# 2.3332865
+TRUNCATED_ONSETS = {
+    ("weak_model", 0): 0.08165391056839282,
+    ("weak_model", 1): 0.08207333292256937,
+    ("weak_model", 16): 0.08207333682165939,
+    ("strong_model", 0): 1.7201067877056677,
+    ("strong_model", 1): 2.3083182042779375,
+    ("strong_model", 16): 2.3332865129003815,
+}
+
+
+@pytest.mark.parametrize("model, j", list(TRUNCATED_ONSETS))
+def test_truncated_onsets_frozen(model, j, request):
+    f_c = mathieu_critical(request.getfixturevalue(model), j).f_c
+    assert f_c == pytest.approx(TRUNCATED_ONSETS[model, j], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("model", ["weak_model", "strong_model"])
+def test_adjoint_scale(model, request):
+    # eigenfunctions.csv writes p1_adj at unit coefficient norm, signed so
+    # that it pairs positively with p1
+    pairing = {"weak_model": 0.6933498693781983,
+               "strong_model": 0.7591888131755383}[model]
+    fp = mathieu_critical(request.getfixturevalue(model))
+    norm = np.sum(np.abs(fp.p1_adj_coeffs) ** 2)
+    assert norm == pytest.approx(1.0, abs=1e-12)
+    assert np.vdot(fp.p1_adj_coeffs, fp.p1_coeffs).real == pytest.approx(
+        pairing, rel=1e-10)
 
 
 def test_two_harmonic_onset_closed_form(weak_model, strong_model):
@@ -140,7 +177,7 @@ def test_weak_limit_ratio_decreases():
         p = ModelParams(mu=-0.5 * eps**2, omega=1.0 + 2.0 * eps**2,
                         alpha=1.0, beta=-2.0, c_re=-1.0, c_im=-2.5, f=0.0)
         f_c = mathieu_critical(p).f_c
-        f_w = weak_critical_forcing(p.mu, p.omega - 1.0)
+        f_w = weak_onset(p.mu, p.omega - 1.0)
         gaps.append(abs(f_c / f_w - 1.0))
     assert gaps[0] > gaps[1] > gaps[2]
 

@@ -91,13 +91,20 @@ def test_weak_sech_pde_matches_rescaled_fcgl(fcgl_params, weak_model):
     assert np.max(np.abs(v1 - v0 * np.exp(0.7j))) < 1e-14
 
 
-def test_strong_coeffs_frozen(strong_model):
-    fp = mathieu_critical(strong_model)
-    ac = strong_ac_coeffs(fp, strong_model)
+@pytest.mark.parametrize("model", ["weak_model", "strong_model"])
+def test_strong_coeffs_frozen(model, request):
+    lin, diff, cub = {
+        "weak_model": (0.0849659445710343, 8.958773031950138,
+                       8.948979997120846),
+        "strong_model": (1.3839246489057908, 9.953480557445477,
+                         11.451614915573023),
+    }[model]
+    p = request.getfixturevalue(model)
+    ac = strong_ac_coeffs(mathieu_critical(p), p)
     assert ac.regime == "strong"
-    assert ac.lin == pytest.approx(1.3839246489057908, rel=1e-8)
-    assert ac.diff == pytest.approx(9.953480557445477, rel=1e-8)
-    assert ac.cub == pytest.approx(11.451614915573023, rel=1e-8)
+    assert ac.lin == pytest.approx(lin, rel=1e-10)
+    assert ac.diff == pytest.approx(diff, rel=1e-10)
+    assert ac.cub == pytest.approx(cub, rel=1e-10)
 
 
 def test_strong_coeffs_approach_weak_limit():
