@@ -81,7 +81,7 @@ def main() -> int:
                       for t in problem.times[:, 0]])
     guess = problem.pack(problem.project @ snaps)
     z, residual, _ = ct.newton_solve(problem, guess, f)
-    state = problem.state_of(z, f)
+    state = problem.state_of(z)
     fileio.write_snapshot(os.path.join(args.out, "polished.txt"), state)
     guess_norm = problem.norm_of(guess)
     drift = abs(state.norm / guess_norm - 1.0)

@@ -267,7 +267,7 @@ def _write_branch_outputs(out, branch, problem, snapshot_stride: int) -> None:
         if pt.index in keep:
             fileio.write_snapshot(
                 os.path.join(out, f"point_{pt.index:04d}.txt"),
-                problem.state_of(pt.z, pt.param))
+                problem.state_of(pt.z))
 
 
 def cmd_continue(cfg: RunConfig, out: str) -> int:
@@ -311,10 +311,7 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
                 print(f"seed trajectory not steady after {periods} periods; "
                       "continuing from its last period", file=sys.stderr)
             z0 = problem.pack_cycle(stepper)
-
-        def classify(z, f_val, stats):
-            return continuation.classify_stability_pde(
-                problem.state_of(z, f_val), mp)
+        classify = partial(continuation.classify_stability_pde, problem)
     stalled = False
     try:
         branch = continuation.trace_branch(problem, z0, param, controls)

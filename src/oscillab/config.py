@@ -9,7 +9,6 @@ manifest.
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from dataclasses import dataclass, field, fields, replace
 
@@ -236,8 +235,7 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("[output] norm_stride must be >= 1")
 
 
-def load_config(path: str | None = None, overrides: list[str] = (),
-                text: str | None = None) -> RunConfig:
+def load_config(path: str | None = None, overrides: list[str] = ()) -> RunConfig:
     """Build a RunConfig from an optional file plus section.key=value overrides."""
     cfg = RunConfig()
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -249,11 +247,6 @@ def load_config(path: str | None = None, overrides: list[str] = (),
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file {path}: {exc}") from exc
-    elif text is not None:
-        try:
-            parser.read_file(io.StringIO(text))
-        except configparser.Error as exc:
-            raise ConfigError(f"malformed config text: {exc}") from exc
     for section in parser.sections():
         for key, raw in parser.items(section):
             _apply(cfg, section, key, raw)

@@ -4,13 +4,13 @@ Steady solutions of the amplitude equation, and time-periodic solutions of
 the forced model written as a truncated harmonic expansion
 U(x, t) = sum_j U_j(x) e^{i j t} over j in {-3, -1, 1, 3}, are found by
 Newton iteration on the periodic pseudospectral collocation residual.  The
-conjugate couplings make the systems only real-linear, so Newton runs on the
-stacked real and imaginary parts with a matrix-free Krylov solver.  The
-unknowns are the even Fourier coefficients of the profiles, their even part
-about the domain centre, which quotients out translations.  The Jacobian at
-the zero state, the linear part plus the forcing, is block-diagonal in them,
-one small real block per wavenumber, and its exact inverse is the
-preconditioner of every Krylov solve.
+conjugate couplings make the systems only real-linear, so Newton runs on
+real unknowns with a matrix-free Krylov solver.  The unknowns are the even
+Fourier coefficients of the profiles, their even part about the domain
+centre, which quotients out translations, as a float view of the complex
+half-spectrum.  The Jacobian at the zero state, the linear part plus the
+forcing, is block-diagonal in them, one small real block per wavenumber,
+and its exact inverse is the preconditioner of every Krylov solve.
 Branches are traced with secant pseudo-arclength steps; folds are flagged at
 sign changes of the parameter increment and refined with a local quadratic fit.
 """
@@ -51,15 +51,25 @@ def _givens(f: float, g: float) -> tuple[float, float, float]:
     return abs(f) / d, g / r, r
 
 
-def _orthogonalize(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Make w orthogonal to the orthonormal rows of basis, in place, by
-    classical Gram-Schmidt applied twice (CGS2, as stable as modified
-    Gram-Schmidt), one BLAS product per pass; returns the coefficients."""
-    h = basis @ w
-    w -= h @ basis
-    h2 = basis @ w
-    w -= h2 @ basis
-    return h + h2
+def _arnoldi_step(apply, basis: np.ndarray, j: int):
+    """One Arnoldi step: w = apply(basis[j]) made orthogonal to the
+    orthonormal rows basis[:j + 1] by classical Gram-Schmidt applied twice
+    (CGS2, as stable as modified Gram-Schmidt), one BLAS product per pass,
+    and stored normalised in basis[j + 1].  Returns (h, h1), the
+    coefficients and the norm of the remainder; on breakdown, a remainder
+    within rounding of zero, h1 is 0.0 and basis[j + 1] is left as it was."""
+    w = apply(basis[j])
+    h0 = float(np.linalg.norm(w))
+    q = basis[:j + 1]
+    h = q @ w
+    w -= h @ q
+    h2 = q @ w
+    w -= h2 @ q
+    h1 = float(np.linalg.norm(w))
+    if h1 <= _EPS * h0:
+        return h + h2, 0.0
+    np.multiply(w, 1.0 / h1, out=basis[j + 1])
+    return h + h2, h1
 
 
 def _gmres(matvec, b: np.ndarray, psolve, rtol: float):
@@ -86,23 +96,19 @@ def _gmres(matvec, b: np.ndarray, psolve, rtol: float):
     ptol_factor = 1.0
     ptol = float(np.linalg.norm(psolve(b))) * min(1.0, atol / bnorm)
     r, matvecs, presid = b, 0, 0.0
+
+    def apply(v):
+        return psolve(matvec(v))
     for _ in range(GMRES_CYCLES):
         v = psolve(r)
         beta = float(np.linalg.norm(v))
         basis[0] = v * (1.0 / beta)
         g = [beta]
         rotations = []
-        breakdown = False
         for j in range(m):
-            w = psolve(matvec(basis[j]))
+            h, h1 = _arnoldi_step(apply, basis, j)
             matvecs += 1
-            h0 = float(np.linalg.norm(w))
-            h = _orthogonalize(basis[:j + 1], w)
-            h1 = float(np.linalg.norm(w))
-            if h1 <= _EPS * h0:
-                h1, breakdown = 0.0, True
-            else:
-                np.multiply(w, 1.0 / h1, out=basis[j + 1])
+            breakdown = h1 == 0.0
             col = h.tolist()
             for k, (c, s) in enumerate(rotations):
                 lo, hi = col[k], col[k + 1]
@@ -171,19 +177,13 @@ class _SteadyProblem:
         """Profile coefficients of the samples w, the inverse of samples."""
         return spectral.from_fine(w, self.n)
 
-    def _half(self, z: np.ndarray) -> np.ndarray:
-        k = z.size // 2
-        return (z[:k] + 1j * z[k:]).reshape(self.symbol.shape[:-1] + (-1,))
-
-    def _real(self, half: np.ndarray) -> np.ndarray:
-        return np.concatenate([half.real.ravel(), half.imag.ravel()])
-
     def _spectrum(self, z: np.ndarray) -> np.ndarray:
-        half = self._half(z) / self.scale
+        half = np.ascontiguousarray(z, dtype=float).view(complex)
+        half = half.reshape(self.symbol.shape[:-1] + (-1,)) / self.scale
         return np.concatenate([half, half[..., -2:0:-1]], axis=-1)
 
     def _packed(self, a_hat: np.ndarray) -> np.ndarray:
-        return self._real(a_hat[..., :self.scale.size] * self.scale)
+        return (a_hat[..., :self.scale.size] * self.scale).view(float).ravel()
 
     def residual(self, z: np.ndarray, drive: float) -> np.ndarray:
         a_hat = self._spectrum(z)
@@ -206,8 +206,9 @@ class _SteadyProblem:
 
     def pack(self, a: np.ndarray) -> np.ndarray:
         """Unknowns of the even part of the profiles a: their even Fourier
-        coefficients 0...n/2, real parts then imaginary parts, times scale so
-        that by Parseval dot products of packed vectors are the full-grid ones."""
+        coefficients 0...n/2 times scale, so that by Parseval dot products of
+        packed vectors are the full-grid ones, as a float view of the complex
+        array: harmonic by harmonic, (real, imaginary) part pairs."""
         a_hat = np.fft.fft(a, axis=-1)
         return self._packed(0.5 * (a_hat + a_hat[..., -np.arange(self.n) % self.n]))
 
@@ -225,34 +226,42 @@ class _SteadyProblem:
     def zero_state_blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """(B0, B1), (n/2 + 1, m, m) each: the Jacobian at the zero state is
         B0 + drive B1, one real block per wavenumber k on the m packed
-        components (real then imaginary part, harmonic) of k, the forcing
-        being linear in the drive.  It is constant-coefficient in x, so its
-        matvec of a comb, one component set at every k, is one column of
-        every block."""
-        m, nk = self.size // self.scale.size, self.scale.size
-        zero, combs = np.zeros(self.size), np.repeat(np.eye(m), nk, axis=1)
+        components of k, (real, imaginary) part pairs harmonic by harmonic,
+        the forcing being linear in the drive.  It is constant-coefficient
+        in x, so its matvec of a comb, one component set at every k, is one
+        column of every block."""
+        nk = self.scale.size
+        m = self.size // nk
+        zero = np.zeros(self.size)
+        combs = np.repeat(np.eye(m).reshape(m, -1, 1, 2), nk, axis=2)
 
         def blocks(drive):
             jac = self.jacobian(zero, drive)
-            cols = [jac(comb).reshape(m, nk) for comb in combs]
-            return np.stack(cols, axis=-1).transpose(1, 0, 2)
+            cols = np.stack([jac(comb.ravel()) for comb in combs], axis=-1)
+            return cols.reshape(-1, nk, 2, m).swapaxes(0, 1).reshape(nk, m, m)
         b0 = blocks(0.0)
         return b0, blocks(1.0) - b0
-
-    def _zero_state_svd(self, drive: float):
-        """(u, s, vt) of the zero-state blocks at drive, s floored."""
-        b0, b1 = self.zero_state_blocks
-        u, s, vt = np.linalg.svd(b0 + drive * b1)
-        return u, np.maximum(s, self.PRECOND_FLOOR), vt
 
     def preconditioner(self, drive: float):
         """z -> the inverse of the Jacobian at the zero state at drive, each
         block's singular values floored at PRECOND_FLOOR."""
-        u, s, vt = self._zero_state_svd(drive)
+        b0, b1 = self.zero_state_blocks
+        u, s, vt = np.linalg.svd(b0 + drive * b1)
+        s = np.maximum(s, self.PRECOND_FLOOR)
         inv = np.swapaxes(vt, 1, 2) @ (np.swapaxes(u, 1, 2) / s[..., None])
         inv = np.ascontiguousarray(inv.transpose(1, 2, 0))     # (m, m, k)
-        m = inv.shape[0]
-        return lambda z: np.einsum("abk,bk->ak", inv, z.reshape(m, -1)).ravel()
+        m, nk = inv.shape[1:]
+        inv = inv.reshape(-1, 2, m, nk)
+
+        def apply(z):
+            # one einsum with k innermost, from z's components as a
+            # contiguous (m, k) array straight into the packed order
+            x = np.ascontiguousarray(z.reshape(-1, nk, 2).transpose(0, 2, 1))
+            out = np.empty(z.size)
+            np.einsum("acbk,bk->ack", inv, x.reshape(m, nk),
+                      out=out.reshape(-1, nk, 2).transpose(0, 2, 1))
+            return out
+        return apply
 
 
 # ---- steady amplitude-equation problem ----
@@ -264,7 +273,7 @@ class FcglSteadyProblem(_SteadyProblem):
     def __init__(self, params: FcglParams, n: int = 512, length: float = 20.0 * math.pi):
         super().__init__(params, n, length)
 
-    def state_of(self, z: np.ndarray, gamma: float) -> ComplexField:
+    def state_of(self, z: np.ndarray) -> ComplexField:
         return ComplexField(self.length, self.unpack(z))
 
 
@@ -319,9 +328,9 @@ class PdeHarmonicProblem(_SteadyProblem):
         profiles = self.project @ np.stack(snapshots)
         return self.pack(np.exp(-1j * t0 * self.harmonics)[:, None] * profiles)
 
-    def state_of(self, z: np.ndarray, f: float) -> HarmonicPdeState:
+    def state_of(self, z: np.ndarray) -> HarmonicPdeState:
         return HarmonicPdeState(length=self.length, harmonics=self.harmonics,
-                                profiles=self.unpack(z), f=f)
+                                profiles=self.unpack(z))
 
 
 # ---- converged state containers ----
@@ -331,7 +340,6 @@ class HarmonicPdeState:
     length: float
     harmonics: np.ndarray
     profiles: np.ndarray          # (n_harmonics, n) complex
-    f: float
 
     @property
     def n(self) -> int:
@@ -627,6 +635,7 @@ def trace_branch(problem, z0: np.ndarray, param0: float,
 
 LABEL_BATCH = 16        # unit columns per linearization call in a block
 LABEL_CUT = -1e-3       # rates are resolved down to the first one below this
+LABEL_THRESHOLD = 1e-8  # FCGL label rates below this are stable
 LABEL_KRYLOV = 16       # first Arnoldi dimension; doubled until converged
 LABEL_TOL = 1e-12       # Ritz value error allowed, times max(1, |lambda|)
 
@@ -634,25 +643,24 @@ LABEL_TOL = 1e-12       # Ritz value error allowed, times max(1, |lambda|)
 def _parity_block(lin, n: int, sign: float) -> np.ndarray:
     """The Jacobian lin on the fields of one parity, even (sign +1) or odd
     (-1), as a dense real matrix in the orthonormal basis of the packed
-    format: real then imaginary parts of Fourier coefficients 0...n/2 (odd:
-    1...n/2-1), an interior one standing for (e_k + sign e_-k)/sqrt(2).  The
-    columns are lin of unit coefficient vectors, LABEL_BATCH per call."""
+    format: (real, imaginary) part pairs of Fourier coefficients 0...n/2
+    (odd: 1...n/2-1), an interior one standing for (e_k + sign e_-k)/sqrt(2).
+    The columns are lin of unit coefficient vectors, LABEL_BATCH per call."""
     half = n // 2
     idx = np.arange(half + 1) if sign > 0 else np.arange(1, half)
-    h = idx.size
+    size = 2 * idx.size
     scale = np.where((idx > 0) & (idx < half), math.sqrt(2.0), 1.0)
-    block = np.empty((2 * h, 2 * h), order="F")
-    for start in range(0, 2 * h, LABEL_BATCH):
-        cols = np.arange(start, min(start + LABEL_BATCH, 2 * h))
-        unit = np.where(cols < h, 1.0, 1.0j)
-        i, rows = idx[cols % h], np.arange(cols.size)
+    block = np.empty((size, size), order="F")
+    for start in range(0, size, LABEL_BATCH):
+        cols = np.arange(start, min(start + LABEL_BATCH, size))
+        unit = np.where(cols % 2 == 0, 1.0, 1.0j)
+        i, rows = idx[cols // 2], np.arange(cols.size)
         d = np.zeros((cols.size, n), dtype=complex)
         d[rows, -i] = sign * unit
         d[rows, i] = unit
-        out = lin(d)[:, idx]
-        out *= scale / scale[cols % h, None]
-        block[:h, cols] = out.real.T
-        block[h:, cols] = out.imag.T
+        out = np.ascontiguousarray(lin(d)[:, idx])
+        out *= scale / scale[cols // 2, None]
+        block[:, cols] = out.view(float).T
     return block
 
 
@@ -744,16 +752,11 @@ def rightmost_eigenvalues(block: np.ndarray, bound: float):
         basis = np.concatenate([basis[:m + 1], np.empty((dim - m, size))])
         hess = np.pad(hess[:m + 1, :m], ((0, dim - m), (0, dim - m)))
         while m < dim:
-            w = apply(basis[m])
-            h0 = float(np.linalg.norm(w))
-            hess[:m + 1, m] = _orthogonalize(basis[:m + 1], w)
-            last = float(np.linalg.norm(w))
+            hess[:m + 1, m], last = _arnoldi_step(apply, basis, m)
             m += 1
-            if last <= _EPS * h0:       # an invariant subspace: exact
-                last = 0.0
+            if last == 0.0:             # an invariant subspace: exact
                 break
             hess[m, m - 1] = last
-            basis[m] = w / last
         theta, vecs = np.linalg.eig(hess[:m, :m])
         order = np.argsort(-(1.0 / theta).real, kind="stable")
         theta, vecs = theta[order], vecs[:, order]
@@ -800,8 +803,8 @@ def leading_rates_fcgl(problem: FcglSteadyProblem, z: np.ndarray,
 
 
 def classify_stability_fcgl(problem: FcglSteadyProblem, z: np.ndarray,
-                            gamma: float, threshold: float = 1e-8,
-                            stats: SolveStats | None = None) -> tuple[str, float]:
+                            gamma: float, stats: SolveStats | None = None
+                            ) -> tuple[str, float]:
     """(label, rate), the rate being the largest eigenvalue real part.  A
     non-uniform state has a neutral translation mode, the rate nearest zero,
     which is left out so that the rate shows the stability margin.  The
@@ -814,7 +817,7 @@ def classify_stability_fcgl(problem: FcglSteadyProblem, z: np.ndarray,
     if np.max(np.abs(a - a[0])) > 1e-10 * max(1.0, float(np.max(np.abs(a)))):
         rates = np.delete(rates, np.argmin(np.abs(rates)))
     rate = float(rates[0])
-    return ("stable" if rate < threshold else "unstable"), rate
+    return ("stable" if rate < LABEL_THRESHOLD else "unstable"), rate
 
 
 PDE_LABEL_PERIODS = 40         # stroboscopic samples of the deviation
@@ -824,12 +827,16 @@ PDE_LABEL_RNG_SEED = 0
 PDE_LABEL_THRESHOLD = 1e-4     # fitted rates below this are stable
 
 
-def classify_stability_pde(state: HarmonicPdeState, params: ModelParams):
-    """Time-stepping stability flag: perturb the reconstruction by relative
-    noise, evolve it beside the unperturbed one as two rows of one stepper,
-    and fit the exponential growth of the stroboscopic deviation.  Returns
-    (label, fitted_rate)."""
-    p = replace(params, f=state.f)
+def classify_stability_pde(problem: PdeHarmonicProblem, z: np.ndarray,
+                           f: float, stats: SolveStats | None = None
+                           ) -> tuple[str, float]:
+    """Time-stepping stability flag of the state z at forcing f: perturb its
+    reconstruction by relative noise, evolve it beside the unperturbed one as
+    two rows of one stepper, and fit the exponential growth of the
+    stroboscopic deviation.  Returns (label, fitted_rate); stats, which
+    classify_branch passes, is left as it is."""
+    state = problem.state_of(z)
+    p = replace(problem.params, f=f)
     base = state.reconstruct(0.0)
     rng = np.random.default_rng(PDE_LABEL_RNG_SEED)
     rms = math.sqrt(float(np.mean(np.abs(base.values) ** 2)))

@@ -85,8 +85,6 @@ def write_snapshot(path: str, state: ComplexField | HarmonicPdeState) -> None:
 
 
 def read_snapshot(path: str) -> ComplexField | HarmonicPdeState:
-    """The field or harmonic state of a snapshot file; a harmonic state's
-    forcing is not in the file, so it reads as NaN."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         tokens = header.lstrip("#").split()
@@ -107,7 +105,7 @@ def read_snapshot(path: str) -> ComplexField | HarmonicPdeState:
         return ComplexField(length, cols[0])
     harmonics = np.array([int(lbl.removeprefix("re_u")) for lbl in pair_labels])
     return HarmonicPdeState(length=length, harmonics=harmonics,
-                            profiles=np.stack(cols), f=math.nan)
+                            profiles=np.stack(cols))
 
 
 # ---- branches ----

@@ -96,8 +96,8 @@ class FloquetPair:
 def hill_problem(p: ModelParams, harmonics) -> PdeHarmonicProblem:
     """The forced model's harmonic problem on flat profiles over harmonics.
 
-    Its zero-state blocks at k = 0, B0 + F B1 on the real then imaginary
-    parts of the coefficients U_m, are the Hill matrix of the flat
+    Its zero-state blocks at k = 0, B0 + F B1 on the coefficients U_m as
+    (real, imaginary) part pairs, are the Hill matrix of the flat
     linearization (Deconinck & Kutz, J. Comput. Phys. 219, 2006); on length
     2*pi, B0[0] - B0[1] is the diffusion alpha + i beta.
     """
@@ -131,9 +131,8 @@ def mathieu_critical(p: ModelParams, j_trunc: int = DEFAULT_HARMONICS) -> Floque
     if s[-1] > 1e-6 * s[0]:
         raise CriticalForcingNotFoundError(0.0, 0.0,
                                            "harmonic system is not singular at F_c")
-    nh = harmonics.size
-    u = right[-1, :nh] + 1j * right[-1, nh:]
-    y = left[:nh, -1] + 1j * left[nh:, -1]
+    u = np.ascontiguousarray(right[-1]).view(complex)
+    y = np.ascontiguousarray(left[:, -1]).view(complex)
     a = 0.5 * (u + np.conj(u[::-1]))            # Re U, harmonics symmetric
     adj = -0.5j * (y - np.conj(y[::-1]))        # Im Y
 

@@ -171,16 +171,14 @@ def strong_ac_coeffs(fp: FloquetPair, p: ModelParams) -> AllenCahnCoeffs:
         mass * B_T = f_c <Y, B1 U> lam B + <Y, (alpha + i beta) U> B_XX
                      + <Y, C |U|^2 U> B^3,
 
-    where mass = <Y, U> and <., .> is the dot product of the real and
-    imaginary parts of the harmonic coefficients.  alpha + i beta is
-    B0[k=0] - B0[k=1], and C |U|^2 U the problem's residual at the flat
-    state U at F_c, where the linear part vanishes.
+    where mass = <Y, U> and <., .> is the dot product of the harmonic
+    coefficients viewed as floats, the blocks' component order.  alpha + i
+    beta is B0[k=0] - B0[k=1], and C |U|^2 U the problem's residual at the
+    flat state U at F_c, where the linear part vanishes.
     """
-    def parts(coeffs):
-        return np.concatenate([coeffs.real, coeffs.imag])
-
-    u = parts(fp.u_coeffs)
-    y = parts(((fp.mu + 1j * fp.harmonics) / fp.omega + 1j) * fp.p1_adj_coeffs)
+    u = fp.u_coeffs.view(float)
+    y = (((fp.mu + 1j * fp.harmonics) / fp.omega + 1j)
+         * fp.p1_adj_coeffs).view(float)
     mass = float(y @ u)
     if abs(mass) < 1e-10:
         raise DegenerateReductionError("solvability mass inner product vanishes")
@@ -188,10 +186,11 @@ def strong_ac_coeffs(fp: FloquetPair, p: ModelParams) -> AllenCahnCoeffs:
     problem = hill_problem(p, fp.harmonics)
     b0, b1 = problem.zero_state_blocks
     flat = problem.pack(np.repeat(fp.u_coeffs[:, None], problem.n, axis=1))
-    cubic = problem.unpack(problem.residual(flat, fp.f_c))[:, 0]
+    cubic = np.ascontiguousarray(
+        problem.unpack(problem.residual(flat, fp.f_c))[:, 0]).view(float)
     return AllenCahnCoeffs(lin=fp.f_c * float(y @ b1[0] @ u) / mass,
                            diff=float(y @ (b0[0] - b0[1]) @ u) / mass,
-                           cub=float(y @ parts(cubic)) / mass,
+                           cub=float(y @ cubic) / mass,
                            regime="strong", pair=fp)
 
 

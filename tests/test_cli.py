@@ -20,9 +20,10 @@ from oscillab.reduction import weak_sech_fcgl
 
 def read_kv(path):
     out = {}
-    for line in open(path, encoding="utf-8"):
-        key, _, val = line.partition(" = ")
-        out[key] = val.strip()
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            key, _, val = line.partition(" = ")
+            out[key] = val.strip()
     return out
 
 
@@ -203,8 +204,7 @@ def test_simulate_rejects_harmonic_file_for_fcgl(tmp_path):
     rng = np.random.default_rng(0)
     state = HarmonicPdeState(length=20 * math.pi,
                              harmonics=np.array([-3, -1, 1, 3]),
-                             profiles=rng.standard_normal((4, 16)) + 0j,
-                             f=0.05)
+                             profiles=rng.standard_normal((4, 16)) + 0j)
     snap = tmp_path / "harm.txt"
     fileio.write_snapshot(snap, state)
     code, _ = run(tmp_path, "simulate", "--seed", f"file:{snap}")
@@ -349,8 +349,7 @@ def test_continue_rejects_a_file_seed_on_another_grid(tmp_path, capsys, kind,
                              np.full(n, root.r * np.exp(1j * root.phi)))
     else:
         state = HarmonicPdeState(length=length, harmonics=np.array(harmonics),
-                                 profiles=np.zeros((len(harmonics), n)) + 0j,
-                                 f=0.05)
+                                 profiles=np.zeros((len(harmonics), n)) + 0j)
     snap = tmp_path / "seed.txt"
     fileio.write_snapshot(snap, state)
     code, _ = run(tmp_path, "continue", "--seed", f"file:{snap}",
@@ -382,7 +381,7 @@ def test_model_seeds(tmp_path, kind):
         snap = tmp_path / "harm.txt"
         fileio.write_snapshot(snap, HarmonicPdeState(
             length=load_config(overrides=overrides[:2]).grid.length,
-            harmonics=np.array([-3, -1, 1, 3]), profiles=profiles, f=0.05))
+            harmonics=np.array([-3, -1, 1, 3]), profiles=profiles))
         overrides.append(f"seed.path={snap}")
     cfg = load_config(overrides=overrides)
     seed = build_seed(cfg)

@@ -118,9 +118,11 @@ def test_missing_file():
         load_config("/nonexistent/run.ini")
 
 
-def test_malformed_text():
+def test_malformed_text(tmp_path):
+    path = tmp_path / "bad.ini"
+    path.write_text("params]\ngamma 1.0\n")
     with pytest.raises(ConfigError, match="malformed"):
-        load_config(text="params]\ngamma 1.0\n")
+        load_config(str(path))
 
 
 def test_fcgl_params_mapping():

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -24,9 +22,11 @@ def test_manifest_is_deterministic(tmp_path):
     cfg = load_config()
     first = fileio.write_manifest(str(tmp_path), "0.1.0", "simulate",
                                   cfg.items())
-    blob = open(first, "rb").read()
+    with open(first, "rb") as fh:
+        blob = fh.read()
     fileio.write_manifest(str(tmp_path), "0.1.0", "simulate", cfg.items())
-    assert open(first, "rb").read() == blob
+    with open(first, "rb") as fh:
+        assert fh.read() == blob
     text = blob.decode()
     assert text.startswith("version = 0.1.0\ncommand = simulate\n")
     assert "params.gamma = " in text
@@ -57,7 +57,8 @@ def test_field_snapshot_round_trip(tmp_path):
                          + 1j * rng.standard_normal(32))
     path = tmp_path / "snap.txt"
     fileio.write_snapshot(path, field)
-    assert open(path).readline() == "# x re_u im_u\n"
+    with open(path) as fh:
+        assert fh.readline() == "# x re_u im_u\n"
     back = fileio.read_snapshot(path)
     assert isinstance(back, ComplexField)
     assert back.length == pytest.approx(12.5, rel=1e-15)
@@ -68,16 +69,16 @@ def test_harmonic_snapshot_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     profiles = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
     state = HarmonicPdeState(length=40.0, harmonics=np.array([-3, -1, 1, 3]),
-                             profiles=profiles, f=0.058)
+                             profiles=profiles)
     path = tmp_path / "harm.txt"
     fileio.write_snapshot(path, state)
-    assert open(path).readline() == \
-        "# x re_u-3 im_u-3 re_u-1 im_u-1 re_u1 im_u1 re_u3 im_u3\n"
+    with open(path) as fh:
+        assert fh.readline() == \
+            "# x re_u-3 im_u-3 re_u-1 im_u-1 re_u1 im_u1 re_u3 im_u3\n"
     back = fileio.read_snapshot(path)
     assert isinstance(back, HarmonicPdeState)
     assert list(back.harmonics) == [-3, -1, 1, 3]
     assert np.array_equal(back.profiles, profiles)
-    assert math.isnan(back.f)
 
 
 def test_snapshot_header_validation(tmp_path):
