@@ -272,10 +272,6 @@ def _write_branch_outputs(out, branch, problem, snapshot_stride: int) -> None:
 
 def cmd_continue(cfg: RunConfig, out: str) -> int:
     c = cfg.continuation
-    controls = continuation.ContinuationControls(
-        ds0=c.ds0, ds_min=c.ds_min, ds_max=c.ds_max,
-        max_points=c.max_points, param_min=c.param_min,
-        param_max=c.param_max, tol=c.newton_tol)
     seed_steady = []
     if cfg.system.kind == "fcgl":
         p = cfg.fcgl_params()
@@ -314,7 +310,7 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
         classify = partial(continuation.classify_stability_pde, problem)
     stalled = False
     try:
-        branch = continuation.trace_branch(problem, z0, param, controls)
+        branch = continuation.trace_branch(problem, z0, param, c)
     except StalledBranchError as exc:
         branch, stalled = exc.branch, True
     if c.classify:

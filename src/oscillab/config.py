@@ -12,6 +12,7 @@ import configparser
 import math
 from dataclasses import dataclass, field, fields, replace
 
+from .continuation import ContinuationControls
 from .core import FcglParams, ModelParams, ScalingMap
 from .errors import ConfigError
 
@@ -54,14 +55,8 @@ class TimesteppingConfig:
 
 
 @dataclass
-class ContinuationConfig:
-    ds0: float = 0.01
-    ds_min: float = 1e-5
-    ds_max: float = 0.05
-    max_points: int = 300
-    param_min: float = -math.inf
-    param_max: float = math.inf
-    newton_tol: float = 1e-10
+class ContinuationConfig(ContinuationControls):
+    """The solver's controls plus what `continue` does with the branch."""
     classify: bool = True
     classify_stride: int = 1
     snapshot_stride: int = 0   # 0 = endpoints and folds only
@@ -126,9 +121,9 @@ class RunConfig:
     def scaling(self) -> ScalingMap:
         return ScalingMap(self.params.epsilon)
 
-    def model_params(self, f: float | None = None) -> ModelParams:
+    def model_params(self) -> ModelParams:
         mp = self.scaling().fcgl_to_pde(self.fcgl_params())
-        return replace(mp, f=self.params.f if f is None else f)
+        return replace(mp, f=self.params.f)
 
     def items(self):
         out = []
@@ -212,11 +207,15 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("[timestepping] dt must be > 0")
     if cfg.timestepping.t_end <= 0:
         raise ConfigError("[timestepping] t_end must be > 0")
+    if cfg.timestepping.steady_tol <= 0:
+        raise ConfigError("[timestepping] steady_tol must be > 0")
     if cfg.timestepping.max_periods < 1:
         raise ConfigError("[timestepping] max_periods must be >= 1")
     c = cfg.continuation
     if not (0 < c.ds_min <= c.ds0 <= c.ds_max):
         raise ConfigError("[continuation] need 0 < ds_min <= ds0 <= ds_max")
+    if not c.param_min < c.param_max:
+        raise ConfigError("[continuation] need param_min < param_max")
     if c.max_points < 2:
         raise ConfigError("[continuation] max_points must be >= 2")
     if c.newton_tol <= 0:

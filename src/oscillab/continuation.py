@@ -21,7 +21,7 @@ import glob
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, astuple, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cache, cached_property
 
 import numpy as np
@@ -375,10 +375,6 @@ class SolveStats:
         self.gmres_unconverged += int(info != 0)
         return x
 
-    def __add__(self, other: SolveStats) -> SolveStats:
-        pairs = zip(astuple(self), astuple(other))
-        return SolveStats(*(a + b for a, b in pairs))
-
     def items(self) -> list[tuple[str, int]]:
         return list(asdict(self).items())
 
@@ -417,6 +413,7 @@ def newton_solve(problem, z0: np.ndarray, param: float, tol: float = 1e-10,
 
 STEP_GROWTH = 1.3   # step-size factor after a fast corrector
 FAST_ITERS = 3      # corrector iterations that count as fast
+MAX_CORRECTOR = 8   # corrector iterations before a step is rejected
 
 
 @dataclass
@@ -427,8 +424,7 @@ class ContinuationControls:
     max_points: int = 300
     param_min: float = -math.inf
     param_max: float = math.inf
-    tol: float = 1e-10
-    max_corrector: int = 8
+    newton_tol: float = 1e-10
 
 
 @dataclass
@@ -498,13 +494,13 @@ def _corrector(problem, z_pred, p_pred, tau_z, tau_p, controls,
     nz, count = z.size, 2 * problem.symbol.size
     row = math.sqrt(float(tau_z @ tau_z) / count**2 + tau_p**2)
     # the last pass only checks whether the final update converged
-    for it in range(1, controls.max_corrector + 2):
+    for it in range(1, MAX_CORRECTOR + 2):
         r = problem.residual(z, pm)
         cons = (float(tau_z @ (z - z_pred)) / count + tau_p * (pm - p_pred)) / row
         rn = problem.max_norm(r)
-        if max(rn, abs(cons)) < controls.tol:
-            return z, pm, min(it, controls.max_corrector)
-        if it > controls.max_corrector:
+        if max(rn, abs(cons)) < controls.newton_tol:
+            return z, pm, min(it, MAX_CORRECTOR)
+        if it > MAX_CORRECTOR:
             break
         inner_rtol = 1e-5 if rn > 1e-5 else 1e-8
         matvec, psolve = _bordered(problem, precond, z, pm, tau_z, tau_p, count, row)
@@ -516,34 +512,32 @@ def _corrector(problem, z_pred, p_pred, tau_z, tau_p, controls,
     raise _CorrectorFailed
 
 
-def _initial_tangent(problem, z, param, direction, stats: SolveStats):
+def _initial_tangent(problem, z, param, stats: SolveStats):
+    """The unit tangent (tau_z, tau_p) of the branch at the converged point
+    (z, param), from one Krylov solve of J tau_z = -tau_p dR/dparam, counted
+    in stats.  It points toward decreasing param, tau_p < 0; its exact
+    negation is the tangent the other way."""
     rp = problem.dparam(z, param)
     b = stats.solve(problem.jacobian(z, param), -rp,
                     problem.preconditioner(param), 1e-8)
     scale = _wnorm(problem, b, 1.0)
-    tz, tp = b / scale, 1.0 / scale
-    if math.copysign(1.0, tp) != math.copysign(1.0, direction):
-        tz, tp = -tz, -tp
-    return tz, tp
+    return -(b / scale), -(1.0 / scale)
 
 
-def continue_branch(problem, z0: np.ndarray, param0: float, direction: int = -1,
-                    controls: ContinuationControls | None = None) -> Branch:
-    """Trace a solution branch from a converged starting point.
+def continue_branch(problem, z: np.ndarray, param: float, tau_z: np.ndarray,
+                    tau_p: float, controls: ContinuationControls,
+                    stats: SolveStats) -> Branch:
+    """Walk a branch from the converged point (z, param) along the unit
+    tangent (tau_z, tau_p), counting the solver work in stats.
 
-    direction sets the initial parameter direction (+1 or -1).  Steps adapt
-    between ds_min and ds_max: halve on corrector failure, grow after fast
-    convergence.  Raises StalledBranchError (carrying the partial branch)
-    when the step size underflows.
+    Steps adapt between ds_min and ds_max: halve on corrector failure, grow
+    after fast convergence.  The walk ends at max_points points or once the
+    parameter leaves [param_min, param_max].  The points are neither
+    measured in arclength nor checked for folds.  Raises StalledBranchError
+    (carrying the points so far) when the step size underflows.
     """
-    controls = controls or ContinuationControls()
-    stats = SolveStats()
-    z, rn, _ = newton_solve(problem, z0, param0, tol=controls.tol, stats=stats)
-    points = [BranchPoint(index=0, param=param0, norm=problem.norm_of(z), z=z)]
-    tau_z, tau_p = _initial_tangent(problem, z, param0, direction, stats)
-    param = param0
+    points = [BranchPoint(index=0, param=param, norm=problem.norm_of(z), z=z)]
     ds = controls.ds0
-    arclength = 0.0
     while len(points) < controls.max_points:
         z_pred = z + ds * tau_z
         p_pred = param + ds * tau_p
@@ -554,21 +548,19 @@ def continue_branch(problem, z0: np.ndarray, param0: float, direction: int = -1,
             stats.step_rejections += 1
             ds *= 0.5
             if ds < controls.ds_min:
-                raise StalledBranchError(_folded_branch(points, stats))
+                raise StalledBranchError(Branch(points, [], stats))
             continue
         dz, dp = z_new - z, p_new - param
         step = _wnorm(problem, dz, dp)
         tau_z, tau_p = dz / step, dp / step
         z, param = z_new, p_new
-        arclength += step
         points.append(BranchPoint(index=len(points), param=param,
-                                  norm=problem.norm_of(z), z=z,
-                                  arclength=arclength))
+                                  norm=problem.norm_of(z), z=z))
         if iters <= FAST_ITERS:
             ds = min(ds * STEP_GROWTH, controls.ds_max)
         if not (controls.param_min <= param <= controls.param_max):
             break
-    return _folded_branch(points, stats)
+    return Branch(points, [], stats)
 
 
 def _folded_branch(pts: list[BranchPoint], stats: SolveStats) -> Branch:
@@ -595,37 +587,37 @@ def _folded_branch(pts: list[BranchPoint], stats: SolveStats) -> Branch:
     return Branch(points=pts, folds=folds, stats=stats)
 
 
-def _merge_branches(problem, back: Branch, forward: Branch) -> Branch:
-    """Join two branches traced in opposite directions from one seed point;
-    the solver counters of the two add up."""
-    pts = list(reversed(back.points[1:])) + forward.points
-    merged, arc, prev = [], 0.0, None
-    for i, pt in enumerate(pts):
-        if prev is not None:
-            arc += _wnorm(problem, pt.z - prev.z, pt.param - prev.param)
-        merged.append(replace(pt, index=i, arclength=arc, fold=False))
-        prev = pt
-    return _folded_branch(merged, back.stats + forward.stats)
-
-
 def trace_branch(problem, z0: np.ndarray, param0: float,
                  controls: ContinuationControls | None = None) -> Branch:
-    """Newton-polish z0 at param0, continue from it in both directions and
-    join the halves, counting all the solver work.  A stalled half is kept
-    and the other still traced; StalledBranchError then carries the join."""
+    """The branch through z0 at param0, traced both ways, with its folds.
+
+    z0 is Newton-polished once and the tangent there solved once.
+    continue_branch walks the backward half along that tangent (tau_p < 0)
+    and the forward half along its negation, both counting into one
+    SolveStats.  The halves are joined, the arclength is measured along the
+    joined branch, and _folded_branch flags its folds.  A stalled half is
+    kept and the other still walked; StalledBranchError then carries the
+    join."""
     controls = controls or ContinuationControls()
-    polish = SolveStats()
-    z, _, _ = newton_solve(problem, z0, param0, tol=controls.tol, stats=polish)
+    stats = SolveStats()
+    z, _, _ = newton_solve(problem, z0, param0, tol=controls.newton_tol,
+                           stats=stats)
+    tau_z, tau_p = _initial_tangent(problem, z, param0, stats)
     halves, stalled = [], False
-    for direction in (-1, +1):
+    for tz, tp in ((tau_z, tau_p), (-tau_z, -tau_p)):
         try:
-            halves.append(continue_branch(problem, z, param0, direction,
-                                          controls))
+            half = continue_branch(problem, z, param0, tz, tp, controls, stats)
         except StalledBranchError as exc:
-            halves.append(exc.branch)
-            stalled = True
-    branch = _merge_branches(problem, *halves)
-    branch.stats += polish
+            half, stalled = exc.branch, True
+        halves.append(half.points)
+    back, forward = halves
+    pts, arc = back[:0:-1] + forward, 0.0
+    for i, pt in enumerate(pts):
+        if i:
+            prev = pts[i - 1]
+            arc += _wnorm(problem, pt.z - prev.z, pt.param - prev.param)
+        pt.index, pt.arclength = i, arc
+    branch = _folded_branch(pts, stats)
     if stalled:
         raise StalledBranchError(branch)
     return branch

@@ -30,9 +30,6 @@ class ComplexField:
     def x(self) -> np.ndarray:
         return np.arange(self.n) * (self.length / self.n)
 
-    def copy(self) -> "ComplexField":
-        return ComplexField(self.length, self.values.copy())
-
 
 def solution_norm(field) -> float:
     """N = sqrt((2/L) * integral |U|^2 dx), rectangle rule (exact for periodic data).

@@ -108,7 +108,7 @@ def test_criterion_02_flat_branch_fold(report):
     z = problem.pack(np.full(64, root.r * np.exp(1j * root.phi)))
     controls = ct.ContinuationControls(ds0=0.02, param_min=1.15,
                                        param_max=1.9, max_points=120)
-    branch = ct.continue_branch(problem, z, 1.6, -1, controls)
+    branch = ct.trace_branch(problem, z, 1.6, controls)
     fold = min(branch.folds)
     ok = rel(fold, 1.2070) < 0.001
     report(2, ok, f"flat fold at {fold:.6f} vs 1.2070 "

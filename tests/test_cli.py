@@ -277,10 +277,10 @@ def test_stalled_continue_writes_the_partial_branch(tmp_path, monkeypatch,
                                                    capsys):
     real, sizes = continuation.continue_branch, []
 
-    def stall_backward(problem, z0, param0, direction, controls):
-        branch = real(problem, z0, param0, direction, controls)
+    def stall_backward(problem, z, param, tau_z, tau_p, controls, stats):
+        branch = real(problem, z, param, tau_z, tau_p, controls, stats)
         sizes.append(len(branch.points))
-        if direction < 0:
+        if tau_p < 0:
             raise StalledBranchError(branch)
         return branch
 

@@ -4,6 +4,7 @@ from dataclasses import fields
 import pytest
 
 from oscillab.config import RunConfig, load_config
+from oscillab.continuation import ContinuationControls
 from oscillab.errors import ConfigError
 
 
@@ -94,8 +95,11 @@ def test_bad_overrides(override, fragment):
     ("grid.length=-1", "length"),
     ("timestepping.dt=0", "dt"),
     ("timestepping.t_end=-2", "t_end"),
+    ("timestepping.steady_tol=0", "steady_tol"),
+    ("timestepping.steady_tol=-1", "steady_tol"),
     ("timestepping.max_periods=0", "max_periods"),
     ("continuation.ds_min=0.2", "ds_min <= ds0"),
+    ("continuation.param_min=inf", "param_min < param_max"),
     ("continuation.max_points=1", "max_points"),
     ("continuation.newton_tol=0", "newton_tol"),
     ("continuation.classify_stride=0", "classify_stride"),
@@ -140,7 +144,14 @@ def test_model_params_scaling():
     assert mp.mu == pytest.approx(-0.125)
     assert mp.omega == pytest.approx(1.5)
     assert mp.f == 2.3
-    assert cfg.model_params(f=1.0).f == 1.0
+
+
+def test_continuation_section_is_the_controls_plus_three_keys():
+    keys = [f.name for f in fields(RunConfig().continuation)]
+    assert keys == ["ds0", "ds_min", "ds_max", "max_points", "param_min",
+                    "param_max", "newton_tol", "classify", "classify_stride",
+                    "snapshot_stride"]
+    assert keys[:7] == [f.name for f in fields(ContinuationControls)]
 
 
 def test_items_cover_every_field():

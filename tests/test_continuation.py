@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -306,19 +306,24 @@ def test_flat_branch_fold_near_reference(fcgl_params):
     z = prob.pack(flat_field(p, 64).values)
     controls = ct.ContinuationControls(param_min=1.15, param_max=1.9,
                                        max_points=120)
-    branch = ct.continue_branch(prob, z, 1.6, direction=-1, controls=controls)
+    branch = ct.trace_branch(prob, z, 1.6, controls)
     assert branch.folds, "no fold found on the flat branch"
     assert min(branch.folds) == pytest.approx(1.2070196981508372, rel=2e-3)
 
 
 def traced_halves(monkeypatch, stall=()):
-    """Record the halves that trace_branch gets from continue_branch; the
+    """Record the halves that trace_branch walks through continue_branch as
+    (direction, branch, work, start): direction the sign of tau_p, work the
+    half's share of the shared counters, start its (z, tau_z, tau_p).  The
     directions in stall raise StalledBranchError with their half."""
     halves, real = [], ct.continue_branch
 
-    def spy(problem, z0, param0, direction, controls):
-        branch = real(problem, z0, param0, direction, controls)
-        halves.append((direction, branch))
+    def spy(problem, z, param, tau_z, tau_p, controls, stats):
+        before = astuple(stats)
+        branch = real(problem, z, param, tau_z, tau_p, controls, stats)
+        work = ct.SolveStats(*(a - b for a, b in zip(astuple(stats), before)))
+        direction = int(math.copysign(1.0, tau_p))
+        halves.append((direction, branch, work, (z, tau_z, tau_p)))
         if direction in stall:
             raise StalledBranchError(branch)
         return branch
@@ -333,17 +338,27 @@ def flat_trace_setup(fcgl_params, max_points):
     z = prob.pack(flat_field(p, 64, scale=0.99).values)
     controls = ct.ContinuationControls(param_min=1.5, param_max=1.75,
                                        max_points=max_points)
-    polish = ct.SolveStats()
-    ct.newton_solve(prob, z, 1.6, tol=controls.tol, stats=polish)
-    assert polish.gmres_solves > 0
-    return prob, z, controls, polish
+    polish, tangent = ct.SolveStats(), ct.SolveStats()
+    z_polished, _, _ = ct.newton_solve(prob, z, 1.6, tol=controls.newton_tol,
+                                       stats=polish)
+    ct._initial_tangent(prob, z_polished, 1.6, tangent)
+    assert polish.gmres_solves > 0 and tangent.gmres_solves == 1
+    return prob, z, controls, (polish, tangent)
+
+
+def assert_counts_add_up(total, start, halves):
+    """Every counter of the branch is the polish's plus one tangent solve's
+    plus the halves' walks', exactly: gmres_solves is polish + 1 + walks."""
+    parts = [*start, *(work for _, _, work, _ in halves)]
+    for name, value in total.items():
+        assert value == sum(getattr(part, name) for part in parts), name
 
 
 def test_branch_bookkeeping(fcgl_params, monkeypatch):
     prob, z, controls, _ = flat_trace_setup(fcgl_params, 40)
     halves = traced_halves(monkeypatch)
     merged = ct.trace_branch(prob, z, 1.6, controls)
-    (d_back, back), (d_fwd, fwd) = halves
+    (d_back, back, _, _), (d_fwd, fwd, _, _) = halves
     assert (d_back, d_fwd) == (-1, +1)
     assert [pt.index for pt in merged.points] == list(range(len(merged.points)))
     arcs = [pt.arclength for pt in merged.points]
@@ -351,17 +366,34 @@ def test_branch_bookkeeping(fcgl_params, monkeypatch):
     assert len(merged.points) == len(back.points) + len(fwd.points) - 1
     assert merged.params[0] == back.params[-1]
     assert merged.params[-1] == fwd.params[-1]
+    assert sum(pt.fold for pt in merged.points) == len(merged.folds)
 
 
-def test_stalled_branch_carries_partial_result(fcgl_params):
+def test_halves_start_from_one_point_and_tangent(fcgl_params, monkeypatch):
+    prob, z, controls, _ = flat_trace_setup(fcgl_params, 3)
+    halves = traced_halves(monkeypatch)
+    ct.trace_branch(prob, z, 1.6, controls)
+    (z_back, tz_back, tp_back), (z_fwd, tz_fwd, tp_fwd) = [
+        start for *_, start in halves]
+    assert np.array_equal(z_back, z_fwd)
+    assert tp_back < 0.0 and tp_fwd == -tp_back
+    assert np.array_equal(tz_fwd, -tz_back)
+
+
+def stall_every_step(monkeypatch, fcgl_params):
+    """A flat-state seed with no corrector iterations allowed: every step
+    fails and the step size collapses."""
+    monkeypatch.setattr(ct, "MAX_CORRECTOR", 0)
     p = replace(fcgl_params, gamma=1.6)
     prob = ct.FcglSteadyProblem(p, n=64, length=LENGTH)
     z = prob.pack(flat_field(p, 64).values)
-    # no corrector iterations: every step fails and the step size collapses
-    controls = ct.ContinuationControls(ds_min=1e-3, max_corrector=0,
-                                       max_points=40)
+    return prob, z, ct.ContinuationControls(ds_min=1e-3, max_points=40)
+
+
+def test_stalled_branch_carries_partial_result(fcgl_params, monkeypatch):
+    prob, z, controls = stall_every_step(monkeypatch, fcgl_params)
     with pytest.raises(StalledBranchError) as err:
-        ct.continue_branch(prob, z, 1.6, -1, controls)
+        ct.trace_branch(prob, z, 1.6, controls)
     assert len(err.value.branch.points) >= 1
 
 
@@ -720,7 +752,7 @@ def test_gmres_on_a_corrector_system_agrees_with_scipy(fcgl_params):
     prob = ct.FcglSteadyProblem(p, n=n, length=LENGTH)
     seed = weak_sech_fcgl(p, 1.95, center=LENGTH / 2).as_field(n, LENGTH)
     z, _, _ = ct.newton_solve(prob, prob.pack(seed.values), 1.95)
-    tau_z, tau_p = ct._initial_tangent(prob, z, 1.95, -1, ct.SolveStats())
+    tau_z, tau_p = ct._initial_tangent(prob, z, 1.95, ct.SolveStats())
     z_pred, p_pred = z + 0.04 * tau_z, 1.95 + 0.04 * tau_p
     precond = prob.preconditioner(p_pred)
     count = 2 * prob.symbol.size
@@ -764,47 +796,39 @@ def test_unconverged_solve_is_counted(fcgl_params):
 
 
 def test_branch_counts_its_solves(fcgl_params, monkeypatch):
-    prob, z, controls, polish = flat_trace_setup(fcgl_params, 20)
+    prob, z, controls, start = flat_trace_setup(fcgl_params, 20)
     halves = traced_halves(monkeypatch)
     merged = ct.trace_branch(prob, z, 1.6, controls)
-    (_, back), (_, fwd) = halves
-    for branch in (back, fwd):
-        s = branch.stats
-        # one solve for the tangent and one per corrector iteration, at
-        # least one iteration for each point after the first
-        assert s.gmres_solves >= s.corrector_iterations + 1
-        assert s.corrector_iterations >= len(branch.points) - 1
-        assert s.matvecs > s.gmres_solves
-        assert s.gmres_unconverged == 0
-    assert merged.stats == polish + back.stats + fwd.stats
-    assert merged.stats.matvecs == (polish.matvecs + back.stats.matvecs
-                                    + fwd.stats.matvecs)
+    for _, branch, work, _ in halves:
+        # one solve per corrector iteration, at least one iteration for
+        # each point after the first
+        assert work.gmres_solves == work.corrector_iterations
+        assert work.corrector_iterations >= len(branch.points) - 1
+        assert work.matvecs > work.gmres_solves
+        assert work.gmres_unconverged == 0
+    assert_counts_add_up(merged.stats, start, halves)
 
 
 def test_trace_branch_keeps_a_stalled_half(fcgl_params, monkeypatch):
-    prob, z, controls, polish = flat_trace_setup(fcgl_params, 20)
+    prob, z, controls, start = flat_trace_setup(fcgl_params, 20)
     halves = traced_halves(monkeypatch, stall=(-1,))
     with pytest.raises(StalledBranchError) as err:
         ct.trace_branch(prob, z, 1.6, controls)
-    (d_back, back), (d_fwd, fwd) = halves
+    (d_back, back, _, _), (d_fwd, fwd, _, _) = halves
     assert (d_back, d_fwd) == (-1, +1)
     assert fwd.params[-1] > 1.6
     joined = err.value.branch
     assert len(joined.points) == len(back.points) + len(fwd.points) - 1
     assert joined.params[0] == back.params[-1]
     assert joined.params[-1] == fwd.params[-1]
-    assert joined.stats == polish + back.stats + fwd.stats
+    assert_counts_add_up(joined.stats, start, halves)
 
 
-def test_stalled_branch_counts_rejected_steps(fcgl_params):
-    p = replace(fcgl_params, gamma=1.6)
-    prob = ct.FcglSteadyProblem(p, n=64, length=LENGTH)
-    z = prob.pack(flat_field(p, 64).values)
-    controls = ct.ContinuationControls(ds_min=1e-3, max_corrector=0,
-                                       max_points=40)
+def test_stalled_branch_counts_rejected_steps(fcgl_params, monkeypatch):
+    prob, z, controls = stall_every_step(monkeypatch, fcgl_params)
     with pytest.raises(StalledBranchError) as err:
-        ct.continue_branch(prob, z, 1.6, -1, controls)
+        ct.trace_branch(prob, z, 1.6, controls)
     stats = err.value.branch.stats
-    # ds0 = 0.01 halves four times to fall below 1e-3
-    assert stats.step_rejections == 4
+    # in each direction ds0 = 0.01 halves four times to fall below 1e-3
+    assert stats.step_rejections == 8
     assert stats.corrector_iterations == 0
