@@ -165,6 +165,7 @@ def cmd_simulate(cfg: RunConfig, out: str) -> int:
     fileio.write_norm_series(os.path.join(out, "norms.csv"), times, norms)
     fileio.write_snapshot(os.path.join(out, "final.txt"), stepper.field)
     fileio.write_kv(os.path.join(out, "summary.txt"), summary)
+    fileio.write_kv(os.path.join(out, "stats.txt"), [("steps", stepper.steps)])
     return code
 
 

@@ -366,6 +366,7 @@ class SolveStats:
     corrector_iterations: int = 0
     step_rejections: int = 0
     label_krylov_steps: int = 0
+    rejected_matvecs: int = 0       # spent on corrector steps then rejected
 
     def solve(self, matvec, b, psolve, rtol: float) -> np.ndarray:
         """_gmres(matvec, b, psolve, rtol), counted; returns the solution."""
@@ -382,12 +383,16 @@ class SolveStats:
 def newton_solve(problem, z0: np.ndarray, param: float, tol: float = 1e-10,
                  max_iter: int = 25, stats: SolveStats | None = None):
     """Damped inexact Newton on the packed real system; returns (z, res, iters).
-    Its Krylov solves are counted in stats, when given."""
+    Its Krylov solves are counted in stats, when given.  Raises
+    DivergenceError when no damped step lowers the residual, and before any
+    solve when the starting residual is not finite."""
     stats = stats if stats is not None else SolveStats()
     precond = problem.preconditioner(param)
     z = np.asarray(z0, dtype=float)
     r = problem.residual(z, param)
     rn = problem.max_norm(r)
+    if not math.isfinite(rn):
+        raise DivergenceError(rn)
     for it in range(max_iter):
         if rn < tol:
             return z, rn, it
@@ -489,10 +494,20 @@ def _bordered(problem, precond, z, pm, tau_z, tau_p, count, row):
 
 def _corrector(problem, z_pred, p_pred, tau_z, tau_p, controls,
                stats: SolveStats):
+    """Newton on the residual closed by the arclength row, from the predictor
+    (z_pred, p_pred); returns (z, param, iterations) once the residual and the
+    row are below controls.newton_tol.  Raises _CorrectorFailed, rejecting
+    the step, when a Newton correction is no smaller in the arclength metric
+    than the one before it (Newton has stopped contracting), when the
+    residual or the row is not finite, before it is solved, or after
+    MAX_CORRECTOR corrections.  The contraction test can reject a step that
+    more corrections would have converged; continue_branch then retries it
+    at half the length."""
     z, pm = z_pred.copy(), p_pred
     precond = problem.preconditioner(p_pred)
     nz, count = z.size, 2 * problem.symbol.size
     row = math.sqrt(float(tau_z @ tau_z) / count**2 + tau_p**2)
+    last = math.inf
     # the last pass only checks whether the final update converged
     for it in range(1, MAX_CORRECTOR + 2):
         r = problem.residual(z, pm)
@@ -500,13 +515,17 @@ def _corrector(problem, z_pred, p_pred, tau_z, tau_p, controls,
         rn = problem.max_norm(r)
         if max(rn, abs(cons)) < controls.newton_tol:
             return z, pm, min(it, MAX_CORRECTOR)
-        if it > MAX_CORRECTOR:
+        if it > MAX_CORRECTOR or not (math.isfinite(rn) and math.isfinite(cons)):
             break
         inner_rtol = 1e-5 if rn > 1e-5 else 1e-8
         matvec, psolve = _bordered(problem, precond, z, pm, tau_z, tau_p, count, row)
         stats.corrector_iterations += 1
         dy = stats.solve(matvec, -np.concatenate([r, [cons]]), psolve,
                          inner_rtol)
+        step = _wnorm(problem, dy[:nz], dy[nz])
+        if not step < last:
+            break
+        last = step
         z = z + dy[:nz]
         pm += float(dy[nz])
     raise _CorrectorFailed
@@ -530,22 +549,26 @@ def continue_branch(problem, z: np.ndarray, param: float, tau_z: np.ndarray,
     """Walk a branch from the converged point (z, param) along the unit
     tangent (tau_z, tau_p), counting the solver work in stats.
 
-    Steps adapt between ds_min and ds_max: halve on corrector failure, grow
-    after fast convergence.  The walk ends at max_points points or once the
-    parameter leaves [param_min, param_max].  The points are neither
-    measured in arclength nor checked for folds.  Raises StalledBranchError
-    (carrying the points so far) when the step size underflows.
+    Steps adapt between ds_min and ds_max: halve when _corrector rejects a
+    step, grow after fast convergence.  A rejected step's matvecs are also
+    counted in stats.rejected_matvecs.  The walk ends at max_points points
+    or once the parameter leaves [param_min, param_max].  The points are
+    neither measured in arclength nor checked for folds.  Raises
+    StalledBranchError (carrying the points so far) when the step size
+    underflows.
     """
     points = [BranchPoint(index=0, param=param, norm=problem.norm_of(z), z=z)]
     ds = controls.ds0
     while len(points) < controls.max_points:
         z_pred = z + ds * tau_z
         p_pred = param + ds * tau_p
+        matvecs = stats.matvecs
         try:
             z_new, p_new, iters = _corrector(problem, z_pred, p_pred, tau_z,
                                              tau_p, controls, stats)
         except _CorrectorFailed:
             stats.step_rejections += 1
+            stats.rejected_matvecs += stats.matvecs - matvecs
             ds *= 0.5
             if ds < controls.ds_min:
                 raise StalledBranchError(Branch(points, [], stats))

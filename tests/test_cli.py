@@ -146,6 +146,20 @@ def test_simulate_zero_seed_stays_zero(tmp_path):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind, strobe, extra", [("fcgl", 32, 0),
+                                                 ("pde", 200, 200)])
+def test_simulate_counts_its_steps(tmp_path, kind, strobe, extra):
+    # t_end = 5 is 159 steps of 2 pi / 200; then whole strobe periods to
+    # steady, and for the forced model one more period
+    code, out = run(tmp_path, "simulate", "--seed", "zero",
+                    *_overrides(f"system.kind={kind}", "grid.n=64",
+                                "timestepping.t_end=5.0"))
+    assert code == 0
+    periods = int(read_kv(out / "summary.txt")["steady_periods"])
+    assert read_kv(out / "stats.txt") == {
+        "steps": str(159 + periods * strobe + extra)}
+
+
 def test_simulate_blowup_writes_last_finite_state(tmp_path, capsys):
     code, out = run(tmp_path, "simulate", "--override", "params.c_re=1.0",
                     "--override", "timestepping.t_end=50")
@@ -159,6 +173,7 @@ def test_simulate_blowup_writes_last_finite_state(tmp_path, capsys):
     assert 1 < step < round(50 / dt)
     assert float(summary["blowup_time"]) == pytest.approx(step * dt, rel=1e-12)
     assert math.isfinite(float(summary["last_finite_norm"]))
+    assert read_kv(out / "stats.txt") == {"steps": str(step - 1)}
     final = fileio.read_snapshot(out / "final.txt")
     assert np.all(np.isfinite(final.values))
     header, rows = fileio.read_csv(out / "norms.csv")
@@ -242,7 +257,7 @@ def test_continue_writes_solver_stats(tmp_path):
     stats = {key: int(val) for key, val in read_kv(out / "stats.txt").items()}
     assert list(stats) == ["gmres_solves", "matvecs", "gmres_unconverged",
                            "corrector_iterations", "step_rejections",
-                           "label_krylov_steps"]
+                           "label_krylov_steps", "rejected_matvecs"]
     assert stats["gmres_solves"] > stats["corrector_iterations"] >= 4
     assert stats["matvecs"] > stats["gmres_solves"]
     assert stats["gmres_unconverged"] == 0

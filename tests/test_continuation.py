@@ -746,13 +746,18 @@ def test_localized_branch_matvecs_per_solve(fcgl_params):
     assert stats.matvecs / stats.gmres_solves <= 16
 
 
-def test_gmres_on_a_corrector_system_agrees_with_scipy(fcgl_params):
+def localized_start(fcgl_params):
+    """(problem, z, tau_z, tau_p): a converged localized FCGL state at
+    gamma = 1.95, n = 128, and the unit tangent of its branch."""
     p = replace(fcgl_params, gamma=1.95)
-    n = 128
-    prob = ct.FcglSteadyProblem(p, n=n, length=LENGTH)
-    seed = weak_sech_fcgl(p, 1.95, center=LENGTH / 2).as_field(n, LENGTH)
+    prob = ct.FcglSteadyProblem(p, n=128, length=LENGTH)
+    seed = weak_sech_fcgl(p, 1.95, center=LENGTH / 2).as_field(128, LENGTH)
     z, _, _ = ct.newton_solve(prob, prob.pack(seed.values), 1.95)
-    tau_z, tau_p = ct._initial_tangent(prob, z, 1.95, ct.SolveStats())
+    return (prob, z, *ct._initial_tangent(prob, z, 1.95, ct.SolveStats()))
+
+
+def test_gmres_on_a_corrector_system_agrees_with_scipy(fcgl_params):
+    prob, z, tau_z, tau_p = localized_start(fcgl_params)
     z_pred, p_pred = z + 0.04 * tau_z, 1.95 + 0.04 * tau_p
     precond = prob.preconditioner(p_pred)
     count = 2 * prob.symbol.size
@@ -832,3 +837,158 @@ def test_stalled_branch_counts_rejected_steps(fcgl_params, monkeypatch):
     # in each direction ds0 = 0.01 halves four times to fall below 1e-3
     assert stats.step_rejections == 8
     assert stats.corrector_iterations == 0
+
+
+def capped_corrector(problem, z_pred, p_pred, tau_z, tau_p, controls, stats):
+    """_corrector with the cap of eight corrections as its only rejection
+    test: no contraction test and no finiteness test."""
+    z, pm = z_pred.copy(), p_pred
+    precond = problem.preconditioner(p_pred)
+    nz, count = z.size, 2 * problem.symbol.size
+    row = math.sqrt(float(tau_z @ tau_z) / count**2 + tau_p**2)
+    for it in range(1, 8 + 2):
+        r = problem.residual(z, pm)
+        cons = (float(tau_z @ (z - z_pred)) / count + tau_p * (pm - p_pred)) / row
+        rn = problem.max_norm(r)
+        if max(rn, abs(cons)) < controls.newton_tol:
+            return z, pm, min(it, 8)
+        if it > 8:
+            break
+        inner_rtol = 1e-5 if rn > 1e-5 else 1e-8
+        matvec, psolve = ct._bordered(problem, precond, z, pm, tau_z, tau_p,
+                                      count, row)
+        dy = stats.solve(matvec, -np.concatenate([r, [cons]]), psolve,
+                         inner_rtol)
+        z = z + dy[:nz]
+        pm += float(dy[nz])
+    raise ct._CorrectorFailed
+
+
+def corrections(prob, stats):
+    """The arclength-metric sizes of the corrections stats solves from now
+    on, a list that grows with each solve."""
+    sizes, solve = [], stats.solve
+
+    def recorded(*args):
+        dy = solve(*args)
+        sizes.append(ct._wnorm(prob, dy[:-1], dy[-1]))
+        return dy
+
+    stats.solve = recorded
+    return sizes
+
+
+def predicted(start, ds):
+    """The corrector's arguments for a step ds along the tangent of start,
+    less the stats."""
+    prob, z, tau_z, tau_p = start
+    return (prob, z + ds * tau_z, 1.95 + ds * tau_p, tau_z, tau_p,
+            ct.ContinuationControls())
+
+
+def test_corrector_rejects_a_step_that_stops_contracting(fcgl_params):
+    start = localized_start(fcgl_params)
+    stats = ct.SolveStats()
+    sizes = corrections(start[0], stats)
+    with pytest.raises(ct._CorrectorFailed):
+        ct._corrector(*predicted(start, 0.5), stats)
+    assert 2 <= stats.gmres_solves == len(sizes) < ct.MAX_CORRECTOR
+    assert all(b < a for a, b in zip(sizes[:-2], sizes[1:-1]))
+    assert sizes[-1] >= sizes[-2]
+    # the cap alone spends all its corrections on this step, and fails
+    capped = ct.SolveStats()
+    with pytest.raises(ct._CorrectorFailed):
+        capped_corrector(*predicted(start, 0.5), capped)
+    assert capped.gmres_solves == 8
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_corrector_cap_rejects_a_contracting_step(fcgl_params, monkeypatch,
+                                                  cap):
+    start = localized_start(fcgl_params)
+    stats = ct.SolveStats()
+    sizes = corrections(start[0], stats)
+    ct._corrector(*predicted(start, 0.04), stats)
+    assert len(sizes) == 3 and sizes[0] > sizes[1] > sizes[2]
+    monkeypatch.setattr(ct, "MAX_CORRECTOR", cap)
+    capped = ct.SolveStats()
+    with pytest.raises(ct._CorrectorFailed):
+        ct._corrector(*predicted(start, 0.04), capped)
+    assert capped.gmres_solves == cap
+
+
+def rejected_steps(monkeypatch, start, controls):
+    """The counters of the branch through the state of start, and the
+    corrector arguments (less the stats) and matvecs of each step it
+    rejected."""
+    prob, z, _, _ = start
+    rejected, corrector = [], ct._corrector
+
+    def spy(*args):
+        stats = args[-1]
+        before = stats.matvecs
+        try:
+            return corrector(*args)
+        except ct._CorrectorFailed:
+            rejected.append((args[:-1], stats.matvecs - before))
+            raise
+
+    monkeypatch.setattr(ct, "_corrector", spy)
+    return ct.trace_branch(prob, z, 1.95, controls).stats, rejected
+
+
+def fails_under_the_cap_alone(args):
+    try:
+        capped_corrector(*args, ct.SolveStats())
+    except ct._CorrectorFailed:
+        return True
+    return False
+
+
+def test_rejected_steps_fail_under_the_cap_alone(fcgl_params, monkeypatch):
+    # the first 50 points of the acceptance branch (criterion 03) at n = 128
+    controls = ct.ContinuationControls(ds0=0.01, ds_max=0.04, param_min=1.35,
+                                       param_max=2.05, max_points=40)
+    stats, rejected = rejected_steps(monkeypatch,
+                                     localized_start(fcgl_params), controls)
+    assert len(rejected) == stats.step_rejections > 0
+    assert stats.rejected_matvecs == sum(m for _, m in rejected) > 0
+    assert all(fails_under_the_cap_alone(args) for args, _ in rejected)
+
+
+def test_contraction_test_rejects_a_step_the_cap_would_take(fcgl_params,
+                                                           monkeypatch):
+    # steps of up to 0.08 carry the branch past gamma = 2.05 toward onset,
+    # where the second correction of one step is 1.4 times its first and
+    # Newton still converges within the cap; that step is rejected and
+    # retried at half the length
+    controls = ct.ContinuationControls(ds0=0.02, ds_max=0.08, max_points=30)
+    start, corrector = localized_start(fcgl_params), ct._corrector
+    _, rejected = rejected_steps(monkeypatch, start, controls)
+    taken = [args for args, _ in rejected if not fails_under_the_cap_alone(args)]
+    assert len(taken) == 1
+    stats = ct.SolveStats()
+    sizes = corrections(start[0], stats)
+    with pytest.raises(ct._CorrectorFailed):
+        corrector(*taken[0], stats)
+    assert len(sizes) == 2 and sizes[1] > sizes[0]
+
+
+def test_non_finite_residual_is_never_solved(fcgl_params):
+    class Poisoned(ct.FcglSteadyProblem):
+        def residual(self, z, gamma):
+            return np.full(self.size, np.nan)
+
+    prob = Poisoned(fcgl_params, n=64, length=LENGTH)
+    z, tau_z = np.zeros(prob.size), np.zeros(prob.size)
+    stats = ct.SolveStats()
+    with pytest.raises(DivergenceError):
+        ct.newton_solve(prob, z, 1.5, stats=stats)
+    with pytest.raises(ct._CorrectorFailed):
+        ct._corrector(prob, z, 1.5, tau_z, -1.0, ct.ContinuationControls(),
+                      stats)
+    # in one direction ds0 = 0.01 halves four times to fall below 1e-3
+    with pytest.raises(StalledBranchError):
+        ct.continue_branch(prob, z, 1.5, tau_z, -1.0,
+                           ct.ContinuationControls(ds_min=1e-3), stats)
+    assert stats == ct.SolveStats(step_rejections=4)
