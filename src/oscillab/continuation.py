@@ -497,17 +497,18 @@ def _corrector(problem, z_pred, p_pred, tau_z, tau_p, controls,
     """Newton on the residual closed by the arclength row, from the predictor
     (z_pred, p_pred); returns (z, param, iterations) once the residual and the
     row are below controls.newton_tol.  Raises _CorrectorFailed, rejecting
-    the step, when a Newton correction is no smaller in the arclength metric
-    than the one before it (Newton has stopped contracting), when the
-    residual or the row is not finite, before it is solved, or after
-    MAX_CORRECTOR corrections.  The contraction test can reject a step that
-    more corrections would have converged; continue_branch then retries it
-    at half the length."""
+    the step, at the first iterate that is no better than the one before it
+    by both of Newton's measures, both in the arclength metric: its
+    correction is no smaller, and its residual, taken with the row, is no
+    smaller.  Either measure alone can grow for an iterate from which Newton
+    still converges within the cap.  It also rejects, before solving, a
+    residual or row that is not finite, and the step after MAX_CORRECTOR
+    corrections."""
     z, pm = z_pred.copy(), p_pred
     precond = problem.preconditioner(p_pred)
     nz, count = z.size, 2 * problem.symbol.size
     row = math.sqrt(float(tau_z @ tau_z) / count**2 + tau_p**2)
-    last = math.inf
+    last_step = last_res = math.inf
     # the last pass only checks whether the final update converged
     for it in range(1, MAX_CORRECTOR + 2):
         r = problem.residual(z, pm)
@@ -515,7 +516,8 @@ def _corrector(problem, z_pred, p_pred, tau_z, tau_p, controls,
         rn = problem.max_norm(r)
         if max(rn, abs(cons)) < controls.newton_tol:
             return z, pm, min(it, MAX_CORRECTOR)
-        if it > MAX_CORRECTOR or not (math.isfinite(rn) and math.isfinite(cons)):
+        res = _wnorm(problem, r, cons)
+        if it > MAX_CORRECTOR or not math.isfinite(res):
             break
         inner_rtol = 1e-5 if rn > 1e-5 else 1e-8
         matvec, psolve = _bordered(problem, precond, z, pm, tau_z, tau_p, count, row)
@@ -523,9 +525,9 @@ def _corrector(problem, z_pred, p_pred, tau_z, tau_p, controls,
         dy = stats.solve(matvec, -np.concatenate([r, [cons]]), psolve,
                          inner_rtol)
         step = _wnorm(problem, dy[:nz], dy[nz])
-        if not step < last:
+        if not (step < last_step or res < last_res):
             break
-        last = step
+        last_step, last_res = step, res
         z = z + dy[:nz]
         pm += float(dy[nz])
     raise _CorrectorFailed

@@ -956,22 +956,35 @@ def test_rejected_steps_fail_under_the_cap_alone(fcgl_params, monkeypatch):
     assert all(fails_under_the_cap_alone(args) for args, _ in rejected)
 
 
-def test_contraction_test_rejects_a_step_the_cap_would_take(fcgl_params,
-                                                           monkeypatch):
-    # steps of up to 0.08 carry the branch past gamma = 2.05 toward onset,
-    # where the second correction of one step is 1.4 times its first and
-    # Newton still converges within the cap; that step is rejected and
-    # retried at half the length
-    controls = ct.ContinuationControls(ds0=0.02, ds_max=0.08, max_points=30)
-    start, corrector = localized_start(fcgl_params), ct._corrector
-    _, rejected = rejected_steps(monkeypatch, start, controls)
-    taken = [args for args, _ in rejected if not fails_under_the_cap_alone(args)]
-    assert len(taken) == 1
-    stats = ct.SolveStats()
-    sizes = corrections(start[0], stats)
-    with pytest.raises(ct._CorrectorFailed):
-        corrector(*taken[0], stats)
-    assert len(sizes) == 2 and sizes[1] > sizes[0]
+@pytest.mark.parametrize("ds0, ds_max, max_points", [(0.02, 0.08, 30),
+                                                    (0.1, 0.5, 8)])
+def test_wide_steps_trace_the_branch_of_the_cap_alone(fcgl_params,
+                                                      monkeypatch, ds0,
+                                                      ds_max, max_points):
+    # steps this long carry the branch toward onset, where some steps
+    # converge within the cap after a correction larger than the one before
+    # it; a test of the corrections alone rejects them and retries them
+    # shorter, so its branch has other points than the cap's
+    controls = ct.ContinuationControls(ds0=ds0, ds_max=ds_max,
+                                       max_points=max_points)
+    prob, z, _, _ = localized_start(fcgl_params)
+    branch = ct.trace_branch(prob, z, 1.95, controls)
+    grown = []
+
+    def capped(*args):
+        sizes = corrections(prob, args[-1])
+        out = capped_corrector(*args)
+        grown.append(any(b >= a for a, b in zip(sizes, sizes[1:])))
+        return out
+
+    monkeypatch.setattr(ct, "_corrector", capped)
+    alone = ct.trace_branch(prob, z, 1.95, controls)
+    assert any(grown)
+    assert np.array_equal(branch.params, alone.params)
+    assert np.array_equal(branch.norms, alone.norms)
+    assert branch.folds == alone.folds
+    assert branch.stats.step_rejections == alone.stats.step_rejections
+    assert branch.stats.matvecs <= alone.stats.matvecs
 
 
 def test_non_finite_residual_is_never_solved(fcgl_params):
