@@ -1,0 +1,165 @@
+#!/usr/bin/env python3
+"""Compare the outputs of two oscillab source trees, command by command.
+
+    python3 scripts/compare_trees.py PARENT CHANGE
+
+Runs a fixed list of ``oscillab`` commands from each tree's ``src/``, each
+in a fresh interpreter on one BLAS thread (OPENBLAS_NUM_THREADS=1): the four
+benchmark workloads of CHANGE/perfbench/workloads.py at seed 1, read and not
+edited, the 59-point labelled FCGL branch and a labelled n = 64
+forced-model branch.  For each output file it prints "byte-identical" or,
+for each numeric column that differs, the largest relative difference; for
+key = value files such as stats.txt, each value that changed.  Exits 1 when
+any output differs or any command fails.
+"""
+
+import argparse
+import csv
+import importlib.util
+import math
+import os
+import subprocess
+import sys
+import tempfile
+
+def _overrides(*items):
+    return [arg for item in items for arg in ("--override", item)]
+
+
+def commands(tree: str) -> list[tuple[str, list[str], dict]]:
+    """(name, oscillab arguments without --out, extra environment) of each
+    command, the benchmark's read from tree/perfbench/workloads.py."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(tree, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads      # dataclasses look it up there
+    spec.loader.exec_module(workloads)
+    cmds = [(name, wl.argv(1), dict(wl.env))
+            for name, wl in workloads.WORKLOADS.items()]
+    cmds.append(("fcgl-labelled-59", ["continue"] + _overrides(
+        "params.gamma=1.95", "continuation.max_points=30"), {}))
+    cmds.append(("pde-labelled-64", ["continue"] + _overrides(
+        "system.kind=pde", "grid.n=64", "timestepping.steady_tol=1e-4",
+        "continuation.max_points=4"), {}))
+    return cmds
+
+
+def run_tree(tree: str, cmds, out_root: str) -> list[str]:
+    """Run each command from tree/src with its outputs in out_root/name;
+    returns the names of the commands that exited with an error code."""
+    failed = []
+    for name, argv, extra in cmds:
+        env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
+                   OPENBLAS_NUM_THREADS="1", **extra)
+        proc = subprocess.run(
+            [sys.executable, "-m", "oscillab.cli", *argv,
+             "--out", os.path.join(out_root, name)],
+            env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            failed.append(f"{name} (exit {proc.returncode})")
+    return failed
+
+
+def _table(path: str) -> tuple[bool, list[str], list[list[str]]]:
+    """(keyed, columns, rows) of an output file: a CSV table, a snapshot
+    with its '# x ...' header, or key = value lines (keyed) as one row."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    if lines and lines[0].startswith("#"):
+        return False, lines[0].lstrip("#").split(), [ln.split() for ln in lines[1:]]
+    if lines and " = " in lines[0]:
+        pairs = [line.partition(" = ")[::2] for line in lines]
+        return True, [key for key, _ in pairs], [[value for _, value in pairs]]
+    rows = list(csv.reader(lines))
+    return False, rows[0] if rows else [], rows[1:]
+
+
+def _floats(values):
+    try:
+        return [float(v) for v in values]
+    except ValueError:
+        return None
+
+
+def _relative(a: float, b: float) -> float:
+    """|a - b| / max(|a|, |b|): 0 for equal values, nans included, and inf
+    where only one is nan or the two are infinities that differ."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    rel = abs(a - b) / max(abs(a), abs(b))
+    return math.inf if math.isnan(rel) else rel
+
+
+def compare_files(a: str, b: str) -> list[str]:
+    """What differs between two output files, or ["byte-identical"]."""
+    with open(a, "rb") as fa, open(b, "rb") as fb:
+        if fa.read() == fb.read():
+            return ["byte-identical"]
+    (keyed, cols_a, rows_a), (_, cols_b, rows_b) = _table(a), _table(b)
+    if keyed:
+        va, vb = dict(zip(cols_a, rows_a[0])), dict(zip(cols_b, rows_b[0]))
+        notes = [f"{key}: {va.get(key, '(none)')} -> {vb.get(key, '(none)')}"
+                 for key in dict.fromkeys(cols_a + cols_b)
+                 if va.get(key) != vb.get(key)]
+        return notes or ["bytes differ, values equal"]
+    if cols_a != cols_b:
+        return [f"columns {cols_a} -> {cols_b}"]
+    if len(rows_a) != len(rows_b) or any(
+            len(ra) != len(rb) for ra, rb in zip(rows_a, rows_b)):
+        return [f"rows {len(rows_a)} -> {len(rows_b)}"]
+    notes = []
+    for i, name in enumerate(cols_a):
+        col_a, col_b = [r[i] for r in rows_a], [r[i] for r in rows_b]
+        if col_a == col_b:
+            continue
+        fa, fb = _floats(col_a), _floats(col_b)
+        if fa is None or fb is None:
+            diff = sum(x != y for x, y in zip(col_a, col_b))
+            notes.append(f"{name}: {diff} of {len(col_a)} values differ")
+        else:
+            worst = max(_relative(x, y) for x, y in zip(fa, fb))
+            notes.append(f"{name}: largest relative difference {worst:.3g}")
+    return notes or ["bytes differ, values equal"]
+
+
+def compare_dirs(a: str, b: str) -> list[tuple[str, str]]:
+    """(file, finding) for every output file of the two directories."""
+    names_a, names_b = set(os.listdir(a)), set(os.listdir(b))
+    found = [(name, "only in the first") for name in sorted(names_a - names_b)]
+    found += [(name, "only in the second") for name in sorted(names_b - names_a)]
+    for name in sorted(names_a & names_b):
+        found += [(name, note) for note in
+                  compare_files(os.path.join(a, name), os.path.join(b, name))]
+    return found
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawTextHelpFormatter)
+    ap.add_argument("parent", help="source tree of the parent commit")
+    ap.add_argument("change", help="source tree of the change")
+    args = ap.parse_args()
+    cmds = commands(args.change)
+    same = True
+    with tempfile.TemporaryDirectory() as work:
+        for side, tree in (("parent", args.parent), ("change", args.change)):
+            failed = run_tree(os.path.abspath(tree), cmds,
+                              os.path.join(work, side))
+            for name in failed:
+                print(f"{side}: {name} failed")
+                same = False
+        for name, argv, _ in cmds:
+            print(f"== {name}: {' '.join(argv)}")
+            dirs = [os.path.join(work, side, name)
+                    for side in ("parent", "change")]
+            if not all(os.path.isdir(d) for d in dirs):
+                print("   no output to compare")
+                continue
+            for fname, note in compare_dirs(*dirs):
+                print(f"   {fname}: {note}")
+                same = same and note == "byte-identical"
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

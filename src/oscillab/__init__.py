@@ -71,7 +71,6 @@ from .continuation import (
     HarmonicPdeState,
     PdeHarmonicProblem,
     classify_stability_fcgl,
-    classify_stability_pde,
     newton_solve,
     overlay_mismatch,
     trace_branch,
@@ -88,7 +87,7 @@ __all__ = [
     "ModelParams", "OscillabError", "ParameterError", "PdeHarmonicProblem",
     "ScalingMap", "SechProfile", "ShapeError", "SingularReductionError",
     "SpectralStepper", "StalledBranchError", "classify_stability_fcgl",
-    "classify_stability_pde", "etd2_weights", "flat_states",
+    "etd2_weights", "flat_states",
     "floquet_multipliers", "gamma_onset", "make_scheme", "make_stepper",
     "mathieu_critical", "monodromy_critical", "newton_solve", "onset_phase",
     "overlay_mismatch", "run_to_steady", "solution_norm", "strong_ac_coeffs",

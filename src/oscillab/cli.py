@@ -273,22 +273,22 @@ def _write_branch_outputs(out, branch, problem, snapshot_stride: int) -> None:
 
 def cmd_continue(cfg: RunConfig, out: str) -> int:
     c = cfg.continuation
-    seed_steady = []
+    seed_steady, note = [], None
     if cfg.system.kind == "fcgl":
         p = cfg.fcgl_params()
         param = p.gamma
         problem = continuation.FcglSteadyProblem(p, cfg.grid.n, cfg.grid.length)
         z0 = problem.pack(build_seed(cfg).values)
-        classify = partial(continuation.classify_stability_fcgl, problem)
         if c.classify and continuation.blas_thread_calls() is None:
-            fileio.write_kv(os.path.join(out, "manifest.txt"), [(
-                "note", "no OpenBLAS thread control found: the labels ran "
-                        "on the default BLAS threads")], mode="a")
+            note = ("no OpenBLAS thread control found: the labels ran on the "
+                    "default BLAS threads")
     else:
         mp = cfg.model_params()
         param = mp.f
         problem = continuation.PdeHarmonicProblem(mp, cfg.grid.n,
                                                   cfg.grid.length)
+        note = ("the forced model has no stability labels: its points are "
+                "left unclassified")
         if cfg.seed.kind == "file":
             state = fileio.read_snapshot(cfg.seed.path)
             z0 = problem.pack(_on_run_grid(problem, state).profiles)
@@ -308,14 +308,17 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
                 print(f"seed trajectory not steady after {periods} periods; "
                       "continuing from its last period", file=sys.stderr)
             z0 = problem.pack_cycle(stepper)
-        classify = partial(continuation.classify_stability_pde, problem)
+    if c.classify and note:
+        fileio.write_kv(os.path.join(out, "manifest.txt"), [("note", note)], mode="a")
     stalled = False
     try:
         branch = continuation.trace_branch(problem, z0, param, c)
     except StalledBranchError as exc:
         branch, stalled = exc.branch, True
-    if c.classify:
-        continuation.classify_branch(branch, classify, c.classify_stride)
+    if c.classify and cfg.system.kind == "fcgl":
+        for pt in branch.points[::c.classify_stride]:
+            pt.stability, pt.leading_rate = continuation.classify_stability_fcgl(
+                problem, pt.z, pt.param, branch.stats)
     _write_branch_outputs(out, branch, problem, c.snapshot_stride)
     fileio.write_kv(os.path.join(out, "stats.txt"),
                     seed_steady + branch.stats.items())

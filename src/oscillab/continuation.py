@@ -1,18 +1,18 @@
-"""Steady states, pseudo-arclength continuation, and stability flags.
+"""Steady states, pseudo-arclength continuation, and stability labels.
 
 Steady solutions of the amplitude equation, and time-periodic solutions of
-the forced model written as a truncated harmonic expansion
-U(x, t) = sum_j U_j(x) e^{i j t} over j in {-3, -1, 1, 3}, are found by
-Newton iteration on the periodic pseudospectral collocation residual.  The
-conjugate couplings make the systems only real-linear, so Newton runs on
-real unknowns with a matrix-free Krylov solver.  The unknowns are the even
-Fourier coefficients of the profiles, their even part about the domain
-centre, which quotients out translations, as a float view of the complex
-half-spectrum.  The Jacobian at the zero state, the linear part plus the
-forcing, is block-diagonal in them, one small real block per wavenumber,
-and its exact inverse is the preconditioner of every Krylov solve.
-Branches are traced with secant pseudo-arclength steps; folds are flagged at
-sign changes of the parameter increment and refined with a local quadratic fit.
+the forced model as a truncated harmonic expansion U(x, t) = sum_j U_j(x)
+e^{i j t} over j in {-3, -1, 1, 3}, are found by Newton iteration on the
+periodic pseudospectral collocation residual, real-linear through its
+conjugate couplings, with a matrix-free Krylov solver.  The unknowns are the
+even Fourier coefficients of the profiles, which quotients out translations,
+as a float view of the complex half-spectrum.  The Jacobian at the zero
+state is block-diagonal in them, one small real block per wavenumber, and
+its exact inverse preconditions every Krylov solve.  Branches are traced
+with secant pseudo-arclength steps; folds are flagged at sign changes of the
+parameter increment and refined with a local quadratic fit.  FCGL states are
+labelled by the rightmost eigenvalues of the Jacobian's even and odd blocks,
+written from the linearization's multipliers; forced-model states are not.
 """
 from __future__ import annotations
 
@@ -21,10 +21,11 @@ import glob
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import etd, spectral
 from .core import FcglParams, ModelParams, ScalingMap
@@ -143,6 +144,13 @@ def _gmres(matvec, b: np.ndarray, psolve, rtol: float):
     return x, (0 if rnorm <= atol else GMRES_CYCLES), matvecs
 
 
+def _real_form(p, q) -> np.ndarray:
+    """The real matrices [[Re(p + q), Im(q - p)], [Im(p + q), Re(p - q)]] of
+    u -> p u + q conj(u) on (real, imaginary) pairs, on two leading axes."""
+    return np.stack([np.stack([(p + q).real, (q - p).imag]),
+                     np.stack([(p + q).imag, (p - q).real])])
+
+
 class _SteadyProblem:
     """Steady states of u' = symbol u + N(u, t), the right-hand side of the
     ETD stepper for the same parameters: the residual
@@ -158,6 +166,7 @@ class _SteadyProblem:
 
     PRECOND_FLOOR = 1e-3
     times = 0.0                 # the forcing's time at the samples
+    harmonics = np.zeros(1, dtype=int)      # time harmonics of the profiles
 
     def __init__(self, params, n: int, length: float, harmonics=0):
         self.params = params
@@ -262,6 +271,44 @@ class _SteadyProblem:
                       out=out.reshape(-1, nk, 2).transpose(0, 2, 1))
             return out
         return apply
+
+    def parity_block(self, z: np.ndarray, drive: float, sign: float) -> np.ndarray:
+        """The Jacobian at z on the fields of one parity, even (sign +1) or
+        odd (-1), as a dense real matrix in the orthonormal basis of the
+        packed format: harmonic by harmonic, (real, imaginary) part pairs of
+        Fourier coefficients 0...n/2 (odd: 1...n/2-1), an interior one
+        standing for (e_k + sign e_-k)/sqrt(2).  The even block is the
+        Jacobian of the packed unknowns.  It is written from the multipliers
+        of dn = params.linearization at the samples, d -> A d + B conj(d),
+        A = (dn(1) - i dn(i))/2 and B = (dn(1) + i dn(i))/2.  With hats their
+        (time, x) Fourier coefficients over the sample count, the dealiased
+        product takes (j', l) to (j, k) by A_hat[j - j', k - l] and conj(j', l)
+        by B_hat[j + j', k + l]: on one parity, Toeplitz plus Hankel in (k, l)."""
+        u = self.samples(self._spectrum(z))
+        dn = self.params.linearization(u, self.times, drive)
+        d1, di = (dn(np.full(u.shape, c)).reshape(-1, u.shape[-1]) for c in (1.0, 1j))
+        hat_a, hat_b = np.fft.fft2([d1 - 1j * di, d1 + 1j * di]) / (2 * u.size)
+        # negative indices wrap, as |j +- j'| and |k +- l| are below the sample counts
+        j, jp = self.harmonics[:, None, None], self.harmonics[:, None]
+        idx = np.arange(self.n // 2 + 1) if sign > 0 else np.arange(1, self.n // 2)
+        m = idx.size
+        lag, lead = np.arange(1 - m, m), np.arange(2 * m - 1) + 2 * (sign < 0)
+        toeplitz = sliding_window_view(_real_form(
+            hat_a[j - jp, lag], sign * hat_b[j + jp, lag]), m, axis=-1)
+        hankel = sliding_window_view(_real_form(
+            sign * hat_a[j - jp, lead], hat_b[j + jp, lead]), m, axis=-1)
+        block = np.empty((j.size, m, 2, j.size, m, 2))
+        np.add(toeplitz[..., ::-1, :].swapaxes(-1, -2), hankel,
+               out=block.transpose(2, 5, 0, 3, 1, 4))
+        if sign > 0:
+            # e_0 is its own mirror, counted twice above, and the dealiased
+            # product neither reads nor writes the Nyquist mode
+            block[:, 0] *= math.sqrt(0.5)
+            block[..., 0, :] *= math.sqrt(0.5)
+            block[:, -1] = block[..., -1, :] = 0.0
+        sym = self.symbol.reshape(j.size, -1)[:, idx]
+        np.einsum("hkphkq->hkpq", block)[...] += _real_form(sym, 0.0).transpose(2, 3, 0, 1)
+        return block.reshape((2 * sym.size,) * 2)
 
 
 # ---- steady amplitude-equation problem ----
@@ -650,35 +697,10 @@ def trace_branch(problem, z0: np.ndarray, param0: float,
 
 # ---- stability ----
 
-LABEL_BATCH = 16        # unit columns per linearization call in a block
 LABEL_CUT = -1e-3       # rates are resolved down to the first one below this
 LABEL_THRESHOLD = 1e-8  # FCGL label rates below this are stable
 LABEL_KRYLOV = 16       # first Arnoldi dimension; doubled until converged
 LABEL_TOL = 1e-12       # Ritz value error allowed, times max(1, |lambda|)
-
-
-def _parity_block(lin, n: int, sign: float) -> np.ndarray:
-    """The Jacobian lin on the fields of one parity, even (sign +1) or odd
-    (-1), as a dense real matrix in the orthonormal basis of the packed
-    format: (real, imaginary) part pairs of Fourier coefficients 0...n/2
-    (odd: 1...n/2-1), an interior one standing for (e_k + sign e_-k)/sqrt(2).
-    The columns are lin of unit coefficient vectors, LABEL_BATCH per call."""
-    half = n // 2
-    idx = np.arange(half + 1) if sign > 0 else np.arange(1, half)
-    size = 2 * idx.size
-    scale = np.where((idx > 0) & (idx < half), math.sqrt(2.0), 1.0)
-    block = np.empty((size, size), order="F")
-    for start in range(0, size, LABEL_BATCH):
-        cols = np.arange(start, min(start + LABEL_BATCH, size))
-        unit = np.where(cols % 2 == 0, 1.0, 1.0j)
-        i, rows = idx[cols // 2], np.arange(cols.size)
-        d = np.zeros((cols.size, n), dtype=complex)
-        d[rows, -i] = sign * unit
-        d[rows, i] = unit
-        out = np.ascontiguousarray(lin(d)[:, idx])
-        out *= scale / scale[cols // 2, None]
-        block[:, cols] = out.view(float).T
-    return block
 
 
 @cache
@@ -793,15 +815,13 @@ def leading_rates_fcgl(problem: FcglSteadyProblem, z: np.ndarray,
     """Real parts of the rightmost eigenvalues of the discrete Jacobian about
     an even steady state, largest first: every one down to the largest of
     the two parity blocks' last rates, the neutral translation mode included.
-    The Jacobian maps even fields to even and odd to odd, and each block's
-    rightmost eigenvalues come from rightmost_eigenvalues, one block alive at
-    a time, with max Re(symbol) + |gamma| + 3|C| max|u|^2 over the fine-grid
-    samples u as the right bound, on one BLAS thread so that the rates do
-    not depend on the thread count.  The Arnoldi dimensions are counted in
-    stats, when given."""
+    The Jacobian maps even fields to even and odd to odd.  Each parity_block
+    in turn goes to rightmost_eigenvalues, with max Re(symbol) + |gamma| +
+    3|C| max|u|^2 over the fine-grid samples u as the right bound, on one
+    BLAS thread so that the rates do not depend on the thread count.  The
+    Arnoldi dimensions are counted in stats, when given."""
     if not np.all(np.isfinite(z)):
         raise InvalidFieldError("steady state has non-finite samples")
-    lin = problem.linearization(z, gamma)
     u = problem.samples(problem._spectrum(z))
     bound = (float(np.max(problem.symbol.real)) + abs(gamma)
              + 3.0 * abs(problem.params.c) * float(np.max(np.abs(u) ** 2)))
@@ -809,7 +829,7 @@ def leading_rates_fcgl(problem: FcglSteadyProblem, z: np.ndarray,
     for sign in (1.0, -1.0):
         with _one_blas_thread():
             values, dim = rightmost_eigenvalues(
-                _parity_block(lin, problem.n, sign), bound)
+                problem.parity_block(z, gamma, sign), bound)
         if stats is not None:
             stats.label_krylov_steps += dim
         if values.size:
@@ -835,51 +855,6 @@ def classify_stability_fcgl(problem: FcglSteadyProblem, z: np.ndarray,
         rates = np.delete(rates, np.argmin(np.abs(rates)))
     rate = float(rates[0])
     return ("stable" if rate < LABEL_THRESHOLD else "unstable"), rate
-
-
-PDE_LABEL_PERIODS = 40         # stroboscopic samples of the deviation
-PDE_LABEL_STEPS = 200          # ETD steps per forcing period
-PDE_LABEL_NOISE = 1e-6         # perturbation, relative to the state's rms
-PDE_LABEL_RNG_SEED = 0
-PDE_LABEL_THRESHOLD = 1e-4     # fitted rates below this are stable
-
-
-def classify_stability_pde(problem: PdeHarmonicProblem, z: np.ndarray,
-                           f: float, stats: SolveStats | None = None
-                           ) -> tuple[str, float]:
-    """Time-stepping stability flag of the state z at forcing f: perturb its
-    reconstruction by relative noise, evolve it beside the unperturbed one as
-    two rows of one stepper, and fit the exponential growth of the
-    stroboscopic deviation.  Returns (label, fitted_rate); stats, which
-    classify_branch passes, is left as it is."""
-    state = problem.state_of(z)
-    p = replace(problem.params, f=f)
-    base = state.reconstruct(0.0)
-    rng = np.random.default_rng(PDE_LABEL_RNG_SEED)
-    rms = math.sqrt(float(np.mean(np.abs(base.values) ** 2)))
-    bump = rng.standard_normal(base.n) + 1j * rng.standard_normal(base.n)
-    pert = ComplexField(base.length, base.values
-                        + PDE_LABEL_NOISE * rms * bump / math.sqrt(2.0))
-    stepper = etd.make_stepper([base, pert], [p, p], TWO_PI / PDE_LABEL_STEPS)
-    times, devs = [], []
-    for _ in range(PDE_LABEL_PERIODS):
-        stepper.run(PDE_LABEL_STEPS)
-        times.append(stepper.t)
-        devs.append(spectral.parseval_norm(stepper.u[1] - stepper.u[0]))
-    times, devs = np.asarray(times), np.asarray(devs)
-    ok = (devs > 1e-13) & (devs < 1e-2 * state.norm)
-    if np.count_nonzero(ok) < 5:
-        return "indeterminate", math.nan
-    rate = float(np.polyfit(times[ok], np.log(devs[ok]), 1)[0])
-    return ("stable" if rate < PDE_LABEL_THRESHOLD else "unstable"), rate
-
-
-def classify_branch(branch: Branch, classify, stride: int = 1) -> None:
-    """Set (label, rate) = classify(z, param, stats=stats) on every
-    stride-th point, stats being the branch's counters."""
-    for pt in branch.points[::stride]:
-        pt.stability, pt.leading_rate = classify(pt.z, pt.param,
-                                                 stats=branch.stats)
 
 
 # ---- branch comparison ----

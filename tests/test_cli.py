@@ -471,12 +471,11 @@ def test_runs_repeat_byte_for_byte(tmp_path, command, args):
     assert len(files) > 2
     assert files == output_files(second)
     if "system.kind=pde" in args:
-        # the forced model's labels come from a fitted growth rate
+        # the forced model has no stability labels, and its manifest says so
         _, rows = fileio.read_csv(first / "branch.csv")
-        for row in rows:
-            rate = float(row[5])
-            assert math.isfinite(rate)
-            assert row[3] == ("stable" if rate < 1e-4 else "unstable")
+        assert rows and all(row[3] == "unclassified" for row in rows)
+        assert all(math.isnan(float(row[5])) for row in rows)
+        assert "left unclassified" in read_kv(first / "manifest.txt")["note"]
 
 
 @pytest.mark.parametrize("kind", ["fcgl", "pde"])

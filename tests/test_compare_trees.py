@@ -1,0 +1,52 @@
+"""The directory comparison of scripts/compare_trees.py."""
+import importlib.util
+import shutil
+from pathlib import Path
+
+import pytest
+
+from oscillab.cli import main
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_trees.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("compare_trees", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def rewrite(path, line, column, value, sep):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    cells = lines[line].split(sep)
+    cells[column] = value(cells[column])
+    lines[line] = sep.join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_compare_dirs_finds_a_value_moved_by_1e_12(tmp_path):
+    compare = load_script()
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["continue", "--seed", "flat", "--out", str(first),
+                 "--override", "params.gamma=1.6", "--override", "grid.n=64",
+                 "--override", "continuation.max_points=2"]) == 0
+    shutil.copytree(first, second)
+    found = compare.compare_dirs(first, second)
+    assert {name for name, _ in found} >= {"branch.csv", "stats.txt"}
+    assert all(note == "byte-identical" for _, note in found)
+    # one branch norm moved by 1e-12 relative, one counter by one
+    rewrite(second / "branch.csv", 2, 2,
+            lambda cell: repr(float(cell) * (1.0 + 1e-12)), ",")
+    rewrite(second / "stats.txt", 1, 1, lambda cell: f" {int(cell) + 1}",
+            " =")
+    changed = dict((name, note) for name, note in
+                   compare.compare_dirs(first, second)
+                   if note != "byte-identical")
+    assert list(changed) == ["branch.csv", "stats.txt"]
+    column, _, worst = changed["branch.csv"].partition(
+        ": largest relative difference ")
+    assert column == "norm"
+    assert float(worst) == pytest.approx(1e-12, rel=0.01)
+    old, new = changed["stats.txt"].removeprefix("matvecs: ").split(" -> ")
+    assert int(new) == int(old) + 1

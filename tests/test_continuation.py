@@ -11,10 +11,11 @@ from oscillab import etd
 from oscillab.errors import (DivergenceError, ParameterError,
                              StalledBranchError)
 from oscillab.fields import ComplexField
-from oscillab.floquet import mathieu_critical
+from oscillab.floquet import floquet_multipliers, mathieu_critical
 from oscillab.reduction import weak_sech_fcgl, weak_sech_pde
 
 LENGTH = 20 * math.pi
+TWO_PI = 2 * math.pi
 
 
 def flat_field(p, n=128, length=LENGTH, which=-1, scale=1.0):
@@ -147,15 +148,79 @@ def test_preconditioner_floors_the_onset_mode(fcgl_params):
     assert np.max(np.abs(product[k == 0][:, k > 0])) <= 1e-12
 
 
-def test_even_block_is_the_packed_jacobian(fcgl_params):
-    # the stability code and the solver share one basis: the even parity
-    # block is the dense matrix of the Jacobian on the packed unit vectors
-    n = 48
-    prob = ct.FcglSteadyProblem(fcgl_params, n=n, length=LENGTH)
+def unit_column_block(prob, z, drive, sign):
+    """The parity block column by column: the full-grid linearization of
+    each unit coefficient vector of that parity, (e_k + sign e_-k), scaled
+    to the orthonormal packed basis."""
+    lin, n, half = prob.linearization(z, drive), prob.n, prob.n // 2
+    idx = np.arange(half + 1) if sign > 0 else np.arange(1, half)
+    scale = np.where((idx > 0) & (idx < half), math.sqrt(2.0), 1.0)
+    profiles = prob.symbol.size // n
+    cols = []
+    for j in range(profiles):
+        for i, k in enumerate(idx):
+            for unit in (1.0, 1.0j):
+                d = np.zeros((profiles, n), dtype=complex)
+                d[j, -k] = sign * unit
+                d[j, k] = unit
+                out = lin(d.reshape(prob.symbol.shape)).reshape(profiles, n)
+                out = np.ascontiguousarray(out[:, idx] * scale / scale[i])
+                cols.append(out.view(float).ravel())
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["even", "odd"])
+@pytest.mark.parametrize("make", PACKED_PROBLEMS)
+def test_parity_block_is_the_jacobian_on_its_parity(fcgl_params, weak_model,
+                                                    make, sign):
+    # the stability code and the solver share one basis: the block written
+    # from the multipliers is the Jacobian on unit vectors of its parity,
+    # and the even block is the dense matrix of the packed Jacobian
+    prob = make(fcgl_params, weak_model)
+    drive = prob.params.drive
     z = prob.pack(0.3 * random_profiles(prob, np.random.default_rng(4)))
-    dense = dense_jacobian(prob, z, fcgl_params.gamma)
-    block = ct._parity_block(prob.linearization(z, fcgl_params.gamma), n, +1)
-    assert np.max(np.abs(block - dense)) <= 1e-12 * np.max(np.abs(dense))
+    block = prob.parity_block(z, drive, sign)
+    columns = unit_column_block(prob, z, drive, sign)
+    assert np.max(np.abs(block - columns)) <= 1e-14 * np.max(np.abs(columns))
+    if sign < 0:    # the packed unknowns and the zero-state blocks are even
+        tiny = type(prob)(prob.params, n=2, length=LENGTH)      # no odd fields
+        assert tiny.parity_block(np.zeros(tiny.size), drive, sign).shape == (0, 0)
+        return
+    dense = dense_jacobian(prob, z, drive)
+    assert np.max(np.abs(block - dense)) <= 1e-14 * np.max(np.abs(dense))
+    # about the zero state each k's diagonal sub-block, over the harmonics'
+    # (real, imaginary) pairs, is that k's zero-state block
+    b0, b1 = prob.zero_state_blocks
+    nk = prob.n // 2 + 1
+    profiles = prob.size // (2 * nk)
+    block = prob.parity_block(np.zeros(prob.size), drive, sign)
+    block = block.reshape(profiles, nk, 2, profiles, nk, 2)
+    for k in range(nk):
+        sub = block[:, k, :, :, k, :].reshape(b0.shape[1:])
+        assert np.max(np.abs(sub - (b0[k] + drive * b1[k]))) \
+            <= 1e-14 * np.max(np.abs(b0[k] + drive * b1[k]))
+
+
+def test_model_block_has_the_floquet_exponents(weak_model):
+    # About U = 0 the forced model's even block holds one Hill matrix per
+    # wavenumber k, that of the flat linearization at (mu - alpha k^2,
+    # omega - beta k^2), so its rightmost eigenvalue is the largest Floquet
+    # exponent ln|lambda|/pi over one forcing period.  Harmonics +-1 and +-3
+    # alone leave a truncation gap of 4e-5.
+    mp = replace(weak_model, f=0.06)
+    n, harmonics = 32, np.arange(-5, 6, 2)
+    prob = ct.PdeHarmonicProblem(mp, n=n, length=LENGTH, harmonics=harmonics)
+    nk, m = n // 2 + 1, 2 * harmonics.size
+    block = prob.parity_block(np.zeros(prob.size), mp.f, 1.0)
+    block = block.reshape(harmonics.size, nk, 2, harmonics.size, nk, 2)
+    for k in range(n // 2):
+        q2 = (TWO_PI * k / LENGTH) ** 2
+        flat = replace(mp, mu=mp.mu - mp.alpha * q2,
+                       omega=mp.omega - mp.beta * q2)
+        exponent = np.max(np.log(np.abs(floquet_multipliers(mp.f, flat))))
+        sub = block[:, k, :, :, k, :].reshape(m, m)
+        assert np.max(np.linalg.eigvals(sub).real) == pytest.approx(
+            exponent / math.pi, abs=1e-8)
 
 
 def test_fcgl_residual_vanishes_on_flat_state(fcgl_params):
