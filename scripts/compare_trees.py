@@ -6,8 +6,9 @@
 Runs a fixed list of ``oscillab`` commands from each tree's ``src/``, each
 in a fresh interpreter on one BLAS thread (OPENBLAS_NUM_THREADS=1): the four
 benchmark workloads of CHANGE/perfbench/workloads.py at seed 1, read and not
-edited, the 59-point labelled FCGL branch and a labelled n = 64
-forced-model branch.  For each output file it prints "byte-identical" or,
+edited, the 59-point labelled FCGL branch, a labelled n = 64
+forced-model branch, an n = 64 simulate with snapshots and reduce for each
+system, and floquet.  For each output file it prints "byte-identical" or,
 for each numeric column that differs, the largest relative difference; for
 key = value files such as stats.txt, each value that changed.  Exits 1 when
 any output differs or any command fails.
@@ -41,6 +42,14 @@ def commands(tree: str) -> list[tuple[str, list[str], dict]]:
     cmds.append(("pde-labelled-64", ["continue"] + _overrides(
         "system.kind=pde", "grid.n=64", "timestepping.steady_tol=1e-4",
         "continuation.max_points=4"), {}))
+    for kind in ("fcgl", "pde"):
+        cmds.append((f"{kind}-simulate-64", ["simulate"] + _overrides(
+            f"system.kind={kind}", "grid.n=64", "timestepping.t_end=5.0",
+            "timestepping.max_periods=20", "output.snapshot_stride=40"), {}))
+        cmds.append((f"{kind}-reduce", ["reduce"] + _overrides(
+            f"system.kind={kind}"), {}))
+    cmds.append(("floquet", ["floquet"] + _overrides(
+        "floquet.diagnostics=true"), {}))
     return cmds
 
 

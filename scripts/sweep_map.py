@@ -7,7 +7,6 @@ Thin wrapper over the `oscillab sweep` command; --fine doubles the grid.
 
 import argparse
 import os
-import sys
 from collections import defaultdict
 
 from oscillab import fileio

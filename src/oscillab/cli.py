@@ -26,6 +26,7 @@ from .errors import (
     ExistenceError,
     OscillabError,
     ParameterError,
+    ShapeError,
     StalledBranchError,
 )
 from .fields import ComplexField
@@ -66,6 +67,15 @@ def _on_run_grid(run, seed):
     return seed
 
 
+def _read_seed(path: str) -> ComplexField | continuation.HarmonicPdeState:
+    """The state in the seed file at path; a file that cannot be read as a
+    snapshot is a configuration error."""
+    try:
+        return fileio.read_snapshot(path)
+    except (OSError, ValueError, ShapeError, ParameterError) as exc:
+        raise ConfigError(f"cannot read seed file {path}: {exc}") from exc
+
+
 def build_seed(cfg: RunConfig) -> ComplexField:
     """The configured seed field.  The forced model's flat seed is the upper
     flat state at the mapped forcing, carried to the fast frame as
@@ -98,7 +108,7 @@ def build_seed(cfg: RunConfig) -> ComplexField:
                                   center=length / 2.0)
         values = profile.as_field(n, length).values
     elif kind == "file":
-        state = fileio.read_snapshot(cfg.seed.path)
+        state = _read_seed(cfg.seed.path)
         if isinstance(state, continuation.HarmonicPdeState):
             if not pde:
                 raise ConfigError(
@@ -290,7 +300,7 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
         note = ("the forced model has no stability labels: its points are "
                 "left unclassified")
         if cfg.seed.kind == "file":
-            state = fileio.read_snapshot(cfg.seed.path)
+            state = _read_seed(cfg.seed.path)
             z0 = problem.pack(_on_run_grid(problem, state).profiles)
         else:
             # converge toward the periodic attractor, then sample its cycle
@@ -384,7 +394,8 @@ def _classify_endstate(field: ComplexField) -> str:
     if peak < 1e-3:
         return "decayed"
     n = field.n
-    edge = max(float(mags[: n // 8].max()), float(mags[-n // 8:].max()))
+    # the first n // 8 samples, at least one, and the last ceil(n / 8)
+    edge = max(float(mags[:max(1, n // 8)].max()), float(mags[-n // 8:].max()))
     return "localized" if edge < 0.2 * peak else "flat"
 
 

@@ -141,22 +141,13 @@ def _convert(raw: str, kind: type, where: str):
     raw = raw.strip()
     try:
         if kind is bool:
-            low = raw.lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            value = float(raw)     # takes "inf" and "-inf"
-            if math.isnan(value):
-                raise ValueError(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+        value = kind(raw)          # float takes "inf" and "-inf"
+        if value == value:         # not NaN
             return value
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"{where}: cannot parse {raw!r} as {kind.__name__}") from exc
+    except (KeyError, ValueError):
+        pass
+    raise ConfigError(f"{where}: cannot parse {raw!r} as {kind.__name__}")
 
 
 def _apply(cfg: RunConfig, section: str, key: str, raw: str) -> None:
@@ -165,15 +156,7 @@ def _apply(cfg: RunConfig, section: str, key: str, raw: str) -> None:
     target = getattr(cfg, section)
     if key not in {f.name for f in fields(target)}:
         raise ConfigError(f"unknown key {key!r} in section [{section}]")
-    current = getattr(target, key)
-    if isinstance(current, bool):
-        kind = bool
-    elif isinstance(current, int):
-        kind = int
-    elif isinstance(current, float):
-        kind = float
-    else:
-        kind = str
+    kind = type(getattr(target, key))
     setattr(target, key, _convert(raw, kind, f"[{section}] {key}"))
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import etd, spectral
-from .core import FcglParams, ModelParams, ScalingMap
+from .core import ModelParams, ScalingMap
 from .errors import (DivergenceError, InvalidFieldError, OscillabError,
                      ParameterError, StalledBranchError)
 from .fields import ComplexField, solution_norm
@@ -317,9 +317,6 @@ class FcglSteadyProblem(_SteadyProblem):
     """Steady states of the forced amplitude equation; the continuation
     parameter is gamma."""
 
-    def __init__(self, params: FcglParams, n: int = 512, length: float = 20.0 * math.pi):
-        super().__init__(params, n, length)
-
     def state_of(self, z: np.ndarray) -> ComplexField:
         return ComplexField(self.length, self.unpack(z))
 
@@ -334,21 +331,15 @@ class PdeHarmonicProblem(_SteadyProblem):
         (mu + i(omega - j)) U_j + (alpha + i beta) U_j'' + N_j = 0
 
     with N_j the projection of N(U, t) onto e^{i j t}, evaluated by
-    collocation at n_colloc equispaced times (alias-free for the retained odd
-    harmonics).  By default n_colloc is the smallest power of two above
-    4 max|j|, which is 16 for the default harmonics.  The continuation
-    parameter is F.
+    collocation at n_colloc equispaced times, the smallest power of two above
+    4 max|j| (16 for the default harmonics), which is alias-free for the
+    retained odd harmonics.  The continuation parameter is F.
     """
 
-    def __init__(self, params: ModelParams, n: int = 1280,
-                 length: float = 200.0 * math.pi,
-                 harmonics=(-3, -1, 1, 3), n_colloc: int | None = None):
+    def __init__(self, params: ModelParams, n: int, length: float,
+                 harmonics=(-3, -1, 1, 3)):
         self.harmonics = np.asarray(harmonics, dtype=int)
-        top = 4 * int(np.max(np.abs(self.harmonics)))
-        if n_colloc is None:
-            n_colloc = 1 << top.bit_length()
-        if n_colloc <= top:
-            raise ParameterError("n_colloc too small to dealias the cubic in time")
+        n_colloc = 1 << (4 * int(np.max(np.abs(self.harmonics)))).bit_length()
         super().__init__(params, n, length, self.harmonics[:, None])
         t = TWO_PI * np.arange(n_colloc) / n_colloc
         self.times = t[:, None]

@@ -77,10 +77,10 @@ def make_scheme(ell, dt: float) -> EtdScheme:
 class Etd2Stepper:
     """Advance coefficient vectors with ETD2; representation-agnostic.
 
-    nonlinear(u, t) must return the non-stiff part in the same representation
-    as u.  The previous evaluation is kept; the first step uses exponential
-    Euler.  The stepper writes every step into buffers it reuses, u among
-    them: copy u to keep a state.
+    nonlinear(u, t, out) must write the non-stiff part at (u, t) into out, an
+    array of u's shape and representation.  The previous evaluation is kept;
+    the first step uses exponential Euler.  The stepper writes every step
+    into buffers it reuses, u among them: copy u to keep a state.
 
     Each step flushes to zero every real and imaginary part of the new state
     below the smallest normal float.  A mode that decays geometrically, such
@@ -105,10 +105,6 @@ class Etd2Stepper:
     def t(self) -> float:
         return self.t0 + self.steps * self.scheme.dt
 
-    def _nonlinear(self, out: np.ndarray) -> None:
-        """N at the current state, written into out."""
-        out[...] = self.nonlinear(self.u, self.t)
-
     def step(self) -> None:
         """One step, committed only when the new state is finite: a blow-up
         raises BlowUpError, naming the non-finite rows, and leaves u, t and
@@ -117,7 +113,7 @@ class Etd2Stepper:
         n_cur = self._n_cur
         # overflow on the way to a blow-up is expected and caught below
         with np.errstate(over="ignore", invalid="ignore"):
-            self._nonlinear(n_cur)
+            self.nonlinear(self.u, self.t, n_cur)
             np.multiply(s.exp_dt, self.u, out=u_new)
             if self._n_prev is None:
                 u_new += np.multiply(s.w_euler, n_cur, out=term)
@@ -146,15 +142,11 @@ class Etd2Stepper:
 
 class SpectralStepper(Etd2Stepper):
     """ETD2 stepper whose state is the Fourier coefficients of a periodic
-    field, or of a stack of fields, one per row (field and norm need one).
-    nonlinear(u, t, out=None) writes N into out when it is given."""
+    field, or of a stack of fields, one per row (field and norm need one)."""
 
     def __init__(self, scheme, nonlinear, length: float, values, t0: float = 0.0):
         super().__init__(scheme, nonlinear, np.fft.fft(values), t0)
         self.length = length
-
-    def _nonlinear(self, out: np.ndarray) -> None:
-        self.nonlinear(self.u, self.t, out)
 
     @property
     def field(self) -> ComplexField:
@@ -201,15 +193,12 @@ def make_stepper(field, p, dt: float, t0: float = 0.0) -> SpectralStepper:
                drive[r:r + rows] if stack else drive)
               for r in range(0, len(ps), rows)]
 
-    def nonlinear(u_hat, t, out=None):
-        if out is None:
-            out = np.empty_like(u_hat)
+    def nonlinear(u_hat, t, out):
         u_rows, out_rows = u_hat.reshape(-1, n), out.reshape(-1, n)
         for block, samples, block_drive in blocks:
             spectral.to_fine(u_rows[block], out=samples)
             spectral.from_fine(first.nonlinear(samples, t, block_drive), n,
                                out=out_rows[block])
-        return out
 
     return SpectralStepper(scheme, nonlinear, length, values, t0)
 

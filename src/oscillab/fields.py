@@ -26,10 +26,6 @@ class ComplexField:
     def n(self) -> int:
         return self.values.size
 
-    @property
-    def x(self) -> np.ndarray:
-        return np.arange(self.n) * (self.length / self.n)
-
 
 def solution_norm(field) -> float:
     """N = sqrt((2/L) * integral |U|^2 dx), rectangle rule (exact for periodic data).

@@ -64,24 +64,19 @@ def write_norm_series(path: str, times, norms) -> None:
 # ---- field snapshots ----
 # Header "# x re_u im_u" for plain fields; harmonic states label each column
 # pair with the harmonic index, e.g. "# x re_u-3 im_u-3 ... re_u3 im_u3".
+# The labels, not the number of pairs, tell the two apart on reading.
 
 def write_snapshot(path: str, state: ComplexField | HarmonicPdeState) -> None:
     if isinstance(state, HarmonicPdeState):
-        x = np.arange(state.n) * (state.length / state.n)
         labels = " ".join(f"re_u{j} im_u{j}" for j in state.harmonics)
-        cols = [state.profiles[i] for i in range(state.profiles.shape[0])]
+        cols = state.profiles
     else:
-        x = state.x
-        labels = "re_u im_u"
-        cols = [state.values]
+        labels, cols = "re_u im_u", state.values[None, :]
+    x = np.arange(state.n) * (state.length / state.n)
+    # given a path, numpy would open it through its DataSource, importing gzip
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# x {labels}\n")
-        for i in range(x.size):
-            parts = [FMT % x[i]]
-            for col in cols:
-                parts.append(FMT % col[i].real)
-                parts.append(FMT % col[i].imag)
-            fh.write(" ".join(parts) + "\n")
+        np.savetxt(fh, np.column_stack([x, np.ascontiguousarray(cols.T).view(float)]),
+                   fmt=FMT, header=f"x {labels}", comments="# ")
 
 
 def read_snapshot(path: str) -> ComplexField | HarmonicPdeState:
@@ -101,7 +96,7 @@ def read_snapshot(path: str) -> ComplexField | HarmonicPdeState:
     n = x.size
     length = float(x[-1] + (x[1] - x[0])) if n > 1 else 1.0
     cols = [data[:, 1 + 2 * i] + 1j * data[:, 2 + 2 * i] for i in range(n_pairs)]
-    if n_pairs == 1:
+    if pair_labels == ["re_u"]:
         return ComplexField(length, cols[0])
     harmonics = np.array([int(lbl.removeprefix("re_u")) for lbl in pair_labels])
     return HarmonicPdeState(length=length, harmonics=harmonics,

@@ -56,7 +56,6 @@ class AllenCahnCoeffs:
     cub: float
     regime: str  # "weak" or "strong"
     phi: float | None = None
-    pair: FloquetPair | None = field(default=None, repr=False)
 
 
 def weak_ac_coeffs(p: FcglParams) -> AllenCahnCoeffs:
@@ -191,7 +190,7 @@ def strong_ac_coeffs(fp: FloquetPair, p: ModelParams) -> AllenCahnCoeffs:
     return AllenCahnCoeffs(lin=fp.f_c * float(y @ b1[0] @ u) / mass,
                            diff=float(y @ (b0[0] - b0[1]) @ u) / mass,
                            cub=float(y @ cubic) / mass,
-                           regime="strong", pair=fp)
+                           regime="strong")
 
 
 def strong_sech_pde(coeffs: AllenCahnCoeffs, fp: FloquetPair, f: float,

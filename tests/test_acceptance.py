@@ -188,7 +188,7 @@ def polished_cubic(fp, p, seed, lin):
     cubs = []
     for lam in (-0.01, -0.005):
         f = fp.f_c * (1.0 + lam)
-        problem = ct.PdeHarmonicProblem(replace(p, f=f), n=8,
+        problem = ct.PdeHarmonicProblem(replace(p, f=f), n=8, length=L_PDE,
                                         harmonics=harmonics)
         amp = math.sqrt(-seed.lin * lam / seed.cub)
         z0 = problem.pack(np.outer(amp * carrier, np.ones(problem.n)))

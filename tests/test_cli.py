@@ -226,6 +226,31 @@ def test_simulate_rejects_harmonic_file_for_fcgl(tmp_path):
     assert code == 2
 
 
+BAD_SEEDS = {
+    "missing": None,
+    "non-numeric": "# x re_u im_u\n0.0 1.0 abc\n1.0 2.0 3.0\n",
+    "no-header": "0.0 1.0 2.0\n1.0 2.0 3.0\n",
+    "odd-rows": "# x re_u im_u\n0.0 1.0 2.0\n1.0 2.0 3.0\n2.0 3.0 4.0\n",
+}
+
+
+@pytest.mark.parametrize("command, kind", [("simulate", "fcgl"),
+                                           ("continue", "pde")])
+@pytest.mark.parametrize("case", sorted(BAD_SEEDS))
+def test_unreadable_seed_file_is_config_error(tmp_path, capsys, command, kind,
+                                              case):
+    snap = tmp_path / "seed.txt"
+    if BAD_SEEDS[case] is not None:
+        snap.write_text(BAD_SEEDS[case], encoding="utf-8")
+    code, _ = run(tmp_path, command, "--seed", f"file:{snap}", *_overrides(
+        f"system.kind={kind}", "grid.n=64", "timestepping.t_end=1.0",
+        "continuation.max_points=2"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read seed file")
+    assert str(snap) in err
+
+
 def test_continue_flat_branch(tmp_path):
     code, out = run(tmp_path, "continue", "--seed", "flat",
                     "--override", "params.gamma=1.6",
@@ -245,6 +270,24 @@ def test_continue_flat_branch(tmp_path):
     assert min(params) >= 1.4 - 0.05 and max(params) <= 1.75 + 0.05
     assert (out / "folds.csv").exists()
     assert (out / "point_0000.txt").exists()
+
+
+def test_continue_snapshot_stride_adds_the_multiples_of_k(tmp_path):
+    # the flat branch from gamma = 1.6 down through its fold near 1.207
+    k = 7
+    code, out = run(tmp_path, "continue", "--seed", "flat", *_overrides(
+        "params.gamma=1.6", "grid.n=64", "continuation.max_points=40",
+        "continuation.param_min=1.0", "continuation.param_max=1.75",
+        "continuation.classify=false", f"continuation.snapshot_stride={k}"))
+    assert code == 0
+    _, rows = fileio.read_csv(out / "branch.csv")
+    last = len(rows) - 1
+    folds = {int(r[0]) for r in rows if r[4] == "1"}
+    assert folds and last % k and all(i % k for i in folds)
+    expected = {0, last} | folds | set(range(0, last + 1, k))
+    written = {int(name[len("point_"):-len(".txt")])
+               for name in os.listdir(out) if name.startswith("point_")}
+    assert written == expected
 
 
 def test_continue_writes_solver_stats(tmp_path):
@@ -443,6 +486,15 @@ def test_sweep_serial(tmp_path):
     assert header == ["nu", "gamma", "outcome"]
     assert len(rows) == 2
     assert [r[2] for r in rows] == ["decayed", "flat"]
+
+
+def test_sweep_on_a_grid_under_eight_points(tmp_path):
+    # n // 8 is 0 at n = 4: the edge still holds one sample at each end
+    code, out = run(tmp_path, "sweep", *_overrides(
+        "grid.n=4", "sweep.nu_count=1", "sweep.p_count=1", "sweep.t_probe=1"))
+    assert code == 0
+    _, rows = fileio.read_csv(out / "sweep.csv")
+    assert [r[2] for r in rows] == ["flat"]
 
 
 def test_unknown_command_exits_via_argparse(tmp_path):

@@ -81,6 +81,19 @@ def test_harmonic_snapshot_round_trip(tmp_path):
     assert np.array_equal(back.profiles, profiles)
 
 
+def test_one_harmonic_snapshot_reads_back_as_a_harmonic_state(tmp_path):
+    # one column pair, as a field has, but labelled with its harmonic
+    profiles = np.arange(16.0)[None, :] * (1.0 - 0.5j)
+    state = HarmonicPdeState(length=8.0, harmonics=np.array([1]),
+                             profiles=profiles)
+    path = tmp_path / "one.txt"
+    fileio.write_snapshot(path, state)
+    back = fileio.read_snapshot(path)
+    assert isinstance(back, HarmonicPdeState)
+    assert list(back.harmonics) == [1]
+    assert np.array_equal(back.profiles, profiles)
+
+
 def test_snapshot_header_validation(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("0.0 1.0 2.0\n")
