@@ -10,8 +10,10 @@ edited, the 59-point labelled FCGL branch, a labelled n = 64
 forced-model branch, an n = 64 simulate with snapshots and reduce for each
 system, and floquet.  For each output file it prints "byte-identical" or,
 for each numeric column that differs, the largest relative difference; for
-key = value files such as stats.txt, each value that changed.  Exits 1 when
-any output differs or any command fails.
+key = value files such as stats.txt, each value that changed.  It then runs
+``pytest -q -s tests/test_acceptance.py`` in each tree the same way and
+prints "identical" or both versions of each [criterion NN] line.  Exits 1
+when any output or criterion line differs or any command fails.
 """
 
 import argparse
@@ -19,6 +21,7 @@ import csv
 import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -53,20 +56,48 @@ def commands(tree: str) -> list[tuple[str, list[str], dict]]:
     return cmds
 
 
+def _run(tree: str, args: list[str], extra=None, **kwargs):
+    """python args in a fresh interpreter on tree/src and one BLAS thread."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
+               OPENBLAS_NUM_THREADS="1", **(extra or {}))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, **kwargs)
+
+
 def run_tree(tree: str, cmds, out_root: str) -> list[str]:
     """Run each command from tree/src with its outputs in out_root/name;
     returns the names of the commands that exited with an error code."""
     failed = []
     for name, argv, extra in cmds:
-        env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
-                   OPENBLAS_NUM_THREADS="1", **extra)
-        proc = subprocess.run(
-            [sys.executable, "-m", "oscillab.cli", *argv,
-             "--out", os.path.join(out_root, name)],
-            env=env, capture_output=True, text=True)
+        proc = _run(tree, ["-m", "oscillab.cli", *argv,
+                           "--out", os.path.join(out_root, name)], extra)
         if proc.returncode != 0:
             failed.append(f"{name} (exit {proc.returncode})")
     return failed
+
+
+ACCEPTANCE = ["-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+              "tests/test_acceptance.py"]
+
+
+def criterion_lines(tree: str) -> tuple[int, list[str]]:
+    """(pytest's exit code, the [criterion NN] lines) of the acceptance
+    tests run in tree."""
+    proc = _run(tree, ACCEPTANCE, cwd=tree)
+    return proc.returncode, re.findall(r"\[criterion \d+\].*", proc.stdout)
+
+
+def compare_criteria(a: list[str], b: list[str]) -> list[str]:
+    """One note per criterion of either printout: "[criterion NN]
+    identical", or that tag followed by both versions of its line."""
+    first, second = ({line.partition("]")[0] + "]": line for line in lines}
+                     for lines in (a, b))
+    notes = []
+    for tag in sorted(first.keys() | second.keys()):
+        la, lb = first.get(tag, "(none)"), second.get(tag, "(none)")
+        notes.append(f"{tag} identical" if la == lb else
+                     f"{tag} differs\n      parent: {la}\n      change: {lb}")
+    return notes
 
 
 def _table(path: str) -> tuple[bool, list[str], list[list[str]]]:
@@ -167,6 +198,19 @@ def main() -> int:
             for fname, note in compare_dirs(*dirs):
                 print(f"   {fname}: {note}")
                 same = same and note == "byte-identical"
+    print(f"== acceptance: {' '.join(ACCEPTANCE[1:])}")
+    (code_a, lines_a), (code_b, lines_b) = (
+        criterion_lines(os.path.abspath(tree))
+        for tree in (args.parent, args.change))
+    for side, code in (("parent", code_a), ("change", code_b)):
+        if code != 0:
+            print(f"   {side}: pytest exit {code}")
+            same = False
+    notes = compare_criteria(lines_a, lines_b)
+    for note in notes or ["no criterion lines"]:
+        print(f"   {note}")
+    same = same and bool(notes) and all(
+        note.endswith(" identical") for note in notes)
     return 0 if same else 1
 
 

@@ -32,6 +32,7 @@ from .errors import (
 from .fields import ComplexField
 from .floquet import floquet_multipliers, mathieu_critical, monodromy_critical
 from .reduction import (
+    SechProfile,
     strong_ac_coeffs,
     strong_sech_pde,
     weak_ac_coeffs,
@@ -369,23 +370,21 @@ def _probe_seed(p: FcglParams, n: int, length: float, eps: float = 1.0,
     forced model the pulse is mapped to the fast frame: amplitudes times
     eps, the below-onset sech's width divided by eps, phases plus
     phase_shift."""
+    center, inv_width = length / 2.0, 16.0 / length
     fs = flat_states(p)
     if fs.roots:
         root = fs.roots[-1]
-        core = root.r * np.exp(1j * (root.phi + phase_shift))
-        inv_width = 16.0 / length
+        turn = np.exp(1j * (root.phi + phase_shift))
+        prof = SechProfile(root.r, inv_width, center, lambda t: turn)
     else:
         try:
-            prof = weak_sech_fcgl(p, p.gamma, center=length / 2.0)
-            prof = replace(prof, inv_width=eps * prof.inv_width)
-            return ComplexField(length, eps * np.exp(1j * phase_shift)
-                                * prof.as_field(n, length).values)
+            slow = weak_sech_fcgl(p, p.gamma, center=center)
+            turn = np.exp(1j * phase_shift)
+            prof = replace(slow, inv_width=eps * slow.inv_width,
+                           carrier=lambda t: turn * slow.carrier(t))
         except ExistenceError:
-            core = 1e-2
-            inv_width = 16.0 / length
-    x = np.arange(n) * (length / n)
-    pulse = core / np.cosh(inv_width * (x - length / 2.0))
-    return ComplexField(length, eps * pulse.astype(complex))
+            prof = SechProfile(1e-2, inv_width, center, lambda t: 1.0 + 0j)
+    return ComplexField(length, eps * prof.as_field(n, length).values)
 
 
 def _classify_endstate(field: ComplexField) -> str:
@@ -393,9 +392,8 @@ def _classify_endstate(field: ComplexField) -> str:
     peak = float(mags.max())
     if peak < 1e-3:
         return "decayed"
-    n = field.n
-    # the first n // 8 samples, at least one, and the last ceil(n / 8)
-    edge = max(float(mags[:max(1, n // 8)].max()), float(mags[-n // 8:].max()))
+    w = max(1, field.n // 8)    # the same window at both ends
+    edge = max(float(mags[:w].max()), float(mags[-w:].max()))
     return "localized" if edge < 0.2 * peak else "flat"
 
 
@@ -486,11 +484,16 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out = args.out or f"oscillab-{args.command}"
+    made = not os.path.isdir(out)
     os.makedirs(out, exist_ok=True)
-    fileio.write_manifest(out, __version__, args.command, cfg.items())
+    manifest = fileio.write_manifest(out, __version__, args.command, cfg.items())
     try:
         return COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
+        # raised while the seed is read, before any other output: leave none
+        os.remove(manifest)
+        if made:
+            os.rmdir(out)
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OscillabError as exc:

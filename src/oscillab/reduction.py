@@ -16,6 +16,7 @@ seeds and overlay checks.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,6 +30,7 @@ from .floquet import FloquetPair, hill_problem
 __all__ = [
     "AllenCahnCoeffs",
     "SechProfile",
+    "allen_cahn_sech",
     "onset_phase",
     "weak_ac_coeffs",
     "weak_sech_fcgl",
@@ -54,7 +56,6 @@ class AllenCahnCoeffs:
     lin: float
     diff: float
     cub: float
-    regime: str  # "weak" or "strong"
     phi: float | None = None
 
 
@@ -72,26 +73,22 @@ def weak_ac_coeffs(p: FcglParams) -> AllenCahnCoeffs:
         lin=-g0 / p.mu,
         diff=(p.alpha * p.mu + p.beta * p.nu) / p.mu,
         cub=(p.mu * p.c_re + p.nu * p.c_im) / p.mu,
-        regime="weak",
         phi=onset_phase(p.mu, p.nu),
     )
 
 
 @dataclass
 class SechProfile:
-    """Stationary localized envelope amp * sech(inv_width * (x - center)).
-
-    kind selects the carrier: "fcgl" multiplies by the constant exp(i*phi),
-    "pde-weak" by exp(i*(t + phi)), and "pde-strong" by the periodic
+    """Stationary localized solution amp * sech(inv_width * (x - center))
+    times carrier(t): the constant exp(i*phi) of the amplitude equation,
+    exp(i*(t + phi)) in the forced model's weak limit, or its periodic
     eigenfunction p1(t) + i q1(t).
     """
 
     amp: float
     inv_width: float
     center: float
-    kind: str
-    phi: float = 0.0
-    pair: FloquetPair | None = field(default=None, repr=False)
+    carrier: Callable[[float], complex] = field(repr=False)
 
     def envelope(self, x) -> np.ndarray:
         y = self.inv_width * (np.asarray(x, dtype=float) - self.center)
@@ -101,15 +98,7 @@ class SechProfile:
         return self.amp * out
 
     def values(self, x, t: float = 0.0) -> np.ndarray:
-        env = self.envelope(x)
-        if self.kind == "fcgl":
-            return env * np.exp(1j * self.phi)
-        if self.kind == "pde-weak":
-            return env * np.exp(1j * (t + self.phi))
-        if self.kind == "pde-strong":
-            carrier = complex(self.pair.u(t)[0])
-            return env * carrier
-        raise ValueError(f"unknown profile kind {self.kind!r}")
+        return self.envelope(x) * self.carrier(t)
 
     def as_field(self, n: int, length: float, t: float = 0.0) -> ComplexField:
         x = np.arange(n) * (length / n)
@@ -122,27 +111,34 @@ def _check(conditions) -> None:
             raise ExistenceError(name)
 
 
-def weak_sech_fcgl(p: FcglParams, gamma: float, center: float = 0.0) -> SechProfile:
-    """Exact localized solution of the amplitude equation below onset,
+def allen_cahn_sech(coeffs: AllenCahnCoeffs, lam: float,
+                    carrier: Callable[[float], complex],
+                    center: float = 0.0) -> SechProfile:
+    """The stationary pulse of B_T = lin*lam*B + diff*B_XX + cub*B^3, times
+    carrier; the callers clamp lam at the onset limit lam = 0:
 
-        A = amp * sech(inv_width * X) * exp(i*phi),
-        amp^2 = 2 (gamma - gamma0) gamma0 / (mu c_re + nu c_im),
-        inv_width^2 = (gamma - gamma0) gamma0 / (alpha mu + beta nu).
+        B = amp * sech(inv_width * X),
+        amp^2 = -2 lin lam / cub,  inv_width^2 = -lin lam / diff.
     """
-    g0 = gamma_onset(p.mu, p.nu)
-    subcrit = p.mu * p.c_re + p.nu * p.c_im
-    diffus = p.alpha * p.mu + p.beta * p.nu
     _check([
-        ("gamma <= gamma0", gamma <= g0 + 1e-14 * g0),
-        ("mu < 0", p.mu < 0.0),
-        ("mu*c_re + nu*c_im < 0", subcrit < 0.0),
-        ("alpha*mu + beta*nu < 0", diffus < 0.0),
+        ("lin * lam <= 0", coeffs.lin * lam <= 0.0),
+        ("cub > 0", coeffs.cub > 0.0),
+        ("diff > 0", coeffs.diff > 0.0),
     ])
-    drop = min(gamma - g0, 0.0)  # clamp the gamma = gamma0 limit to zero
-    amp = math.sqrt(2.0 * drop * g0 / subcrit)
-    inv_width = math.sqrt(drop * g0 / diffus)
-    return SechProfile(amp=amp, inv_width=inv_width, center=center,
-                       kind="fcgl", phi=onset_phase(p.mu, p.nu))
+    return SechProfile(amp=math.sqrt(-2.0 * coeffs.lin * lam / coeffs.cub),
+                       inv_width=math.sqrt(-coeffs.lin * lam / coeffs.diff),
+                       center=center, carrier=carrier)
+
+
+def weak_sech_fcgl(p: FcglParams, gamma: float, center: float = 0.0) -> SechProfile:
+    """Exact localized solution of the amplitude equation below onset, the
+    Allen-Cahn pulse of weak_ac_coeffs at lam = gamma - gamma0 carried by
+    the locked direction exp(i*phi)."""
+    g0 = gamma_onset(p.mu, p.nu)
+    _check([("gamma <= gamma0", gamma <= g0 + 1e-14 * g0), ("mu < 0", p.mu < 0.0)])
+    coeffs = weak_ac_coeffs(p)
+    turn = np.exp(1j * coeffs.phi)
+    return allen_cahn_sech(coeffs, min(gamma - g0, 0.0), lambda t: turn, center)
 
 
 def weak_sech_pde(p: ModelParams, center: float = 0.0) -> SechProfile:
@@ -154,7 +150,9 @@ def weak_sech_pde(p: ModelParams, center: float = 0.0) -> SechProfile:
     is weak_sech_fcgl at the image of p under the map with epsilon = 1.
     """
     hat = ScalingMap(1.0).pde_to_fcgl(p)
-    return replace(weak_sech_fcgl(hat, hat.gamma, center), kind="pde-weak")
+    phi = onset_phase(hat.mu, hat.nu)
+    return replace(weak_sech_fcgl(hat, hat.gamma, center),
+                   carrier=lambda t: np.exp(1j * (t + phi)))
 
 
 # ---- order-one damping route ----
@@ -189,27 +187,14 @@ def strong_ac_coeffs(fp: FloquetPair, p: ModelParams) -> AllenCahnCoeffs:
         problem.unpack(problem.residual(flat, fp.f_c))[:, 0]).view(float)
     return AllenCahnCoeffs(lin=fp.f_c * float(y @ b1[0] @ u) / mass,
                            diff=float(y @ (b0[0] - b0[1]) @ u) / mass,
-                           cub=float(y @ cubic) / mass,
-                           regime="strong")
+                           cub=float(y @ cubic) / mass)
 
 
 def strong_sech_pde(coeffs: AllenCahnCoeffs, fp: FloquetPair, f: float,
                     center: float = 0.0) -> SechProfile:
-    """Localized seed below the Floquet onset, carried by the eigenfunction:
-
-        U = amp * sech(inv_width * x) * (p1(t) + i q1(t)),
-        amp^2 = -2 lin lam / cub,  inv_width^2 = -lin lam / diff,
-        lam = f/f_c - 1.
-    """
+    """Localized seed below the Floquet onset, the Allen-Cahn pulse at
+    lam = f/f_c - 1 carried by the eigenfunction p1(t) + i q1(t)."""
     lam = f / fp.f_c - 1.0
-    _check([
-        ("f <= f_c", lam <= 1e-14),
-        ("lin * lam <= 0", coeffs.lin * lam <= 0.0),
-        ("cub > 0", coeffs.cub > 0.0),
-        ("diff > 0", coeffs.diff > 0.0),
-    ])
-    lam = min(lam, 0.0)
-    amp = math.sqrt(-2.0 * coeffs.lin * lam / coeffs.cub)
-    inv_width = math.sqrt(-coeffs.lin * lam / coeffs.diff)
-    return SechProfile(amp=amp, inv_width=inv_width, center=center,
-                       kind="pde-strong", pair=fp)
+    _check([("f <= f_c", lam <= 1e-14)])
+    return allen_cahn_sech(coeffs, min(lam, 0.0),
+                           lambda t: complex(fp.u(t)[0]), center)

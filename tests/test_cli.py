@@ -15,7 +15,8 @@ from oscillab.config import load_config
 from oscillab.continuation import HarmonicPdeState
 from oscillab.errors import StalledBranchError
 from oscillab.fields import ComplexField
-from oscillab.reduction import weak_sech_fcgl
+from oscillab.floquet import mathieu_critical
+from oscillab.reduction import strong_ac_coeffs, strong_sech_pde, weak_sech_fcgl
 
 
 def read_kv(path):
@@ -212,7 +213,7 @@ def test_simulate_rejects_a_file_seed_on_another_grid(tmp_path, capsys):
                  *_overrides("grid.n=32", "timestepping.t_end=1.0")])
     assert code == 2
     assert "seed file holds" in capsys.readouterr().err
-    assert not (out / "final.txt").exists()
+    assert not out.exists()     # no manifest left alone in a new directory
 
 
 def test_simulate_rejects_harmonic_file_for_fcgl(tmp_path):
@@ -242,10 +243,11 @@ def test_unreadable_seed_file_is_config_error(tmp_path, capsys, command, kind,
     snap = tmp_path / "seed.txt"
     if BAD_SEEDS[case] is not None:
         snap.write_text(BAD_SEEDS[case], encoding="utf-8")
-    code, _ = run(tmp_path, command, "--seed", f"file:{snap}", *_overrides(
+    code, out = run(tmp_path, command, "--seed", f"file:{snap}", *_overrides(
         f"system.kind={kind}", "grid.n=64", "timestepping.t_end=1.0",
         "continuation.max_points=2"))
     assert code == 2
+    assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot read seed file")
     assert str(snap) in err
@@ -410,10 +412,11 @@ def test_continue_rejects_a_file_seed_on_another_grid(tmp_path, capsys, kind,
                                  profiles=np.zeros((len(harmonics), n)) + 0j)
     snap = tmp_path / "seed.txt"
     fileio.write_snapshot(snap, state)
-    code, _ = run(tmp_path, "continue", "--seed", f"file:{snap}",
-                  *_overrides(*settings))
+    code, out = run(tmp_path, "continue", "--seed", f"file:{snap}",
+                    *_overrides(*settings))
     assert code == 2
     assert "seed file holds" in capsys.readouterr().err
+    assert not out.exists()
     if kind == "fcgl":      # the same state on the run's grid is a good seed
         fileio.write_snapshot(snap, ComplexField(
             length / stretch, np.full(64, state.values[0])))
@@ -455,6 +458,48 @@ def test_model_seeds(tmp_path, kind):
         expected = fileio.read_snapshot(snap).reconstruct(0.0)
     assert seed.length == expected.length
     assert np.array_equal(seed.values, expected.values)
+
+
+def test_seed_noise_is_reproducible_and_relative():
+    overrides = ["grid.n=512", "seed.kind=sech-weak", "seed.noise_seed=7"]
+    clean = build_seed(load_config(overrides=overrides))
+    noisy = [build_seed(load_config(overrides=[*overrides, f"seed.noise={e}"]))
+             for e in (0.0, 1e-3, 1e-3)]
+    other = build_seed(load_config(overrides=[
+        *overrides, "seed.noise=1e-3", "seed.noise_seed=8"]))
+    assert noisy[0].values.tobytes() == clean.values.tobytes()
+    assert noisy[1].values.tobytes() == noisy[2].values.tobytes()
+    assert other.values.tobytes() != noisy[1].values.tobytes()
+
+    def rms(v):
+        return math.sqrt(float(np.mean(np.abs(v) ** 2)))
+
+    assert rms(noisy[1].values - clean.values) == pytest.approx(
+        1e-3 * rms(clean.values), rel=0.1)
+
+
+def test_strong_sech_seed_is_the_reduction_pulse(tmp_path, capsys):
+    cfg = load_config(overrides=["system.kind=pde", "seed.kind=sech-strong"])
+    mp, n, length = cfg.model_params(), cfg.grid.n, cfg.grid.length
+    fp = mathieu_critical(mp, cfg.floquet.j_trunc)
+    expected = strong_sech_pde(strong_ac_coeffs(fp, mp), fp, mp.f,
+                               center=length / 2).as_field(n, length)
+    assert build_seed(cfg).values.tobytes() == expected.values.tobytes()
+    # above the Floquet onset F_c = 0.0821 the reduction has no pulse
+    code, _ = run(tmp_path, "simulate", "--seed", "sech-strong", *_overrides(
+        "system.kind=pde", "params.f=0.09", "grid.n=64"))
+    assert code == 3
+    assert "ExistenceError" in capsys.readouterr().err
+
+
+def test_endstate_windows_are_mirror_symmetric():
+    """At n = 12 both edge windows hold one sample, so a state and its
+    mirror image get one outcome."""
+    mags = np.zeros(12)
+    mags[5], mags[10] = 1.0, 0.5
+    outcomes = {cli._classify_endstate(ComplexField(1.0, v))
+                for v in (mags, mags[::-1])}
+    assert outcomes == {"localized"}
 
 
 def test_model_probe_seed_has_the_mapped_width():

@@ -50,3 +50,20 @@ def test_compare_dirs_finds_a_value_moved_by_1e_12(tmp_path):
     assert float(worst) == pytest.approx(1e-12, rel=0.01)
     old, new = changed["stats.txt"].removeprefix("matvecs: ").split(" -> ")
     assert int(new) == int(old) + 1
+
+
+def test_compare_criteria_prints_both_versions_of_a_changed_line():
+    compare = load_script()
+    parent = ["[criterion 01] PASS  gap 1e-12", "[criterion 02] PASS  fold 1.5"]
+    change = ["[criterion 01] PASS  gap 1e-12", "[criterion 02] PASS  fold 1.6"]
+    assert compare.compare_criteria(parent, parent) == [
+        "[criterion 01] identical", "[criterion 02] identical"]
+    first, second = compare.compare_criteria(parent, change)
+    assert first == "[criterion 01] identical"
+    tag, old, new = second.split("\n")
+    assert tag == "[criterion 02] differs"
+    assert old.split(": ", 1) == ["      parent", parent[1]]
+    assert new.split(": ", 1) == ["      change", change[1]]
+    # a criterion printed by one side only is reported, not dropped
+    assert compare.compare_criteria(parent, change[:1])[1].endswith(
+        "change: (none)")

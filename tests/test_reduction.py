@@ -37,7 +37,6 @@ def test_onset_phase_singular():
 
 def test_weak_coeffs_closed_form(fcgl_params):
     ac = weak_ac_coeffs(fcgl_params)
-    assert ac.regime == "weak"
     assert ac.lin == pytest.approx(math.sqrt(17.0), abs=1e-12)  # -gamma0/mu
     assert ac.diff == pytest.approx(9.0, abs=1e-12)
     assert ac.cub == pytest.approx(9.0, abs=1e-12)
@@ -53,7 +52,8 @@ def test_weak_sech_frozen(fcgl_params):
     prof = weak_sech_fcgl(fcgl_params, 2.0)
     assert prof.amp == pytest.approx(0.23748157765495037, abs=1e-12)
     assert prof.inv_width == pytest.approx(0.16792483396669508, abs=1e-12)
-    assert prof.phi == pytest.approx(0.6629088318340163, abs=1e-12)
+    assert np.angle(prof.carrier(0.0)) == pytest.approx(0.6629088318340163,
+                                                       abs=1e-12)
 
 
 def test_weak_sech_square_root_scaling(fcgl_params):
@@ -69,7 +69,7 @@ def test_weak_sech_existence(fcgl_params):
     with pytest.raises(ExistenceError, match="gamma <= gamma0"):
         weak_sech_fcgl(fcgl_params, 2.2)
     supercrit = replace(fcgl_params, c_re=1.0, c_im=2.5)
-    with pytest.raises(ExistenceError, match="c_re"):
+    with pytest.raises(ExistenceError, match="cub > 0"):
         weak_sech_fcgl(supercrit, 1.9)
 
 
@@ -83,7 +83,8 @@ def test_weak_sech_pde_matches_rescaled_fcgl(fcgl_params, weak_model):
     assert prof.amp == pytest.approx(eps * hat.amp, rel=1e-12)
     assert prof.inv_width == pytest.approx(eps * hat.inv_width, rel=1e-12)
     # the seed carries the locked direction of the slow envelope itself
-    assert prof.phi == pytest.approx(hat.phi, rel=1e-12)
+    assert np.angle(prof.carrier(0.0)) == pytest.approx(
+        np.angle(hat.carrier(0.0)), rel=1e-12)
     x = np.array([0.0, 3.0])
     v0 = prof.values(x, t=0.0)
     v1 = prof.values(x, t=0.7)
@@ -101,7 +102,6 @@ def test_strong_coeffs_frozen(model, request):
     }[model]
     p = request.getfixturevalue(model)
     ac = strong_ac_coeffs(mathieu_critical(p), p)
-    assert ac.regime == "strong"
     assert ac.lin == pytest.approx(lin, rel=1e-10)
     assert ac.diff == pytest.approx(diff, rel=1e-10)
     assert ac.cub == pytest.approx(cub, rel=1e-10)
@@ -148,6 +148,8 @@ def test_strong_sech_existence(strong_model):
     with pytest.raises(ExistenceError):
         strong_sech_pde(ac, fp, 1.05 * fp.f_c)
     assert strong_sech_pde(ac, fp, fp.f_c).amp == 0.0
+    # within the stated 1e-14 above onset the pulse is the onset limit
+    assert strong_sech_pde(ac, fp, fp.f_c * (1.0 + 2e-15)).amp == 0.0
 
 
 def test_strong_reduction_mass_guard():
