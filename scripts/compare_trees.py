@@ -6,14 +6,16 @@
 Runs a fixed list of ``oscillab`` commands from each tree's ``src/``, each
 in a fresh interpreter on one BLAS thread (OPENBLAS_NUM_THREADS=1): the four
 benchmark workloads of CHANGE/perfbench/workloads.py at seed 1, read and not
-edited, the 59-point labelled FCGL branch, a labelled n = 64
-forced-model branch, an n = 64 simulate with snapshots and reduce for each
-system, and floquet.  For each output file it prints "byte-identical" or,
-for each numeric column that differs, the largest relative difference; for
-key = value files such as stats.txt, each value that changed.  It then runs
-``pytest -q -s tests/test_acceptance.py`` in each tree the same way and
-prints "identical" or both versions of each [criterion NN] line.  Exits 1
-when any output or criterion line differs or any command fails.
+edited, the 59-point labelled FCGL branch, a labelled n = 64 forced-model
+branch, an n = 64 simulate with snapshots and reduce for each system,
+floquet, and the default 36-probe sweep and its forced-model twin at
+n = 256.  For each output file it prints "byte-identical" or, for a changed
+header, both versions; for each numeric column that differs, the largest
+relative difference; for key = value files such as stats.txt, each value
+that changed.  It then runs ``pytest -q -s tests/test_acceptance.py`` in
+each tree the same way and prints "identical" or both versions of each
+[criterion NN] line.  Exits 1 when any output or criterion line differs or
+any command fails.
 """
 
 import argparse
@@ -53,6 +55,9 @@ def commands(tree: str) -> list[tuple[str, list[str], dict]]:
             f"system.kind={kind}"), {}))
     cmds.append(("floquet", ["floquet"] + _overrides(
         "floquet.diagnostics=true"), {}))
+    cmds.append(("sweep-36", ["sweep"], {}))
+    cmds.append(("pde-sweep-36", ["sweep"] + _overrides(
+        "system.kind=pde", "grid.n=256", "sweep.t_probe=200"), {}))
     return cmds
 
 
@@ -101,12 +106,17 @@ def compare_criteria(a: list[str], b: list[str]) -> list[str]:
 
 
 def _table(path: str) -> tuple[bool, list[str], list[list[str]]]:
-    """(keyed, columns, rows) of an output file: a CSV table, a snapshot
-    with its '# x ...' header, or key = value lines (keyed) as one row."""
+    """(keyed, header, rows) of an output file: a CSV table, a snapshot
+    whose header is the words of its leading '#' lines ('# x ...', then
+    '# t = ...' for a field taken at t != 0), or key = value lines (keyed)
+    as one row."""
     with open(path, encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if lines and lines[0].startswith("#"):
-        return False, lines[0].lstrip("#").split(), [ln.split() for ln in lines[1:]]
+    head = next((i for i, ln in enumerate(lines) if not ln.startswith("#")),
+                len(lines))
+    if head:
+        header = " ".join(ln.lstrip("#") for ln in lines[:head]).split()
+        return False, header, [ln.split() for ln in lines[head:]]
     if lines and " = " in lines[0]:
         pairs = [line.partition(" = ")[::2] for line in lines]
         return True, [key for key, _ in pairs], [[value for _, value in pairs]]
@@ -143,7 +153,7 @@ def compare_files(a: str, b: str) -> list[str]:
                  if va.get(key) != vb.get(key)]
         return notes or ["bytes differ, values equal"]
     if cols_a != cols_b:
-        return [f"columns {cols_a} -> {cols_b}"]
+        return [f"header {cols_a} -> {cols_b}"]
     if len(rows_a) != len(rows_b) or any(
             len(ra) != len(rb) for ra, rb in zip(rows_a, rows_b)):
         return [f"rows {len(rows_a)} -> {len(rows_b)}"]

@@ -55,33 +55,41 @@ def _add_noise(values: np.ndarray, cfg: RunConfig) -> np.ndarray:
     return values + scale * bump / math.sqrt(2.0)
 
 
-def _on_run_grid(run, seed):
-    """The seed, if it holds the run's grid and harmonics; stepping or
-    packing it on others would silently mix its samples."""
+def file_seed(cfg: RunConfig, command: str = "simulate"):
+    """The state in the seed file as command takes it: the harmonic state
+    for the forced model's continue, else a field (a harmonic state taken at
+    t = 0).  A file that cannot be read as a snapshot, or whose state is off
+    the run's grid and harmonics, where its samples would be silently mixed,
+    is a configuration error."""
+    path, pde = cfg.seed.path, cfg.system.kind == "pde"
+    try:
+        state = fileio.read_snapshot(path)
+    except (OSError, ValueError, ShapeError, ParameterError) as exc:
+        raise ConfigError(f"cannot read seed file {path}: {exc}") from exc
+    run = cfg.grid
+    if pde and command == "continue":
+        run = continuation.PdeHarmonicProblem(cfg.model_params(), run.n,
+                                              run.length)
+    elif isinstance(state, continuation.HarmonicPdeState):
+        if not pde:
+            raise ConfigError("seed file holds a harmonic state, not a field")
+        state = state.reconstruct(0.0)
+
     def grid(s):
         return s.n, s.length, [int(j) for j in getattr(s, "harmonics", [])]
-    have, want = grid(seed), grid(run)
+    have, want = grid(state), grid(run)
     if have[::2] != want[::2] or not math.isclose(have[1], want[1],
                                                   rel_tol=1e-12):
         raise ConfigError(f"seed file holds (n, length, harmonics) = {have}, "
                           f"the run needs {want}")
-    return seed
-
-
-def _read_seed(path: str) -> ComplexField | continuation.HarmonicPdeState:
-    """The state in the seed file at path; a file that cannot be read as a
-    snapshot is a configuration error."""
-    try:
-        return fileio.read_snapshot(path)
-    except (OSError, ValueError, ShapeError, ParameterError) as exc:
-        raise ConfigError(f"cannot read seed file {path}: {exc}") from exc
+    return state
 
 
 def build_seed(cfg: RunConfig) -> ComplexField:
     """The configured seed field.  The forced model's flat seed is the upper
     flat state at the mapped forcing, carried to the fast frame as
     U = eps A e^{i(t + pi/4)} at t = 0."""
-    n, length = cfg.grid.n, cfg.grid.length
+    n, length, t = cfg.grid.n, cfg.grid.length, 0.0
     kind, pde = cfg.seed.kind, cfg.system.kind == "pde"
     if kind == "zero":
         values = np.zeros(n, dtype=complex)
@@ -102,24 +110,16 @@ def build_seed(cfg: RunConfig) -> ComplexField:
             p = cfg.fcgl_params()
             profile = weak_sech_fcgl(p, p.gamma, center=length / 2.0)
         values = profile.as_field(n, length).values
-    elif kind == "sech-strong" and pde:
+    elif kind == "sech-strong":
         mp = cfg.model_params()
         fp = mathieu_critical(mp, cfg.floquet.j_trunc)
         profile = strong_sech_pde(strong_ac_coeffs(fp, mp), fp, mp.f,
                                   center=length / 2.0)
         values = profile.as_field(n, length).values
     elif kind == "file":
-        state = _read_seed(cfg.seed.path)
-        if isinstance(state, continuation.HarmonicPdeState):
-            if not pde:
-                raise ConfigError(
-                    "seed file holds a harmonic state, not a field")
-            state = state.reconstruct(0.0)
-        length, values = state.length, _on_run_grid(cfg.grid, state).values
-    else:
-        raise ConfigError(
-            f"seed kind {kind!r} is not valid for system={cfg.system.kind}")
-    return ComplexField(length, _add_noise(values, cfg))
+        state = file_seed(cfg)
+        length, values, t = state.length, state.values, state.t
+    return ComplexField(length, _add_noise(values, cfg), t)
 
 
 # ---- simulate ----
@@ -134,21 +134,20 @@ def cmd_simulate(cfg: RunConfig, out: str) -> int:
     else:
         p = cfg.model_params()
         strobe = TWO_PI
-    stepper = etd.make_stepper(seed, p, dt)
+    stepper = etd.make_stepper(seed, p, dt, t0=seed.t)
     times, norms = [stepper.t], [stepper.norm]
-
-    def observer(st):
-        times.append(st.t)
-        norms.append(st.norm)
-        stride = cfg.output.snapshot_stride
-        if stride > 0 and st.steps % stride == 0:
-            fileio.write_snapshot(
-                os.path.join(out, f"snapshot_{st.steps:08d}.txt"), st.field)
-
-    n_steps = int(round(ts.t_end / dt))
+    norm_every, snap_every = cfg.output.norm_stride, cfg.output.snapshot_stride
     summary, code = [], 0
     try:
-        stepper.run(n_steps, observer=observer, stride=cfg.output.norm_stride)
+        for _ in range(int(round(ts.t_end / dt))):
+            stepper.step()
+            k = stepper.steps
+            if k % norm_every == 0:
+                times.append(stepper.t)
+                norms.append(stepper.norm)
+            if snap_every > 0 and k % snap_every == 0:
+                fileio.write_snapshot(
+                    os.path.join(out, f"snapshot_{k:08d}.txt"), stepper.field)
         summary += [("final_time", stepper.t), ("final_norm", stepper.norm)]
         try:
             converged, periods, diffs = etd.run_to_steady(
@@ -170,7 +169,8 @@ def cmd_simulate(cfg: RunConfig, out: str) -> int:
     except BlowUpError as exc:
         # final.txt then holds the last finite state
         print(f"numerical failure: BlowUpError: {exc}", file=sys.stderr)
-        summary += [("blowup_step", exc.step), ("blowup_time", exc.step * dt),
+        summary += [("blowup_step", exc.step),
+                    ("blowup_time", seed.t + exc.step * dt),
                     ("last_finite_norm", stepper.norm)]
         code = 3
     fileio.write_norm_series(os.path.join(out, "norms.csv"), times, norms)
@@ -301,8 +301,7 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
         note = ("the forced model has no stability labels: its points are "
                 "left unclassified")
         if cfg.seed.kind == "file":
-            state = _read_seed(cfg.seed.path)
-            z0 = problem.pack(_on_run_grid(problem, state).profiles)
+            z0 = problem.pack(file_seed(cfg, "continue").profiles)
         else:
             # converge toward the periodic attractor, then sample its cycle
             # at the collocation times, which the steps must divide
@@ -480,22 +479,16 @@ def main(argv=None) -> int:
             else:
                 cfg.seed.kind = args.seed
             _validate(cfg)
+        if cfg.seed.kind == "file" and args.command in ("simulate", "continue"):
+            file_seed(cfg, args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out = args.out or f"oscillab-{args.command}"
-    made = not os.path.isdir(out)
     os.makedirs(out, exist_ok=True)
-    manifest = fileio.write_manifest(out, __version__, args.command, cfg.items())
+    fileio.write_manifest(out, __version__, args.command, cfg.items())
     try:
         return COMMANDS[args.command](cfg, out)
-    except ConfigError as exc:
-        # raised while the seed is read, before any other output: leave none
-        os.remove(manifest)
-        if made:
-            os.rmdir(out)
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except OscillabError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)

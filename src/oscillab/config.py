@@ -169,6 +169,8 @@ def _validate(cfg: RunConfig) -> None:
             f"[seed] kind must be one of {_SEED_KINDS + ('file',)}")
     if seed_kind == "file" and not cfg.seed.path:
         raise ConfigError("[seed] kind=file requires a path")
+    if seed_kind == "sech-strong" and cfg.system.kind != "pde":
+        raise ConfigError("[seed] kind=sech-strong requires system.kind=pde")
     if cfg.seed.noise < 0:
         raise ConfigError("[seed] noise must be >= 0")
     if cfg.seed.noise_seed < 0:
@@ -205,6 +207,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("[continuation] newton_tol must be > 0")
     if c.classify_stride < 1:
         raise ConfigError("[continuation] classify_stride must be >= 1")
+    if c.snapshot_stride < 0:
+        raise ConfigError("[continuation] snapshot_stride must be >= 0")
     if cfg.floquet.j_trunc < 2:
         raise ConfigError("[floquet] j_trunc must be >= 2")
     if cfg.floquet.n_samples < 1:
@@ -215,6 +219,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("[sweep] t_probe must be >= timestepping.dt")
     if cfg.output.norm_stride < 1:
         raise ConfigError("[output] norm_stride must be >= 1")
+    if cfg.output.snapshot_stride < 0:
+        raise ConfigError("[output] snapshot_stride must be >= 0")
 
 
 def load_config(path: str | None = None, overrides: list[str] = ()) -> RunConfig:

@@ -385,7 +385,7 @@ class HarmonicPdeState:
 
     def reconstruct(self, t: float = 0.0) -> ComplexField:
         phases = np.exp(1j * self.harmonics * t)
-        return ComplexField(self.length, phases @ self.profiles)
+        return ComplexField(self.length, phases @ self.profiles, t)
 
     @property
     def norm(self) -> float:

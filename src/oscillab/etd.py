@@ -132,12 +132,10 @@ class Etd2Stepper:
         self._n_prev = n_cur
         self.steps += 1
 
-    def run(self, n_steps: int, observer: Callable | None = None, stride: int = 1):
-        """Take n_steps; call observer(stepper) every stride steps."""
-        for i in range(n_steps):
+    def run(self, n_steps: int) -> None:
+        """Take n_steps."""
+        for _ in range(n_steps):
             self.step()
-            if observer is not None and (i + 1) % stride == 0:
-                observer(self)
 
 
 class SpectralStepper(Etd2Stepper):
@@ -150,7 +148,7 @@ class SpectralStepper(Etd2Stepper):
 
     @property
     def field(self) -> ComplexField:
-        return ComplexField(self.length, np.fft.ifft(self.u))
+        return ComplexField(self.length, np.fft.ifft(self.u), self.t)
 
     @property
     def norm(self) -> float:

@@ -10,10 +10,11 @@ from .errors import ParameterError
 
 @dataclass
 class ComplexField:
-    """Samples of a complex function on the uniform periodic grid x_j = j*length/n."""
+    """Samples at time t of a complex function on the grid x_j = j*length/n."""
 
     length: float
     values: np.ndarray
+    t: float = 0.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)

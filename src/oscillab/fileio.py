@@ -64,7 +64,8 @@ def write_norm_series(path: str, times, norms) -> None:
 # ---- field snapshots ----
 # Header "# x re_u im_u" for plain fields; harmonic states label each column
 # pair with the harmonic index, e.g. "# x re_u-3 im_u-3 ... re_u3 im_u3".
-# The labels, not the number of pairs, tell the two apart on reading.
+# The labels, not the number of pairs, tell the two apart on reading.  A
+# field taken at t != 0 has a second line "# t = <t>"; at t = 0 it has none.
 
 def write_snapshot(path: str, state: ComplexField | HarmonicPdeState) -> None:
     if isinstance(state, HarmonicPdeState):
@@ -72,6 +73,8 @@ def write_snapshot(path: str, state: ComplexField | HarmonicPdeState) -> None:
         cols = state.profiles
     else:
         labels, cols = "re_u im_u", state.values[None, :]
+        if state.t:
+            labels += f"\nt = {FMT % state.t}"
     x = np.arange(state.n) * (state.length / state.n)
     # given a path, numpy would open it through its DataSource, importing gzip
     with open(path, "w", encoding="utf-8") as fh:
@@ -85,7 +88,9 @@ def read_snapshot(path: str) -> ComplexField | HarmonicPdeState:
         tokens = header.lstrip("#").split()
         if not header.startswith("#") or not tokens or tokens[0] != "x":
             raise ShapeError(f"{path}: missing snapshot header")
-        data = np.loadtxt(fh)
+        rows = fh.readlines()
+    t = next((float(r[5:]) for r in rows[:1] if r.startswith("# t =")), 0.0)
+    data = np.loadtxt(rows)
     if data.ndim == 1:
         data = data[None, :]
     pair_labels = tokens[1::2]
@@ -97,7 +102,7 @@ def read_snapshot(path: str) -> ComplexField | HarmonicPdeState:
     length = float(x[-1] + (x[1] - x[0])) if n > 1 else 1.0
     cols = [data[:, 1 + 2 * i] + 1j * data[:, 2 + 2 * i] for i in range(n_pairs)]
     if pair_labels == ["re_u"]:
-        return ComplexField(length, cols[0])
+        return ComplexField(length, cols[0], t)
     harmonics = np.array([int(lbl.removeprefix("re_u")) for lbl in pair_labels])
     return HarmonicPdeState(length=length, harmonics=harmonics,
                             profiles=np.stack(cols))

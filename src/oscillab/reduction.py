@@ -102,7 +102,7 @@ class SechProfile:
 
     def as_field(self, n: int, length: float, t: float = 0.0) -> ComplexField:
         x = np.arange(n) * (length / n)
-        return ComplexField(length, self.values(x, t))
+        return ComplexField(length, self.values(x, t), t)
 
 
 def _check(conditions) -> None:

@@ -78,6 +78,9 @@ def test_bad_override_is_config_error(tmp_path):
     ("floquet", ["floquet.n_samples=0"]),
     # negative noise would be a silent no-op beside zero noise
     ("simulate", ["seed.noise=-0.5"]),
+    # negative snapshot strides would act as 0
+    ("simulate", ["output.snapshot_stride=-5"]),
+    ("continue", ["continuation.snapshot_stride=-3"]),
 ])
 def test_inert_or_crashing_inputs_are_config_errors(tmp_path, capsys,
                                                     command, overrides):
@@ -214,6 +217,60 @@ def test_simulate_rejects_a_file_seed_on_another_grid(tmp_path, capsys):
     assert code == 2
     assert "seed file holds" in capsys.readouterr().err
     assert not out.exists()     # no manifest left alone in a new directory
+
+
+def test_simulate_snapshots_count_steps_not_norm_rows(tmp_path):
+    # 127 steps with a norm row every 20 steps: still a snapshot every 30
+    code, out = run(tmp_path, "simulate", *_overrides(
+        "grid.n=64", "timestepping.t_end=4.0", "timestepping.max_periods=1",
+        "output.snapshot_stride=30"))
+    assert code == 0
+    assert sorted(p.name for p in out.glob("snapshot_*")) == [
+        f"snapshot_{k:08d}.txt" for k in (30, 60, 90, 120)]
+
+
+def test_model_restart_from_a_snapshot_keeps_the_forcing_phase(tmp_path):
+    # step 150 is at t = 1.5 pi, half a forcing period off t = 0
+    dt = 2 * math.pi / 200
+    settings = ["system.kind=pde", "grid.n=64", "timestepping.max_periods=1",
+                "output.norm_stride=10", "output.snapshot_stride=150"]
+    code, first = run(tmp_path, "simulate", *_overrides(
+        *settings, f"timestepping.t_end={450 * dt!r}"))
+    assert code == 0
+    second = tmp_path / "restart"
+    code = main(["simulate", "--out", str(second), "--seed",
+                 f"file:{first / 'snapshot_00000150.txt'}", *_overrides(
+                     *settings, f"timestepping.t_end={300 * dt!r}")])
+    assert code == 0
+    a = fileio.read_snapshot(first / "snapshot_00000450.txt")
+    b = fileio.read_snapshot(second / "snapshot_00000300.txt")
+    rel = np.linalg.norm(b.values - a.values) / np.linalg.norm(a.values)
+    assert rel < 1e-4
+    assert b.t == pytest.approx(a.t, rel=1e-12)
+    assert a.t == pytest.approx(450 * dt, rel=1e-12)
+
+
+def _tree(path):
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+@pytest.mark.parametrize("case", ["missing", "off-grid", "sech-strong-fcgl"])
+def test_failed_rerun_leaves_the_output_directory_as_it_was(tmp_path, capsys,
+                                                            case):
+    code, out = run(tmp_path, "simulate", "--seed", "zero", *_overrides(
+        "grid.n=64", "timestepping.t_end=1.0"))
+    assert code == 0
+    before = _tree(out)
+    assert "manifest.txt" in before
+    snap = tmp_path / "seed.txt"
+    fileio.write_snapshot(snap, ComplexField(20 * math.pi, np.zeros(32)))
+    seed = {"missing": f"file:{tmp_path / 'none.txt'}",
+            "off-grid": f"file:{snap}", "sech-strong-fcgl": "sech-strong"}
+    code, _ = run(tmp_path, "simulate", "--seed", seed[case],
+                  *_overrides("grid.n=64", "timestepping.t_end=2.0"))
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert _tree(out) == before
 
 
 def test_simulate_rejects_harmonic_file_for_fcgl(tmp_path):

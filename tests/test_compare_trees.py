@@ -3,9 +3,12 @@ import importlib.util
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from oscillab import fileio
 from oscillab.cli import main
+from oscillab.fields import ComplexField
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_trees.py"
 
@@ -67,3 +70,13 @@ def test_compare_criteria_prints_both_versions_of_a_changed_line():
     # a criterion printed by one side only is reported, not dropped
     assert compare.compare_criteria(parent, change[:1])[1].endswith(
         "change: (none)")
+
+
+def test_compare_files_reads_a_time_line_as_header(tmp_path):
+    compare = load_script()
+    values = np.arange(64) * (1 + 1j)
+    fileio.write_snapshot(tmp_path / "a.txt", ComplexField(1.0, values))
+    fileio.write_snapshot(tmp_path / "b.txt", ComplexField(1.0, values, 1.5))
+    note, = compare.compare_files(tmp_path / "a.txt", tmp_path / "b.txt")
+    assert note == ("header ['x', 're_u', 'im_u'] -> "
+                    "['x', 're_u', 'im_u', 't', '=', '1.5']")
