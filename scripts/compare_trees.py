@@ -107,15 +107,16 @@ def compare_criteria(a: list[str], b: list[str]) -> list[str]:
 
 def _table(path: str) -> tuple[bool, list[str], list[list[str]]]:
     """(keyed, header, rows) of an output file: a CSV table, a snapshot
-    whose header is the words of its leading '#' lines ('# x ...', then
-    '# t = ...' for a field taken at t != 0), or key = value lines (keyed)
-    as one row."""
+    whose header is the column names of its first '#' line and then each
+    further '#' line as one item (the 't = ...' of a field taken at
+    t != 0), or key = value lines (keyed) as one row."""
     with open(path, encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     head = next((i for i, ln in enumerate(lines) if not ln.startswith("#")),
                 len(lines))
     if head:
-        header = " ".join(ln.lstrip("#") for ln in lines[:head]).split()
+        header = lines[0].lstrip("#").split()
+        header += [ln.lstrip("#").strip() for ln in lines[1:head]]
         return False, header, [ln.split() for ln in lines[head:]]
     if lines and " = " in lines[0]:
         pairs = [line.partition(" = ")[::2] for line in lines]
@@ -158,8 +159,8 @@ def compare_files(a: str, b: str) -> list[str]:
             len(ra) != len(rb) for ra, rb in zip(rows_a, rows_b)):
         return [f"rows {len(rows_a)} -> {len(rows_b)}"]
     notes = []
-    for i, name in enumerate(cols_a):
-        col_a, col_b = [r[i] for r in rows_a], [r[i] for r in rows_b]
+    # a header item past the last column, such as a time line, has no column
+    for name, col_a, col_b in zip(cols_a, zip(*rows_a), zip(*rows_b)):
         if col_a == col_b:
             continue
         fa, fb = _floats(col_a), _floats(col_b)

@@ -8,8 +8,9 @@ conjugate couplings, with a matrix-free Krylov solver.  The unknowns are the
 even Fourier coefficients of the profiles, which quotients out translations,
 as a float view of the complex half-spectrum.  The Jacobian at the zero
 state is block-diagonal in them, one small real block per wavenumber, and
-its exact inverse preconditions every Krylov solve.  Branches are traced
-with secant pseudo-arclength steps; folds are flagged at sign changes of the
+its exact inverse preconditions every Krylov solve, the corrector's
+arclength-bordered one by block elimination.  Branches are traced with
+secant pseudo-arclength steps; folds are flagged at sign changes of the
 parameter increment and refined with a local quadratic fit.  FCGL states are
 labelled by the rightmost eigenvalues of the Jacobian's even and odd blocks,
 written from the linearization's multipliers; forced-model states are not.
@@ -158,11 +159,13 @@ class _SteadyProblem:
         symbol * a_hat + coeffs(N(samples(a_hat), times)),
 
     its Jacobian as a plain callable and its derivative in the drive, all
-    generic over the two hooks samples and coeffs.  The unknowns are even
-    Fourier coefficients (pack), so only the dealiased product transforms.
-    The preconditioner is the inverse of the Jacobian at the zero state, one
-    block per wavenumber read off the Jacobian itself, with singular values
-    floored at PRECOND_FLOOR; it makes no transform."""
+    generic over the two hooks samples and coeffs.  The Jacobian is the
+    symbol plus the multipliers of params.multipliers at the samples.  The
+    unknowns are even Fourier coefficients (pack), so only the dealiased
+    product transforms.  The preconditioner is the inverse of the Jacobian
+    at the zero state, one block per wavenumber read off the Jacobian
+    itself, with singular values floored at PRECOND_FLOOR; it makes no
+    transform."""
 
     PRECOND_FLOOR = 1e-3
     times = 0.0                 # the forcing's time at the samples
@@ -199,11 +202,23 @@ class _SteadyProblem:
         w = self.params.nonlinear(self.samples(a_hat), self.times, drive)
         return self._packed(self.symbol * a_hat + self.coeffs(w))
 
-    def linearization(self, z: np.ndarray, drive: float):
-        """The Jacobian at z as a map of full-grid coefficients, any parity."""
-        dn = self.params.linearization(self.samples(self._spectrum(z)),
+    def _multipliers(self, z: np.ndarray, drive: float):
+        """(A, B) of params.multipliers at the samples of z, on their shape."""
+        return self.params.multipliers(self.samples(self._spectrum(z)),
                                        self.times, drive)
-        return lambda d_hat: self.symbol * d_hat + self.coeffs(dn(self.samples(d_hat)))
+
+    def linearization(self, z: np.ndarray, drive: float):
+        """The Jacobian at z as a map of full-grid coefficients, any parity:
+        d -> symbol d + the dealiased product A d + B conj(d)."""
+        a, b = self._multipliers(z, drive)
+
+        def apply(d_hat):
+            d = self.samples(d_hat)
+            w = np.conj(d)
+            w *= b
+            w += np.multiply(a, d, out=d)
+            return self.symbol * d_hat + self.coeffs(w)
+        return apply
 
     def jacobian(self, z: np.ndarray, drive: float):
         lin = self.linearization(z, drive)
@@ -251,13 +266,26 @@ class _SteadyProblem:
         b0 = blocks(0.0)
         return b0, blocks(1.0) - b0
 
-    def preconditioner(self, drive: float):
+    def preconditioner(self, drive: float, stats: SolveStats | None = None):
         """z -> the inverse of the Jacobian at the zero state at drive, each
-        block's singular values floored at PRECOND_FLOOR."""
+        block's singular values floored at PRECOND_FLOOR.  One batched inv
+        inverts every block; only a block whose inverse has a Frobenius norm,
+        a bound on its 2-norm, above 1/PRECOND_FLOOR is inverted again through
+        its SVD with the floor.  The blocks the floor changes are counted in
+        stats, when given."""
         b0, b1 = self.zero_state_blocks
-        u, s, vt = np.linalg.svd(b0 + drive * b1)
-        s = np.maximum(s, self.PRECOND_FLOOR)
-        inv = np.swapaxes(vt, 1, 2) @ (np.swapaxes(u, 1, 2) / s[..., None])
+        blocks = b0 + drive * b1
+        try:
+            inv = np.linalg.inv(blocks)
+        except np.linalg.LinAlgError:           # an exactly singular block
+            inv = np.full_like(blocks, np.inf)
+        near = ~(np.linalg.norm(inv, axis=(1, 2)) <= 1.0 / self.PRECOND_FLOOR)
+        if near.any():
+            u, s, vt = np.linalg.svd(blocks[near])
+            if stats is not None:
+                stats.precond_floored += int(np.sum(s[:, -1] < self.PRECOND_FLOOR))
+            s = np.maximum(s, self.PRECOND_FLOOR)
+            inv[near] = np.swapaxes(vt, 1, 2) @ (np.swapaxes(u, 1, 2) / s[..., None])
         inv = np.ascontiguousarray(inv.transpose(1, 2, 0))     # (m, m, k)
         m, nk = inv.shape[1:]
         inv = inv.reshape(-1, 2, m, nk)
@@ -279,15 +307,13 @@ class _SteadyProblem:
         Fourier coefficients 0...n/2 (odd: 1...n/2-1), an interior one
         standing for (e_k + sign e_-k)/sqrt(2).  The even block is the
         Jacobian of the packed unknowns.  It is written from the multipliers
-        of dn = params.linearization at the samples, d -> A d + B conj(d),
-        A = (dn(1) - i dn(i))/2 and B = (dn(1) + i dn(i))/2.  With hats their
-        (time, x) Fourier coefficients over the sample count, the dealiased
-        product takes (j', l) to (j, k) by A_hat[j - j', k - l] and conj(j', l)
-        by B_hat[j + j', k + l]: on one parity, Toeplitz plus Hankel in (k, l)."""
-        u = self.samples(self._spectrum(z))
-        dn = self.params.linearization(u, self.times, drive)
-        d1, di = (dn(np.full(u.shape, c)).reshape(-1, u.shape[-1]) for c in (1.0, 1j))
-        hat_a, hat_b = np.fft.fft2([d1 - 1j * di, d1 + 1j * di]) / (2 * u.size)
+        (A, B) of the linearization at the samples, d -> A d + B conj(d).
+        With hats their (time, x) Fourier coefficients over the sample count,
+        the dealiased product takes (j', l) to (j, k) by A_hat[j - j', k - l]
+        and conj(j', l) by B_hat[j + j', k + l]: on one parity, Toeplitz plus
+        Hankel in (k, l)."""
+        a, b = self._multipliers(z, drive)
+        hat_a, hat_b = np.fft.fft2(np.reshape([a, b], (2, -1, a.shape[-1]))) / a.size
         # negative indices wrap, as |j +- j'| and |k +- l| are below the sample counts
         j, jp = self.harmonics[:, None, None], self.harmonics[:, None]
         idx = np.arange(self.n // 2 + 1) if sign > 0 else np.arange(1, self.n // 2)
@@ -405,6 +431,7 @@ class SolveStats:
     step_rejections: int = 0
     label_krylov_steps: int = 0
     rejected_matvecs: int = 0       # spent on corrector steps then rejected
+    precond_floored: int = 0        # preconditioner blocks not inverted exactly
 
     def solve(self, matvec, b, psolve, rtol: float) -> np.ndarray:
         """_gmres(matvec, b, psolve, rtol), counted; returns the solution."""
@@ -425,7 +452,7 @@ def newton_solve(problem, z0: np.ndarray, param: float, tol: float = 1e-10,
     DivergenceError when no damped step lowers the residual, and before any
     solve when the starting residual is not finite."""
     stats = stats if stats is not None else SolveStats()
-    precond = problem.preconditioner(param)
+    precond = problem.preconditioner(param, stats)
     z = np.asarray(z0, dtype=float)
     r = problem.residual(z, param)
     rn = problem.max_norm(r)
@@ -507,11 +534,20 @@ def _wnorm(problem, dz: np.ndarray, dp: float) -> float:
 
 def _bordered(problem, precond, z, pm, tau_z, tau_p, count, row):
     """Matvec and preconditioner of the arclength-bordered Jacobian at
-    (z, pm): the residual's Jacobian with its parameter column, closed by the
-    arclength row of _corrector; the preconditioner acts on the z-block."""
+    (z, pm), [[J, r], [c, d]]: the residual's Jacobian J with its parameter
+    column r, closed by the arclength row of _corrector, c = tau_z/(count
+    row) and d = tau_p/row.  The preconditioner is block elimination with
+    precond = M ~ J^-1 (Govaerts 2000): with v = M r and the Schur scalar
+    s = d - c v, (f, g) -> (M f - v y, y), y = (g - c M f)/s, the exact
+    inverse when M is.  Where s is zero or not finite, it is M on the
+    z-block alone."""
     nz = z.size
     jac = problem.jacobian(z, pm)
     rp = problem.dparam(z, pm)
+    v, c = precond(rp), tau_z / (count * row)
+    s = tau_p / row - float(c @ v)
+    if not (math.isfinite(s) and s != 0.0):
+        v, c, s = np.zeros(nz), np.zeros(nz), 1.0
 
     def matvec(dy):
         dz, dp = dy[:nz], dy[nz]
@@ -523,8 +559,10 @@ def _bordered(problem, precond, z, pm, tau_z, tau_p, count, row):
 
     def psolve(dy):
         out = np.empty(nz + 1)
-        out[:nz] = precond(dy[:nz])
-        out[nz] = dy[nz]
+        mf = precond(dy[:nz])
+        out[nz] = y = (dy[nz] - float(c @ mf)) / s
+        np.multiply(v, -y, out=out[:nz])
+        out[:nz] += mf
         return out
 
     return matvec, psolve
@@ -543,7 +581,7 @@ def _corrector(problem, z_pred, p_pred, tau_z, tau_p, controls,
     residual or row that is not finite, and the step after MAX_CORRECTOR
     corrections."""
     z, pm = z_pred.copy(), p_pred
-    precond = problem.preconditioner(p_pred)
+    precond = problem.preconditioner(p_pred, stats)
     nz, count = z.size, 2 * problem.symbol.size
     row = math.sqrt(float(tau_z @ tau_z) / count**2 + tau_p**2)
     last_step = last_res = math.inf
@@ -578,7 +616,7 @@ def _initial_tangent(problem, z, param, stats: SolveStats):
     negation is the tangent the other way."""
     rp = problem.dparam(z, param)
     b = stats.solve(problem.jacobian(z, param), -rp,
-                    problem.preconditioner(param), 1e-8)
+                    problem.preconditioner(param, stats), 1e-8)
     scale = _wnorm(problem, b, 1.0)
     return -(b / scale), -(1.0 / scale)
 

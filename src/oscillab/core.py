@@ -66,14 +66,18 @@ class _System:
         return self.shift - (self.alpha + 1j * self.beta) * k**2
 
     def nonlinear(self, u, t, drive):
-        """N(u, t) at samples u."""
-        return self.c * (np.abs(u) ** 2) * u + self.forcing(u, t, drive)
+        """N(u, t) at samples u, |u|^2 taken as u conj(u)."""
+        return (self.c * u) * np.conj(u) * u + self.forcing(u, t, drive)
 
-    def linearization(self, u, t, drive):
-        """The real-linear map d -> dN(u)[d], the derivative of N at samples u."""
-        c, two_abs2, sq = self.c, 2.0 * np.abs(u) ** 2, u**2
-        return lambda d: (c * (two_abs2 * d + sq * np.conj(d))
-                          + self.forcing(d, t, drive))
+    def multipliers(self, u, t, drive):
+        """(A, B) with dN(u)[d] = A d + B conj(d), the derivative of N at
+        samples u: 2 C |u|^2 and C u^2 from the cubic, plus the forcing's
+        parts (f(1) -+ i f(i))/2 of f = forcing(., t, drive), which is
+        real-linear."""
+        f1, fi = self.forcing(1.0, t, drive), self.forcing(1j, t, drive)
+        cu = self.c * u
+        return (2.0 * cu * np.conj(u) + 0.5 * (f1 - 1j * fi),
+                cu * u + 0.5 * (f1 + 1j * fi))
 
 
 @dataclass(frozen=True)

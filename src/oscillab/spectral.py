@@ -26,9 +26,9 @@ def wavenumbers(n: int, length: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
 
 
-def pad_coeffs(coeffs: np.ndarray, m: int, out=None) -> np.ndarray:
-    """Embed n unnormalized coefficients into m slots; the Nyquist mode is
-    dropped.  All of out, when given, is written."""
+def pad_coeffs(coeffs: np.ndarray, m: int, out=None, scale=1.0) -> np.ndarray:
+    """Embed n unnormalized coefficients, times scale, into m slots; the
+    Nyquist mode is dropped.  All of out, when given, is written."""
     n = coeffs.shape[-1]
     if m < n:
         raise ShapeError("padded size must not be smaller than the original")
@@ -36,14 +36,14 @@ def pad_coeffs(coeffs: np.ndarray, m: int, out=None) -> np.ndarray:
     if out is None:
         out = np.empty(coeffs.shape[:-1] + (m,), dtype=complex)
     out[..., h:m - h + 1] = 0.0
-    out[..., :h] = coeffs[..., :h]
-    out[..., m - h + 1:] = coeffs[..., n - h + 1:]
+    np.multiply(coeffs[..., :h], scale, out=out[..., :h])
+    np.multiply(coeffs[..., n - h + 1:], scale, out=out[..., m - h + 1:])
     return out
 
 
-def truncate_coeffs(coeffs: np.ndarray, n: int, out=None) -> np.ndarray:
-    """The n lowest of m unnormalized coefficients; the Nyquist slot stays
-    empty.  All of out, when given, is written."""
+def truncate_coeffs(coeffs: np.ndarray, n: int, out=None, scale=1.0) -> np.ndarray:
+    """The n lowest of m unnormalized coefficients, times scale; the Nyquist
+    slot stays empty.  All of out, when given, is written."""
     m = coeffs.shape[-1]
     if n > m:
         raise ShapeError("truncated size must not exceed the original")
@@ -51,8 +51,8 @@ def truncate_coeffs(coeffs: np.ndarray, n: int, out=None) -> np.ndarray:
     if out is None:
         out = np.empty(coeffs.shape[:-1] + (n,), dtype=complex)
     out[..., h:n - h + 1] = 0.0
-    out[..., :h] = coeffs[..., :h]
-    out[..., n - h + 1:] = coeffs[..., m - h + 1:]
+    np.multiply(coeffs[..., :h], scale, out=out[..., :h])
+    np.multiply(coeffs[..., m - h + 1:], scale, out=out[..., n - h + 1:])
     return out
 
 
@@ -62,21 +62,18 @@ def padded_size(n: int) -> int:
 
 def to_fine(coeffs: np.ndarray, out=None) -> np.ndarray:
     """Samples on the 3/2-rule grid of the field with these n coefficients,
-    written into out when it is given."""
+    written into out when it is given: the padded coefficients over n,
+    summed by an unscaled inverse transform."""
     n = coeffs.shape[-1]
-    m = padded_size(n)
-    fine = pad_coeffs(coeffs, m, out=out)
-    np.fft.ifft(fine, axis=-1, out=fine)
-    fine *= m / n
-    return fine
+    fine = pad_coeffs(coeffs, padded_size(n), out=out, scale=1.0 / n)
+    return np.fft.ifft(fine, axis=-1, norm="forward", out=fine)
 
 
 def from_fine(fine: np.ndarray, n: int, out=None) -> np.ndarray:
-    """The n lowest coefficients of fine-grid samples, scaled by n/m last and
-    written into out when it is given."""
-    coeffs = truncate_coeffs(np.fft.fft(fine, axis=-1), n, out=out)
-    coeffs *= n / fine.shape[-1]
-    return coeffs
+    """The n lowest coefficients of fine-grid samples, scaled by n/m as they
+    are truncated and written into out when it is given."""
+    return truncate_coeffs(np.fft.fft(fine, axis=-1), n, out=out,
+                           scale=n / fine.shape[-1])
 
 
 def parseval_norm(coeffs: np.ndarray) -> float:

@@ -359,11 +359,13 @@ def test_continue_writes_solver_stats(tmp_path):
     stats = {key: int(val) for key, val in read_kv(out / "stats.txt").items()}
     assert list(stats) == ["gmres_solves", "matvecs", "gmres_unconverged",
                            "corrector_iterations", "step_rejections",
-                           "label_krylov_steps", "rejected_matvecs"]
+                           "label_krylov_steps", "rejected_matvecs",
+                           "precond_floored"]
     assert stats["gmres_solves"] > stats["corrector_iterations"] >= 4
     assert stats["matvecs"] > stats["gmres_solves"]
     assert stats["gmres_unconverged"] == 0
     assert stats["label_krylov_steps"] == 0
+    assert stats["precond_floored"] == 0
 
 
 def test_continue_writes_leading_rates(tmp_path):

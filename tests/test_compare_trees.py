@@ -79,4 +79,19 @@ def test_compare_files_reads_a_time_line_as_header(tmp_path):
     fileio.write_snapshot(tmp_path / "b.txt", ComplexField(1.0, values, 1.5))
     note, = compare.compare_files(tmp_path / "a.txt", tmp_path / "b.txt")
     assert note == ("header ['x', 're_u', 'im_u'] -> "
-                    "['x', 're_u', 'im_u', 't', '=', '1.5']")
+                    "['x', 're_u', 'im_u', 't = 1.5']")
+
+
+def test_compare_files_compares_the_columns_of_snapshots_at_one_time(tmp_path):
+    # two snapshots taken at the same t != 0 whose values differ by 1e-13:
+    # the time line is a header item, not a column
+    compare = load_script()
+    values = np.array([0.5 + 0.25j, -0.75 + 1j])
+    fileio.write_snapshot(tmp_path / "a.txt", ComplexField(1.0, values, 1.5))
+    fileio.write_snapshot(tmp_path / "b.txt",
+                          ComplexField(1.0, values * (1 + 1e-13), 1.5))
+    notes = compare.compare_files(tmp_path / "a.txt", tmp_path / "b.txt")
+    assert [note.partition(":")[0] for note in notes] == ["re_u", "im_u"]
+    for note in notes:
+        worst = float(note.partition("largest relative difference ")[2])
+        assert worst == pytest.approx(1e-13, rel=0.01)

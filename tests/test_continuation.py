@@ -148,6 +148,53 @@ def test_preconditioner_floors_the_onset_mode(fcgl_params):
     assert np.max(np.abs(product[k == 0][:, k > 0])) <= 1e-12
 
 
+def svd_route_apply(prob, drive, z):
+    """The zero-state preconditioner applied to z with every block inverted
+    through its SVD, singular values floored at PRECOND_FLOOR."""
+    b0, b1 = prob.zero_state_blocks
+    u, s, vt = np.linalg.svd(b0 + drive * b1)
+    s = np.maximum(s, prob.PRECOND_FLOOR)
+    inv = np.swapaxes(vt, 1, 2) @ (np.swapaxes(u, 1, 2) / s[..., None])
+    nk, m = b0.shape[:2]
+    x = z.reshape(-1, nk, 2).transpose(1, 0, 2).reshape(nk, m, 1)
+    return (inv @ x).reshape(nk, -1, 2).transpose(1, 0, 2).ravel()
+
+
+@pytest.mark.parametrize("make", PACKED_PROBLEMS)
+def test_preconditioner_is_the_svd_route_where_the_floor_is_idle(
+        fcgl_params, weak_model, make):
+    # one batched inv, certified by the Frobenius norm of each inverse,
+    # gives the exact inverse that the SVD gives where no value is floored
+    prob = make(fcgl_params, weak_model)
+    b0, b1 = prob.zero_state_blocks
+    z = np.random.default_rng(6).standard_normal(prob.size)
+    for drive in (0.0, 0.5 * prob.params.drive, prob.params.drive):
+        assert np.min(np.linalg.svd(b0 + drive * b1, compute_uv=False)) \
+            > prob.PRECOND_FLOOR
+        stats = ct.SolveStats()
+        got = prob.preconditioner(drive, stats)(z)
+        expected = svd_route_apply(prob, drive, z)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert stats.precond_floored == 0
+
+
+@pytest.mark.parametrize("mu, nu, drive", [(-0.5, 2.0, None), (0.0, 0.0, 0.0)],
+                         ids=["onset", "singular"])
+def test_preconditioner_counts_the_floored_blocks(fcgl_params, mu, nu, drive):
+    # at the onset gamma0 = |mu + i nu| the k = 0 block is singular to
+    # rounding; unforced with mu = nu = 0 it is exactly zero, which inv
+    # cannot invert: either way that block alone goes through the floor
+    p = replace(fcgl_params, mu=mu, nu=nu)
+    prob = ct.FcglSteadyProblem(p, n=48, length=LENGTH)
+    drive = math.hypot(mu, nu) if drive is None else drive
+    stats = ct.SolveStats()
+    precond = prob.preconditioner(drive, stats)
+    assert stats.precond_floored == 1
+    z = np.random.default_rng(7).standard_normal(prob.size)
+    expected = svd_route_apply(prob, drive, z)
+    assert np.max(np.abs(precond(z) - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
 def unit_column_block(prob, z, drive, sign):
     """The parity block column by column: the full-grid linearization of
     each unit coefficient vector of that parity, (e_k + sign e_-k), scaled
@@ -826,13 +873,18 @@ def localized_start(fcgl_params):
 
 
 def test_gmres_on_a_corrector_system_agrees_with_scipy(fcgl_params):
+    # the corrector's bordered matvec with the zero-state preconditioner on
+    # its z-block alone, so that GMRES runs long enough to be compared
     prob, z, tau_z, tau_p = localized_start(fcgl_params)
     z_pred, p_pred = z + 0.04 * tau_z, 1.95 + 0.04 * tau_p
     precond = prob.preconditioner(p_pred)
     count = 2 * prob.symbol.size
     row = math.sqrt(float(tau_z @ tau_z) / count**2 + tau_p**2)
-    matvec, psolve = ct._bordered(prob, precond, z_pred, p_pred, tau_z, tau_p,
-                                  count, row)
+    matvec, _ = ct._bordered(prob, precond, z_pred, p_pred, tau_z, tau_p,
+                             count, row)
+
+    def psolve(dy):
+        return np.append(precond(dy[:-1]), dy[-1])
     rhs = -np.concatenate([prob.residual(z_pred, p_pred), [0.0]])
     for rtol in (1e-5, 1e-8):
         x, info, matvecs = ct._gmres(matvec, rhs, psolve, rtol)
@@ -841,6 +893,56 @@ def test_gmres_on_a_corrector_system_agrees_with_scipy(fcgl_params):
         assert matvecs > 10
         assert abs(matvecs - matvecs_sp) <= 2
         assert np.linalg.norm(x - x_sp) <= rtol * np.linalg.norm(x_sp)
+
+
+def bordered_at(prob, precond, z, tau_z, tau_p):
+    """_bordered at (z, drive) along (tau_z, tau_p), with its row scale."""
+    count = 2 * prob.symbol.size
+    row = math.sqrt(float(tau_z @ tau_z) / count**2 + tau_p**2)
+    return ct._bordered(prob, precond, z, prob.params.drive, tau_z, tau_p,
+                        count, row)
+
+
+@pytest.mark.parametrize("make", PACKED_PROBLEMS)
+def test_bordered_psolve_inverts_with_an_exact_z_block(fcgl_params,
+                                                       weak_model, make):
+    # with the exact inverse of the Jacobian as M, block elimination is the
+    # exact inverse of the bordered matrix: GMRES stops after one Arnoldi
+    # step and the residual check
+    prob = make(fcgl_params, weak_model)
+    rng = np.random.default_rng(8)
+    z = prob.pack(0.3 * random_profiles(prob, rng))
+    inverse = np.linalg.inv(prob.parity_block(z, prob.params.drive, 1.0))
+    tau_z, tau_p = rng.standard_normal(prob.size), -0.5
+    matvec, psolve = bordered_at(prob, lambda f: inverse @ f, z, tau_z, tau_p)
+    eye = np.eye(prob.size + 1)
+    product = np.column_stack([psolve(matvec(e)) for e in eye])
+    assert np.max(np.abs(product - eye)) <= 1e-10
+    rhs = rng.standard_normal(prob.size + 1)
+    x, info, matvecs = ct._gmres(matvec, rhs, psolve, 1e-8)
+    assert (info, matvecs) == (0, 2)
+    assert np.linalg.norm(matvec(x) - rhs) <= 1e-8 * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("tau_p", [0.0, math.nan], ids=["zero", "nan"])
+def test_bordered_psolve_never_divides_by_a_bad_schur_scalar(fcgl_params,
+                                                             tau_p):
+    # a Schur scalar s = d - c M r that is zero or not finite leaves the
+    # elimination out: the z-block is preconditioned alone and the row
+    # passed through, so GMRES never sees a division by it.  tau_z is on
+    # the Nyquist mode, where the parameter column r, and so M r, is empty:
+    # with tau_p = 0, s is exactly zero
+    prob = ct.FcglSteadyProblem(fcgl_params, n=48, length=LENGTH)
+    rng = np.random.default_rng(9)
+    z = prob.pack(0.3 * random_profiles(prob, rng))
+    precond = prob.preconditioner(prob.params.drive)
+    tau_z = np.zeros(prob.size)
+    tau_z[prob.n] = 1.0
+    assert precond(prob.dparam(z, prob.params.drive))[prob.n] == 0.0
+    _, psolve = bordered_at(prob, precond, z, tau_z, tau_p)
+    dy = rng.standard_normal(prob.size + 1)
+    out = psolve(dy)
+    assert np.array_equal(out, np.append(precond(dy[:-1]), dy[-1]))
 
 
 def test_unconverged_solve_is_counted(fcgl_params):
@@ -855,7 +957,7 @@ def test_unconverged_solve_is_counted(fcgl_params):
         def jacobian(self, z, gamma):
             return lambda dz: np.roll(dz, 1)
 
-        def preconditioner(self, drive):
+        def preconditioner(self, drive, stats=None):
             return lambda dz: dz
 
     # n + 2 = 322 packed unknowns, more than one cycle of GMRES_RESTART
