@@ -11,11 +11,14 @@ branch, an n = 64 simulate with snapshots and reduce for each system,
 floquet, and the default 36-probe sweep and its forced-model twin at
 n = 256.  For each output file it prints "byte-identical" or, for a changed
 header, both versions; for each numeric column that differs, the largest
-relative difference; for key = value files such as stats.txt, each value
-that changed.  It then runs ``pytest -q -s tests/test_acceptance.py`` in
-each tree the same way and prints "identical" or both versions of each
-[criterion NN] line.  Exits 1 when any output or criterion line differs or
-any command fails.
+element-wise relative difference, the largest difference relative to the
+column's largest magnitude and the verdict of its bound in TOLERANCES; for
+key = value files such as stats.txt, each value that changed.  It then runs
+``pytest -q -s tests/test_acceptance.py`` in each tree the same way and
+prints "identical" or both versions of each [criterion NN] line.  Exits 1,
+naming each output not accepted, when a numeric column moves beyond its
+bound, any other output but a stats.txt counter changes, a criterion line
+differs or a command fails.
 """
 
 import argparse
@@ -105,11 +108,30 @@ def compare_criteria(a: list[str], b: list[str]) -> list[str]:
     return notes
 
 
-def _table(path: str) -> tuple[bool, list[str], list[list[str]]]:
-    """(keyed, header, rows) of an output file: a CSV table, a snapshot
-    whose header is the column names of its first '#' line and then each
-    further '#' line as one item (the 't = ...' of a field taken at
-    t != 0), or key = value lines (keyed) as one row."""
+# The stated output tolerances, (file kind, column, bound, measure): the
+# file kind is "snapshot" for a field or harmonic snapshot, else the file
+# name, and column "*" is every column.  A "value" bound holds at each row
+# for |a - b| / max(|a|, |b|); a "column" bound holds for the largest
+# |a - b| over the column's largest magnitude in either file.  A numeric
+# column with no row must keep its values.
+TOLERANCES = [
+    ("branch.csv", "parameter", 1e-12, "value"),
+    ("branch.csv", "norm", 1e-12, "value"),
+    ("branch.csv", "leading_rate", 1e-10, "value"),
+    ("folds.csv", "parameter", 1e-12, "value"),
+    ("snapshot", "*", 1e-10, "column"),
+]
+
+# key = value files whose changes are reported and not judged: the solver's
+# work counters, which a speed-up is meant to change
+COUNTERS = ("stats.txt",)
+
+
+def _table(path: str) -> tuple[str, list[str], list[list[str]]]:
+    """(kind, header, rows) of an output file: a CSV table (kind "csv"), a
+    snapshot whose header is the column names of its first '#' line and
+    then each further '#' line as one item (the 't = ...' of a field taken
+    at t != 0), or key = value lines (kind "keyed") as one row."""
     with open(path, encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     head = next((i for i, ln in enumerate(lines) if not ln.startswith("#")),
@@ -117,12 +139,12 @@ def _table(path: str) -> tuple[bool, list[str], list[list[str]]]:
     if head:
         header = lines[0].lstrip("#").split()
         header += [ln.lstrip("#").strip() for ln in lines[1:head]]
-        return False, header, [ln.split() for ln in lines[head:]]
+        return "snapshot", header, [ln.split() for ln in lines[head:]]
     if lines and " = " in lines[0]:
         pairs = [line.partition(" = ")[::2] for line in lines]
-        return True, [key for key, _ in pairs], [[value for _, value in pairs]]
+        return "keyed", [key for key, _ in pairs], [[value for _, value in pairs]]
     rows = list(csv.reader(lines))
-    return False, rows[0] if rows else [], rows[1:]
+    return "csv", rows[0] if rows else [], rows[1:]
 
 
 def _floats(values):
@@ -132,32 +154,70 @@ def _floats(values):
         return None
 
 
-def _relative(a: float, b: float) -> float:
-    """|a - b| / max(|a|, |b|): 0 for equal values, nans included, and inf
-    where only one is nan or the two are infinities that differ."""
+def _moved(a: float, b: float) -> float:
+    """|a - b|: 0 for equal values, nans included, and inf where only one
+    is nan or the two are infinities that differ."""
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
-    rel = abs(a - b) / max(abs(a), abs(b))
-    return math.inf if math.isnan(rel) else rel
+    diff = abs(a - b)
+    return math.inf if math.isnan(diff) else diff
 
 
-def compare_files(a: str, b: str) -> list[str]:
-    """What differs between two output files, or ["byte-identical"]."""
+def _relative(a: float, b: float) -> float:
+    """|a - b| / max(|a|, |b|), with 0 and inf as in _moved."""
+    moved = _moved(a, b)
+    return moved if moved in (0.0, math.inf) else moved / max(abs(a), abs(b))
+
+
+def _bound(kind: str, column: str):
+    """(bound, measure) of a column of a file of that kind, or None."""
+    for row_kind, row_column, bound, measure in TOLERANCES:
+        if row_kind == kind and row_column in (column, "*"):
+            return bound, measure
+    return None
+
+
+def _column_note(kind: str, name: str, fa, fb) -> tuple[str, bool]:
+    """(note, within its bound) of a numeric column that differs."""
+    worst = max(_relative(x, y) for x, y in zip(fa, fb))
+    moved = max(_moved(x, y) for x, y in zip(fa, fb))
+    peak = max((abs(v) for v in fa + fb if not math.isnan(v)), default=0.0)
+    spread = moved if moved in (0.0, math.inf) else moved / peak
+    note = (f"{name}: largest relative difference {worst:.3g}, "
+            f"{spread:.3g} of the column's largest magnitude")
+    bound = _bound(kind, name)
+    if bound is None:
+        return note + "; no stated bound", False
+    limit, measure = bound
+    ok = (worst if measure == "value" else spread) <= limit
+    where = "per value" if measure == "value" else "of the largest magnitude"
+    return f"{note}; {'within' if ok else 'OUT OF'} {limit:g} {where}", ok
+
+
+def compare_files(a: str, b: str) -> list[tuple[str, bool]]:
+    """(note, acceptable) for what differs between two output files, or
+    [("byte-identical", True)].  A numeric column is acceptable within its
+    TOLERANCES bound, a COUNTERS file's change always; any other change is
+    not."""
     with open(a, "rb") as fa, open(b, "rb") as fb:
         if fa.read() == fb.read():
-            return ["byte-identical"]
-    (keyed, cols_a, rows_a), (_, cols_b, rows_b) = _table(a), _table(b)
-    if keyed:
+            return [("byte-identical", True)]
+    (kind, cols_a, rows_a), (_, cols_b, rows_b) = _table(a), _table(b)
+    if kind == "keyed":
+        counters = os.path.basename(a) in COUNTERS
         va, vb = dict(zip(cols_a, rows_a[0])), dict(zip(cols_b, rows_b[0]))
-        notes = [f"{key}: {va.get(key, '(none)')} -> {vb.get(key, '(none)')}"
+        notes = [(f"{key}: {va.get(key, '(none)')} -> {vb.get(key, '(none)')}",
+                  counters)
                  for key in dict.fromkeys(cols_a + cols_b)
                  if va.get(key) != vb.get(key)]
-        return notes or ["bytes differ, values equal"]
+        return notes or [("bytes differ, values equal", True)]
+    if kind != "snapshot":
+        kind = os.path.basename(a)
     if cols_a != cols_b:
-        return [f"header {cols_a} -> {cols_b}"]
+        return [(f"header {cols_a} -> {cols_b}", False)]
     if len(rows_a) != len(rows_b) or any(
             len(ra) != len(rb) for ra, rb in zip(rows_a, rows_b)):
-        return [f"rows {len(rows_a)} -> {len(rows_b)}"]
+        return [(f"rows {len(rows_a)} -> {len(rows_b)}", False)]
     notes = []
     # a header item past the last column, such as a time line, has no column
     for name, col_a, col_b in zip(cols_a, zip(*rows_a), zip(*rows_b)):
@@ -166,20 +226,22 @@ def compare_files(a: str, b: str) -> list[str]:
         fa, fb = _floats(col_a), _floats(col_b)
         if fa is None or fb is None:
             diff = sum(x != y for x, y in zip(col_a, col_b))
-            notes.append(f"{name}: {diff} of {len(col_a)} values differ")
+            notes.append((f"{name}: {diff} of {len(col_a)} values differ", False))
         else:
-            worst = max(_relative(x, y) for x, y in zip(fa, fb))
-            notes.append(f"{name}: largest relative difference {worst:.3g}")
-    return notes or ["bytes differ, values equal"]
+            notes.append(_column_note(kind, name, fa, fb))
+    return notes or [("bytes differ, values equal", True)]
 
 
-def compare_dirs(a: str, b: str) -> list[tuple[str, str]]:
-    """(file, finding) for every output file of the two directories."""
+def compare_dirs(a: str, b: str) -> list[tuple[str, str, bool]]:
+    """(file, note, acceptable) for every output file of the two
+    directories."""
     names_a, names_b = set(os.listdir(a)), set(os.listdir(b))
-    found = [(name, "only in the first") for name in sorted(names_a - names_b)]
-    found += [(name, "only in the second") for name in sorted(names_b - names_a)]
+    found = [(name, "only in the first", False)
+             for name in sorted(names_a - names_b)]
+    found += [(name, "only in the second", False)
+              for name in sorted(names_b - names_a)]
     for name in sorted(names_a & names_b):
-        found += [(name, note) for note in
+        found += [(name, note, ok) for note, ok in
                   compare_files(os.path.join(a, name), os.path.join(b, name))]
     return found
 
@@ -191,7 +253,7 @@ def main() -> int:
     ap.add_argument("change", help="source tree of the change")
     args = ap.parse_args()
     cmds = commands(args.change)
-    same = True
+    same, rejected = True, []
     with tempfile.TemporaryDirectory() as work:
         for side, tree in (("parent", args.parent), ("change", args.change)):
             failed = run_tree(os.path.abspath(tree), cmds,
@@ -206,9 +268,10 @@ def main() -> int:
             if not all(os.path.isdir(d) for d in dirs):
                 print("   no output to compare")
                 continue
-            for fname, note in compare_dirs(*dirs):
+            for fname, note, ok in compare_dirs(*dirs):
                 print(f"   {fname}: {note}")
-                same = same and note == "byte-identical"
+                if not ok:
+                    rejected.append(f"{name}/{fname}: {note.partition(':')[0]}")
     print(f"== acceptance: {' '.join(ACCEPTANCE[1:])}")
     (code_a, lines_a), (code_b, lines_b) = (
         criterion_lines(os.path.abspath(tree))
@@ -222,7 +285,9 @@ def main() -> int:
         print(f"   {note}")
     same = same and bool(notes) and all(
         note.endswith(" identical") for note in notes)
-    return 0 if same else 1
+    for item in rejected:
+        print(f"== not accepted: {item}")
+    return 0 if same and not rejected else 1
 
 
 if __name__ == "__main__":

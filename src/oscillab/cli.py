@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__, continuation, etd, fileio, spectral
-from .config import RunConfig, load_config, _validate
+from .config import RunConfig, load_config
 from .core import (FcglParams, ScalingMap, flat_state_quadratic, flat_states,
                    gamma_onset)
 from .errors import (
@@ -86,23 +86,21 @@ def file_seed(cfg: RunConfig, command: str = "simulate"):
 
 
 def build_seed(cfg: RunConfig) -> ComplexField:
-    """The configured seed field.  The forced model's flat seed is the upper
-    flat state at the mapped forcing, carried to the fast frame as
-    U = eps A e^{i(t + pi/4)} at t = 0."""
+    """The configured seed field.  The forced model's flat seed is the
+    scaling map's lift of the upper flat state at the mapped forcing."""
     n, length, t = cfg.grid.n, cfg.grid.length, 0.0
     kind, pde = cfg.seed.kind, cfg.system.kind == "pde"
     if kind == "zero":
         values = np.zeros(n, dtype=complex)
     elif kind == "flat":
-        p, scale, shift = cfg.fcgl_params(), 1.0, 0.0
-        if pde:
-            p = replace(p, gamma=cfg.scaling().to_gamma(cfg.params.f))
-            scale, shift = cfg.params.epsilon, math.pi / 4
-        fs = flat_states(p)
+        gamma = cfg.scaling().to_gamma(cfg.params.f) if pde else cfg.params.gamma
+        fs = flat_states(replace(cfg.fcgl_params(), gamma=gamma))
         if not fs.roots:
-            raise ExistenceError(f"no flat states at gamma={p.gamma}")
+            raise ExistenceError(f"no flat states at gamma={gamma}")
         root = fs.roots[-1]
-        values = np.full(n, scale * root.r * np.exp(1j * (root.phi + shift)))
+        values = np.full(n, root.r * np.exp(1j * root.phi))
+        if pde:
+            values = cfg.scaling().lift(values)
     elif kind == "sech-weak":
         if pde:
             profile = weak_sech_pde(cfg.model_params(), center=length / 2.0)
@@ -347,9 +345,9 @@ def _probe_setup(cfg: RunConfig, nu: float, gamma: float):
     p = replace(cfg.fcgl_params(), nu=nu, gamma=gamma)
     if cfg.system.kind == "fcgl":
         return _probe_seed(p, n, length), p
-    seed = _probe_seed(p, n, length, eps=cfg.params.epsilon,
-                       phase_shift=math.pi / 4)
-    return seed, cfg.scaling().fcgl_to_pde(p)
+    scaling = cfg.scaling()
+    slow = _probe_seed(p, n, scaling.epsilon * length)
+    return ComplexField(length, scaling.lift(slow.values)), scaling.fcgl_to_pde(p)
 
 
 SWEEP_OUTCOMES = ("decayed", "localized", "flat", "indeterminate")
@@ -362,28 +360,21 @@ def _sweep_probe(i: int, j: int, nu: float, param: float, end) -> tuple:
     return (i, j, nu, param, outcome)
 
 
-def _probe_seed(p: FcglParams, n: int, length: float, eps: float = 1.0,
-                phase_shift: float = 0.0) -> ComplexField:
+def _probe_seed(p: FcglParams, n: int, length: float) -> ComplexField:
     """Sech pulse whose core sits on the upper flat state when one exists;
-    otherwise the small below-onset sech, otherwise a tiny bump.  For the
-    forced model the pulse is mapped to the fast frame: amplitudes times
-    eps, the below-onset sech's width divided by eps, phases plus
-    phase_shift."""
+    otherwise the small below-onset sech, otherwise a tiny bump."""
     center, inv_width = length / 2.0, 16.0 / length
     fs = flat_states(p)
     if fs.roots:
         root = fs.roots[-1]
-        turn = np.exp(1j * (root.phi + phase_shift))
+        turn = np.exp(1j * root.phi)
         prof = SechProfile(root.r, inv_width, center, lambda t: turn)
     else:
         try:
-            slow = weak_sech_fcgl(p, p.gamma, center=center)
-            turn = np.exp(1j * phase_shift)
-            prof = replace(slow, inv_width=eps * slow.inv_width,
-                           carrier=lambda t: turn * slow.carrier(t))
+            prof = weak_sech_fcgl(p, p.gamma, center=center)
         except ExistenceError:
             prof = SechProfile(1e-2, inv_width, center, lambda t: 1.0 + 0j)
-    return ComplexField(length, eps * prof.as_field(n, length).values)
+    return prof.as_field(n, length)
 
 
 def _classify_endstate(field: ComplexField) -> str:
@@ -460,8 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="INI config file")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", default=None,
-                        help="seed spec: zero | flat | sech-weak | sech-strong "
-                             "| file:PATH")
+                        help="seed.kind (and seed.path) override: zero | flat "
+                             "| sech-weak | sech-strong | file:PATH")
     parser.add_argument("--override", action="append", default=[],
                         metavar="SECTION.KEY=VALUE",
                         help="config override (repeatable)")
@@ -470,15 +461,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    overrides = list(args.override)     # --seed comes last, so it wins
+    if args.seed and args.seed.startswith("file:"):
+        overrides += ["seed.kind=file", "seed.path=" + args.seed[len("file:"):]]
+    elif args.seed:
+        overrides.append("seed.kind=" + args.seed)
     try:
-        cfg = load_config(args.config, args.override)
-        if args.seed:
-            if args.seed.startswith("file:"):
-                cfg.seed.kind = "file"
-                cfg.seed.path = args.seed[len("file:"):]
-            else:
-                cfg.seed.kind = args.seed
-            _validate(cfg)
+        cfg = load_config(args.config, overrides)
         if cfg.seed.kind == "file" and args.command in ("simulate", "continue"):
             file_seed(cfg, args.command)
     except ConfigError as exc:

@@ -213,6 +213,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("[floquet] j_trunc must be >= 2")
     if cfg.floquet.n_samples < 1:
         raise ConfigError("[floquet] n_samples must be >= 1")
+    if cfg.sweep.p_min < 0 or cfg.sweep.p_max < 0:
+        raise ConfigError("[sweep] p_min and p_max must be >= 0")
     if cfg.sweep.nu_count < 1 or cfg.sweep.p_count < 1:
         raise ConfigError("[sweep] grid counts must be >= 1")
     if cfg.sweep.t_probe < cfg.timestepping.dt:

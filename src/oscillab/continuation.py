@@ -845,15 +845,17 @@ def leading_rates_fcgl(problem: FcglSteadyProblem, z: np.ndarray,
     an even steady state, largest first: every one down to the largest of
     the two parity blocks' last rates, the neutral translation mode included.
     The Jacobian maps even fields to even and odd to odd.  Each parity_block
-    in turn goes to rightmost_eigenvalues, with max Re(symbol) + |gamma| +
-    3|C| max|u|^2 over the fine-grid samples u as the right bound, on one
-    BLAS thread so that the rates do not depend on the thread count.  The
-    Arnoldi dimensions are counted in stats, when given."""
+    in turn goes to rightmost_eigenvalues, on one BLAS thread so that the
+    rates do not depend on the thread count, with the right bound max
+    Re(symbol) + max(0, max Re A + |B|) over the multipliers' samples: Re A
+    +- |B| are the eigenvalues of the symmetric part of d -> A d + B conj(d),
+    of which the dealiased product is a Galerkin projection.  The Arnoldi
+    dimensions are counted in stats, when given."""
     if not np.all(np.isfinite(z)):
         raise InvalidFieldError("steady state has non-finite samples")
-    u = problem.samples(problem._spectrum(z))
-    bound = (float(np.max(problem.symbol.real)) + abs(gamma)
-             + 3.0 * abs(problem.params.c) * float(np.max(np.abs(u) ** 2)))
+    a, b = problem._multipliers(z, gamma)
+    bound = float(np.max(problem.symbol.real)) + max(
+        0.0, float(np.max(a.real + np.abs(b))))
     rates, floor = [], -math.inf
     for sign in (1.0, -1.0):
         with _one_blas_thread():

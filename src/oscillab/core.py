@@ -12,7 +12,8 @@ Ginzburg-Landau equation for A(X, T),
     A_T = (mu + i*nu) A + (alpha + i*beta) A_XX + C |A|^2 A + Gamma conj(A).
 
 The two parameter sets are linked by the scaling map with detuning
-omega = 1 + eps^2 nu, forcing F = 4 eps^2 Gamma and growth mu -> eps^2 mu.
+omega = 1 + eps^2 nu, forcing F = 4 eps^2 Gamma and growth mu -> eps^2 mu,
+and the fields by U = eps A(eps x) e^{i(t + pi/4)}.
 """
 from __future__ import annotations
 
@@ -145,6 +146,11 @@ class ScalingMap:
     def to_gamma(self, f):
         """Slow-frame forcing Gamma = F / (4 eps^2)."""
         return f / (4.0 * self.epsilon**2)
+
+    def lift(self, a: np.ndarray) -> np.ndarray:
+        """Fast-frame samples U = eps A e^{i(t + pi/4)} at t = 0 of the
+        slow-frame samples a, on a domain 1/eps times as long."""
+        return (self.epsilon * np.exp(0.25j * math.pi)) * a
 
     def fcgl_to_pde(self, p: FcglParams) -> ModelParams:
         e2 = self.epsilon**2

@@ -10,7 +10,7 @@ import pytest
 
 import oscillab
 from oscillab import cli, continuation, etd, fileio, flat_states, make_stepper
-from oscillab.cli import _probe_seed, build_seed, main
+from oscillab.cli import build_seed, main
 from oscillab.config import load_config
 from oscillab.continuation import HarmonicPdeState
 from oscillab.errors import StalledBranchError
@@ -81,6 +81,10 @@ def test_bad_override_is_config_error(tmp_path):
     # negative snapshot strides would act as 0
     ("simulate", ["output.snapshot_stride=-5"]),
     ("continue", ["continuation.snapshot_stride=-3"]),
+    # a negative drive would be probed and written as indeterminate
+    ("sweep", ["sweep.p_min=-1", "sweep.p_max=1", "sweep.p_count=2",
+               "sweep.nu_count=1"]),
+    ("sweep", ["sweep.p_min=1", "sweep.p_max=-1"]),
 ])
 def test_inert_or_crashing_inputs_are_config_errors(tmp_path, capsys,
                                                     command, overrides):
@@ -184,6 +188,25 @@ def test_simulate_blowup_writes_last_finite_state(tmp_path, capsys):
     t, norm = np.array(rows, dtype=float).T
     assert np.all(np.isfinite(norm))
     assert t[-1] < step * dt
+
+
+@pytest.mark.parametrize("seed", ["flat", "file"])
+def test_seed_flag_is_short_for_its_overrides(tmp_path, seed):
+    settings = _overrides("grid.n=64", "timestepping.t_end=1.0")
+    if seed == "file":
+        snap = tmp_path / "seed.txt"
+        fileio.write_snapshot(snap, ComplexField(20 * math.pi, np.ones(64)))
+        flag, overrides = f"file:{snap}", _overrides("seed.kind=file",
+                                                     f"seed.path={snap}")
+    else:
+        flag, overrides = seed, _overrides(f"seed.kind={seed}")
+    first, second = tmp_path / "flag", tmp_path / "overrides"
+    # the flag wins over an override of the same key
+    assert main(["simulate", "--out", str(first), "--seed", flag,
+                 *settings, *_overrides("seed.kind=zero")]) == 0
+    assert main(["simulate", "--out", str(second), *settings, *overrides]) == 0
+    assert "manifest.txt" in _tree(first)
+    assert _tree(first) == _tree(second)
 
 
 def test_simulate_file_seed_round_trip(tmp_path):
@@ -508,15 +531,16 @@ def test_model_seeds(tmp_path, kind):
     if kind == "zero":
         expected = ComplexField(cfg.grid.length, np.zeros(64, dtype=complex))
     elif kind == "flat":
-        eps = cfg.params.epsilon
+        # the lift of the amplitude equation's flat seed at the mapped forcing
         gamma = cfg.scaling().to_gamma(cfg.params.f)
-        root = flat_states(replace(cfg.fcgl_params(), gamma=gamma)).roots[-1]
-        value = eps * root.r * np.exp(1j * (root.phi + math.pi / 4))
-        expected = ComplexField(cfg.grid.length, np.full(64, value))
+        slow = build_seed(load_config(overrides=[
+            "grid.n=64", "seed.kind=flat", f"params.gamma={gamma!r}"]))
+        expected = ComplexField(cfg.grid.length,
+                                cfg.scaling().lift(slow.values))
     else:
         expected = fileio.read_snapshot(snap).reconstruct(0.0)
     assert seed.length == expected.length
-    assert np.array_equal(seed.values, expected.values)
+    assert seed.values.tobytes() == expected.values.tobytes()
 
 
 def test_seed_noise_is_reproducible_and_relative():
@@ -561,12 +585,27 @@ def test_endstate_windows_are_mirror_symmetric():
     assert outcomes == {"localized"}
 
 
+def test_model_probe_is_the_lift_of_its_slow_frame_probe():
+    # the same probe of the amplitude equation on a domain eps times as long
+    cfg = load_config(overrides=["system.kind=pde", "grid.n=256"])
+    scaling = cfg.scaling()
+    slow_cfg = load_config(overrides=[
+        "grid.n=256", f"grid.length={scaling.epsilon * cfg.grid.length!r}"])
+    for nu, gamma in [(3.0, 1.2), (0.5, 1.5), (-3.0, 1.0)]:  # sech, flat, bump
+        seed, mp = cli._probe_setup(cfg, nu, gamma)
+        slow, p = cli._probe_setup(slow_cfg, nu, gamma)
+        assert seed.length == cfg.grid.length
+        assert seed.values.tobytes() == scaling.lift(slow.values).tobytes()
+        assert mp == scaling.fcgl_to_pde(p)
+
+
 def test_model_probe_seed_has_the_mapped_width():
     cfg = load_config(overrides=["system.kind=pde", "params.nu=3.0"])
     eps, n, length = cfg.params.epsilon, cfg.grid.n, cfg.grid.length
-    p = replace(cfg.fcgl_params(), gamma=cfg.scaling().to_gamma(0.048))
-    seed = _probe_seed(p, n, length, eps=eps, phase_shift=math.pi / 4)
+    gamma = cfg.scaling().to_gamma(0.048)
+    seed, _ = cli._probe_setup(cfg, 3.0, gamma)
     # full width at half maximum of sech(kappa X) is 2 acosh(2) / kappa
+    p = replace(cfg.fcgl_params(), gamma=gamma)
     fcgl_width = 2.0 * math.acosh(2.0) / weak_sech_fcgl(p, p.gamma).inv_width
     mags = np.abs(seed.values)
     dx = length / n

@@ -625,6 +625,49 @@ def test_rates_are_the_full_jacobian_spectrum(fcgl_params):
                       <= 1e-10 * np.maximum(1.0, np.abs(exact)))
 
 
+def cycle_state(mp, n, length):
+    """(problem, z): the forced model's cycle from the weak sech seed,
+    stepped to steady, sampled at the collocation times and polished."""
+    prob = ct.PdeHarmonicProblem(mp, n=n, length=length)
+    seed = weak_sech_pde(mp, center=length / 2).as_field(n, length)
+    stepper = make_stepper(seed, mp, 2 * math.pi / 208)
+    etd.run_to_steady(stepper, 2 * math.pi, tol=1e-4, max_periods=400)
+    z, rn, _ = ct.newton_solve(prob, prob.pack_cycle(stepper), mp.f)
+    assert rn < 1e-10
+    return prob, z
+
+
+def test_label_bound_certifies_both_parity_blocks(fcgl_params, weak_model,
+                                                  monkeypatch):
+    # The shift bound read off the multipliers is at least the numerical
+    # abscissa, the largest eigenvalue of the symmetric part, of either
+    # parity block of either system.  It is also within 0.1 of it on these
+    # states, where max Re(symbol) + |gamma| + 3|C| max|u|^2 lies 10.4 above
+    # on the flat state and 8.8 above on the pulse.
+    bounds, real = [], ct.rightmost_eigenvalues
+
+    def record(block, bound):
+        bounds.append(bound)
+        return real(block, bound)
+
+    monkeypatch.setattr(ct, "rightmost_eigenvalues", record)
+    n, p = 64, replace(fcgl_params, gamma=1.7)
+    flat = ct.FcglSteadyProblem(p, n=n, length=LENGTH)
+    z_flat, _, _ = ct.newton_solve(flat, flat.pack(flat_field(p, n).values), 1.7)
+    states = [(flat, np.zeros(flat.size), 1.9), (flat, z_flat, 1.7),
+              (*pulse_state(replace(p, gamma=1.46), n), 1.46),
+              (*cycle_state(weak_model, n, 200 * math.pi), weak_model.f)]
+    for prob, z, drive in states:
+        bounds.clear()
+        ct.leading_rates_fcgl(prob, z, drive)
+        assert len(bounds) == 2 and bounds[0] == bounds[1]
+        for sign in (1.0, -1.0):
+            block = prob.parity_block(z, drive, sign)
+            abscissa = np.linalg.eigvalsh(0.5 * (block + block.T))[-1]
+            assert bounds[0] >= abscissa - 1e-12 * max(1.0, abs(abscissa))
+            assert bounds[0] - abscissa < 0.1
+
+
 def test_rightmost_eigenvalues_of_a_dense_matrix():
     # a nonnormal matrix with its numerical abscissa as the bound, beside
     # the empty block and a bound far to the right
