@@ -51,8 +51,8 @@ def _add_noise(values: np.ndarray, cfg: RunConfig) -> np.ndarray:
     rng = np.random.default_rng(cfg.seed.noise_seed)
     rms = math.sqrt(float(np.mean(np.abs(values) ** 2)))
     scale = cfg.seed.noise * (rms if rms > 0 else 1.0)
-    bump = rng.standard_normal(values.size) + 1j * rng.standard_normal(values.size)
-    return values + scale * bump / math.sqrt(2.0)
+    re, im = rng.standard_normal((2, *values.shape))
+    return values + scale * (re + 1j * im) / math.sqrt(2.0)
 
 
 def file_seed(cfg: RunConfig, command: str = "simulate"):
@@ -299,7 +299,8 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
         note = ("the forced model has no stability labels: its points are "
                 "left unclassified")
         if cfg.seed.kind == "file":
-            z0 = problem.pack(file_seed(cfg, "continue").profiles)
+            z0 = problem.pack(_add_noise(file_seed(cfg, "continue").profiles,
+                                         cfg))
         else:
             # converge toward the periodic attractor, then sample its cycle
             # at the collocation times, which the steps must divide

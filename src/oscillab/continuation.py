@@ -96,13 +96,13 @@ def _gmres(matvec, b: np.ndarray, psolve, rtol: float):
     basis = np.empty((m + 1, b.size))
     upper = np.zeros((m, m))    # R of the rotated Hessenberg matrix
     ptol_factor = 1.0
-    ptol = float(np.linalg.norm(psolve(b))) * min(1.0, atol / bnorm)
-    r, matvecs, presid = b, 0, 0.0
+    v = psolve(b)
+    ptol = float(np.linalg.norm(v)) * min(1.0, atol / bnorm)
+    matvecs, presid = 0, 0.0
 
     def apply(v):
         return psolve(matvec(v))
     for _ in range(GMRES_CYCLES):
-        v = psolve(r)
         beta = float(np.linalg.norm(v))
         basis[0] = v * (1.0 / beta)
         g = [beta]
@@ -142,6 +142,7 @@ def _gmres(matvec, b: np.ndarray, psolve, rtol: float):
         else:
             ptol_factor = min(1.0, 1.5 * ptol_factor)
         ptol = presid * min(ptol_factor, atol / rnorm)
+        v = psolve(r)
     return x, (0 if rnorm <= atol else GMRES_CYCLES), matvecs
 
 

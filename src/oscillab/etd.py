@@ -7,7 +7,7 @@ rule
     u_{n+1} = e^z u_n + dt*g1(z) N_n + dt*g0(z) N_{n-1},       z = ell*dt,
     g1(z) = ((1+z) e^z - 1 - 2z) / z^2,   g0(z) = (1 + z - e^z) / z^2.
 
-The first step falls back to exponential Euler, dt*ge(z) = dt*(e^z - 1)/z.
+The first step takes N_{-1} = N_0, exponential Euler as g1 + g0 = (e^z-1)/z.
 For small |z| the weight functions are evaluated by averaging over a unit
 circle of quadrature nodes around z, which avoids the cancellation in the
 direct formulas.
@@ -32,24 +32,22 @@ def _etd_weight_funcs(z: np.ndarray):
     ez = np.exp(z)
     g1 = ((1.0 + z) * ez - 1.0 - 2.0 * z) / z**2
     g0 = (1.0 + z - ez) / z**2
-    ge = (ez - 1.0) / z
-    return g1, g0, ge
+    return g1, g0
 
 
 def etd2_weights(z: np.ndarray):
-    """Weight functions (g1, g0, ge) evaluated stably for complex z."""
+    """Weight functions (g1, g0) evaluated stably for complex z."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if z.ndim > 1:      # row by row, which keeps the contour temporaries small
         return tuple(np.stack(w) for w in zip(*map(etd2_weights, z)))
-    g1, g0, ge = (np.empty_like(z) for _ in range(3))
+    g1, g0 = np.empty_like(z), np.empty_like(z)
     small = np.abs(z) < SMALL_Z
-    g1[~small], g0[~small], ge[~small] = _etd_weight_funcs(z[~small])
+    g1[~small], g0[~small] = _etd_weight_funcs(z[~small])
     # mean over a circle of radius 1 centred at z (mean value property)
     theta = 2.0 * np.pi * (np.arange(CONTOUR_POINTS) + 0.5) / CONTOUR_POINTS
     ring = z[small][:, None] + np.exp(1j * theta)[None, :]
-    g1[small], g0[small], ge[small] = (w.mean(axis=1)
-                                       for w in _etd_weight_funcs(ring))
-    return g1, g0, ge
+    g1[small], g0[small] = (w.mean(axis=1) for w in _etd_weight_funcs(ring))
+    return g1, g0
 
 
 @dataclass
@@ -61,7 +59,6 @@ class EtdScheme:
     exp_dt: np.ndarray
     w_new: np.ndarray
     w_old: np.ndarray
-    w_euler: np.ndarray
 
 
 def make_scheme(ell, dt: float) -> EtdScheme:
@@ -69,18 +66,18 @@ def make_scheme(ell, dt: float) -> EtdScheme:
         raise ParameterError("time step dt must be positive")
     ell = np.atleast_1d(np.asarray(ell, dtype=complex))
     z = ell * dt
-    g1, g0, ge = etd2_weights(z)
+    g1, g0 = etd2_weights(z)
     return EtdScheme(dt=dt, ell=ell, exp_dt=np.exp(z),
-                     w_new=dt * g1, w_old=dt * g0, w_euler=dt * ge)
+                     w_new=dt * g1, w_old=dt * g0)
 
 
 class Etd2Stepper:
     """Advance coefficient vectors with ETD2; representation-agnostic.
 
     nonlinear(u, t, out) must write the non-stiff part at (u, t) into out, an
-    array of u's shape and representation.  The previous evaluation is kept;
-    the first step uses exponential Euler.  The stepper writes every step
-    into buffers it reuses, u among them: copy u to keep a state.
+    array of u's shape and representation.  N at (u0, t0) stands in for the
+    evaluation before the first step.  The stepper writes every step into
+    buffers it reuses, u among them: copy u to keep a state.
 
     Each step flushes to zero every real and imaginary part of the new state
     below the smallest normal float.  A mode that decays geometrically, such
@@ -95,11 +92,12 @@ class Etd2Stepper:
         self.u = np.array(np.broadcast_to(u0, shape), dtype=complex)
         self.t0 = float(t0)
         self.steps = 0
-        self._u_new, self._term, self._n_cur = (np.empty_like(self.u)
-                                                for _ in range(3))
-        self._n_prev = None
+        self._u_new, self._term, self._n_cur, self._n_prev = (
+            np.empty_like(self.u) for _ in range(4))
         self._mags = np.empty(2 * self.u.size)
         self._below_tiny = np.empty(self._mags.shape, dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.nonlinear(self.u, self.t, self._n_prev)
 
     @property
     def t(self) -> float:
@@ -115,11 +113,8 @@ class Etd2Stepper:
         with np.errstate(over="ignore", invalid="ignore"):
             self.nonlinear(self.u, self.t, n_cur)
             np.multiply(s.exp_dt, self.u, out=u_new)
-            if self._n_prev is None:
-                u_new += np.multiply(s.w_euler, n_cur, out=term)
-            else:
-                u_new += np.multiply(s.w_new, n_cur, out=term)
-                u_new += np.multiply(s.w_old, self._n_prev, out=term)
+            u_new += np.multiply(s.w_new, n_cur, out=term)
+            u_new += np.multiply(s.w_old, self._n_prev, out=term)
         parts = u_new.view(float).ravel()
         mags = np.abs(parts, out=self._mags)
         if not mags[mags.argmax()] <= HUGE:     # argmax finds a NaN first
@@ -127,9 +122,7 @@ class Etd2Stepper:
             raise BlowUpError(self.steps + 1, np.flatnonzero(~rows).tolist())
         np.putmask(parts, np.less(mags, TINY, out=self._below_tiny), 0.0)
         self.u, self._u_new = u_new, self.u
-        self._n_cur = (self._n_prev if self._n_prev is not None
-                       else np.empty_like(n_cur))
-        self._n_prev = n_cur
+        self._n_cur, self._n_prev = self._n_prev, n_cur
         self.steps += 1
 
     def run(self, n_steps: int) -> None:
@@ -155,9 +148,9 @@ class SpectralStepper(Etd2Stepper):
         return spectral.parseval_norm(self.u)
 
 
-# Most bytes in one row block of the nonlinear term on the fine grid, a
-# little below glibc's default mmap threshold of 128 KiB: each temporary
-# above it is mapped afresh and faulted in again on every step.
+# Most bytes in one row block of the nonlinear term on the fine grid, its
+# samples included, a little below glibc's default mmap threshold of 128 KiB:
+# each temporary above it is mapped and faulted in afresh on every step.
 BLOCK_BYTES = 120 * 1024
 
 
@@ -165,7 +158,7 @@ def make_stepper(field, p, dt: float, t0: float = 0.0) -> SpectralStepper:
     """ETD2 for u' = p.symbol(k) u + p.nonlinear(u, t, p.drive), for either
     system, with N evaluated on the dealiasing grid.  A state converged by
     FcglSteadyProblem, whose residual is this right-hand side, is a fixed
-    point of every step, as dt (g1 + g0) ell = dt ge ell = e^{ell dt} - 1.
+    point of every step, the first too, as dt (g1 + g0) ell = e^{ell dt} - 1.
 
     field and p may also be equal-length lists: row r of the stepper's
     (P, n) state is then field[r] under p[r], stepped bit for bit as
@@ -186,15 +179,13 @@ def make_stepper(field, p, dt: float, t0: float = 0.0) -> SpectralStepper:
     scheme = make_scheme(ell, dt)
     m = spectral.padded_size(n)
     rows = max(1, BLOCK_BYTES // (np.dtype(complex).itemsize * m))
-    fine = np.empty((min(rows, len(ps)), m), dtype=complex)
-    blocks = [(slice(r, r + rows), fine[:len(ps[r:r + rows])],
-               drive[r:r + rows] if stack else drive)
+    blocks = [(slice(r, r + rows), drive[r:r + rows] if stack else drive)
               for r in range(0, len(ps), rows)]
 
     def nonlinear(u_hat, t, out):
         u_rows, out_rows = u_hat.reshape(-1, n), out.reshape(-1, n)
-        for block, samples, block_drive in blocks:
-            spectral.to_fine(u_rows[block], out=samples)
+        for block, block_drive in blocks:
+            samples = spectral.to_fine(u_rows[block])
             spectral.from_fine(first.nonlinear(samples, t, block_drive), n,
                                out=out_rows[block])
 

@@ -26,16 +26,14 @@ def wavenumbers(n: int, length: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
 
 
-def pad_coeffs(coeffs: np.ndarray, m: int, out=None, scale=1.0) -> np.ndarray:
+def pad_coeffs(coeffs: np.ndarray, m: int, scale=1.0) -> np.ndarray:
     """Embed n unnormalized coefficients, times scale, into m slots; the
-    Nyquist mode is dropped.  All of out, when given, is written."""
+    Nyquist mode is dropped."""
     n = coeffs.shape[-1]
     if m < n:
         raise ShapeError("padded size must not be smaller than the original")
     h = n // 2
-    if out is None:
-        out = np.empty(coeffs.shape[:-1] + (m,), dtype=complex)
-    out[..., h:m - h + 1] = 0.0
+    out = np.zeros(coeffs.shape[:-1] + (m,), dtype=complex)
     np.multiply(coeffs[..., :h], scale, out=out[..., :h])
     np.multiply(coeffs[..., n - h + 1:], scale, out=out[..., m - h + 1:])
     return out
@@ -60,12 +58,11 @@ def padded_size(n: int) -> int:
     return (PAD_NUM * n) // PAD_DEN
 
 
-def to_fine(coeffs: np.ndarray, out=None) -> np.ndarray:
-    """Samples on the 3/2-rule grid of the field with these n coefficients,
-    written into out when it is given: the padded coefficients over n,
-    summed by an unscaled inverse transform."""
+def to_fine(coeffs: np.ndarray) -> np.ndarray:
+    """Samples on the 3/2-rule grid of the field with these n coefficients:
+    the padded coefficients over n, summed by an unscaled inverse transform."""
     n = coeffs.shape[-1]
-    fine = pad_coeffs(coeffs, padded_size(n), out=out, scale=1.0 / n)
+    fine = pad_coeffs(coeffs, padded_size(n), scale=1.0 / n)
     return np.fft.ifft(fine, axis=-1, norm="forward", out=fine)
 
 

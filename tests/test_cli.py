@@ -561,6 +561,32 @@ def test_seed_noise_is_reproducible_and_relative():
         1e-3 * rms(clean.values), rel=0.1)
 
 
+def test_seed_noise_reaches_a_harmonic_file_seed(tmp_path):
+    settings = _overrides("system.kind=pde", "grid.n=64",
+                          "timestepping.max_periods=3",
+                          "continuation.max_points=2",
+                          "continuation.classify=false")
+    code, seeded = run(tmp_path / "seed", "continue", *settings)
+    assert code == 0
+    settings += ["--seed", f"file:{seeded / 'point_0000.txt'}"]
+    outs = {}
+    for noise in (None, "0", "0.5"):
+        extra = [] if noise is None else _overrides(f"seed.noise={noise}",
+                                                    "seed.noise_seed=3")
+        code, outs[noise] = run(tmp_path / str(noise), "continue",
+                                *settings, *extra)
+        assert code == 0
+    files = sorted(f.name for f in outs[None].iterdir())
+    assert files == sorted(f.name for f in outs["0"].iterdir())
+    for name in set(files) - {"manifest.txt"}:
+        assert (outs["0"] / name).read_bytes() == (outs[None] / name).read_bytes()
+    # the noisy seed is polished back onto the same branch
+    plain, noisy = (np.loadtxt(outs[k] / "branch.csv", delimiter=",",
+                               skiprows=1, usecols=(1, 2)) for k in (None, "0.5"))
+    assert not np.array_equal(noisy, plain)
+    np.testing.assert_allclose(noisy, plain, rtol=1e-8)
+
+
 def test_strong_sech_seed_is_the_reduction_pulse(tmp_path, capsys):
     cfg = load_config(overrides=["system.kind=pde", "seed.kind=sech-strong"])
     mp, n, length = cfg.model_params(), cfg.grid.n, cfg.grid.length

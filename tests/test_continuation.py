@@ -858,6 +858,21 @@ def test_gmres_matches_dense_solve_across_restarts(rho, rtol):
     assert np.linalg.norm(x - x_sp) <= rtol * np.linalg.norm(x_sp)
 
 
+def test_gmres_preconditions_once_per_matvec():
+    # b is preconditioned once, for the tolerance and the first cycle alike,
+    # and each later cycle's residual once, where the cycle before ends
+    a, b, psolve = preconditioned_system(400, 12, 0.95)
+
+    def counted(v):
+        counted.n += 1
+        return psolve(v)
+    counted.n = 0
+    x, info, matvecs = ct._gmres(lambda v: a @ v, b, counted, 1e-5)
+    assert info == 0
+    assert ct.GMRES_RESTART + 1 < matvecs <= 2 * (ct.GMRES_RESTART + 1)
+    assert counted.n == matvecs
+
+
 def test_gmres_breaks_down_exactly_on_an_eigenvector():
     rng = np.random.default_rng(3)
     a = np.triu(rng.standard_normal((50, 50))) + 5.0 * np.eye(50)

@@ -13,10 +13,11 @@ from oscillab.fields import ComplexField
 
 def test_weights_reduce_to_adams_bashforth():
     # ell -> 0 must recover u_{n+1} = u_n + dt*(3/2 N_n - 1/2 N_{n-1})
-    g1, g0, ge = etd2_weights(np.array([0.0]))
+    # and g1 + g0 the exponential Euler weight (e^z - 1)/z -> 1
+    g1, g0 = etd2_weights(np.array([0.0]))
     assert g1[0] == pytest.approx(1.5, abs=1e-12)
     assert g0[0] == pytest.approx(-0.5, abs=1e-12)
-    assert ge[0] == pytest.approx(1.0, abs=1e-12)
+    assert g1[0] + g0[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_weights_continuous_across_crossover():
@@ -31,10 +32,10 @@ def test_weights_continuous_across_crossover():
 def test_weights_match_series_small_z():
     # g1 = 3/2 + 2z/3 + ..., g0 = -1/2 - z/6 - ... near the origin
     z = np.array([1e-3 + 2e-3j])
-    g1, g0, ge = etd2_weights(z)
+    g1, g0 = etd2_weights(z)
     assert g1[0] == pytest.approx(1.5 + 2 * z[0] / 3, abs=1e-5)
     assert g0[0] == pytest.approx(-0.5 - z[0] / 6, abs=1e-5)
-    assert ge[0] == pytest.approx(1.0 + z[0] / 2, abs=1e-5)
+    assert g1[0] + g0[0] == pytest.approx(1.0 + z[0] / 2, abs=1e-5)
 
 
 def test_linear_exactness():
@@ -71,6 +72,24 @@ def test_second_order_on_scalar_cubic():
     errs = np.array([abs(final(dt) - ref) for dt in dts])
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     assert 1.9 < slope < 2.1
+
+
+def test_first_step_is_exponential_euler(weak_model):
+    # the stepper starts from N_{-1} = N_0, which makes its first step
+    # u_1 = e^z u_0 + dt (e^z - 1)/z N(u_0, t_0)
+    length, n, dt, t0 = 20 * math.pi, 64, 2 * math.pi / 100, 0.7
+    x = np.arange(n) * (length / n)
+    field = ComplexField(length, 0.3 / np.cosh(x - length / 2) + 0.1j)
+    stepper = make_stepper(field, weak_model, dt, t0=t0)
+    u0 = np.fft.fft(field.values)
+    n0 = spectral.from_fine(weak_model.nonlinear(
+        spectral.to_fine(u0), t0, weak_model.drive), n)
+    z = weak_model.symbol(spectral.wavenumbers(n, length)) * dt
+    expected = np.exp(z) * u0 + dt * np.expm1(z) / z * n0
+    stepper.step()
+    assert stepper.t == pytest.approx(t0 + dt, rel=1e-15)
+    err = np.max(np.abs(stepper.u - expected))
+    assert err <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_flat_state_is_fixed_point(fcgl_params):
@@ -216,11 +235,12 @@ def test_benchmark_hooks_are_called_each_step(monkeypatch, fcgl_params):
             return fn(*args, **kwargs)
         return wrapper
 
+    # patched after construction, which evaluates N once at the start
+    field = ComplexField(20 * math.pi, np.full(64, 0.5 + 0j))
+    stepper = make_stepper([field, field], [fcgl_params, fcgl_params], dt=0.05)
     hooks = ((spectral, "pad_coeffs"), (spectral, "truncate_coeffs"),
              (etd.Etd2Stepper, "step"))
     for owner, name in hooks:
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
-    field = ComplexField(20 * math.pi, np.full(64, 0.5 + 0j))
-    stepper = make_stepper([field, field], [fcgl_params, fcgl_params], dt=0.05)
     stepper.run(10)
     assert calls == {"pad_coeffs": 10, "truncate_coeffs": 10, "step": 10}
