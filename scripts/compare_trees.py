@@ -7,8 +7,8 @@ Runs a fixed list of ``oscillab`` commands from each tree's ``src/``, each
 in a fresh interpreter on one BLAS thread (OPENBLAS_NUM_THREADS=1): the four
 benchmark workloads of CHANGE/perfbench/workloads.py at seed 1, read and not
 edited, the 59-point labelled FCGL branch, a labelled n = 64 forced-model
-branch, an n = 64 simulate with snapshots and reduce for each system,
-floquet, and the default 36-probe sweep and its forced-model twin at
+branch, an n = 64 simulate with snapshots, reduce and flatstates for each
+system, floquet, and the default 36-probe sweep and its forced-model twin at
 n = 256.  For each output file it prints "byte-identical" or, for a changed
 header, both versions; for each numeric column that differs, the largest
 element-wise relative difference, the largest difference relative to the
@@ -55,6 +55,8 @@ def commands(tree: str) -> list[tuple[str, list[str], dict]]:
             f"system.kind={kind}", "grid.n=64", "timestepping.t_end=5.0",
             "timestepping.max_periods=20", "output.snapshot_stride=40"), {}))
         cmds.append((f"{kind}-reduce", ["reduce"] + _overrides(
+            f"system.kind={kind}"), {}))
+        cmds.append((f"{kind}-flatstates", ["flatstates"] + _overrides(
             f"system.kind={kind}"), {}))
     cmds.append(("floquet", ["floquet"] + _overrides(
         "floquet.diagnostics=true"), {}))

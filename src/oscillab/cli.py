@@ -93,10 +93,10 @@ def build_seed(cfg: RunConfig) -> ComplexField:
     if kind == "zero":
         values = np.zeros(n, dtype=complex)
     elif kind == "flat":
-        gamma = cfg.scaling().to_gamma(cfg.params.f) if pde else cfg.params.gamma
-        fs = flat_states(replace(cfg.fcgl_params(), gamma=gamma))
+        p = cfg.fcgl_params()
+        fs = flat_states(p)
         if not fs.roots:
-            raise ExistenceError(f"no flat states at gamma={gamma}")
+            raise ExistenceError(f"no flat states at gamma={p.gamma}")
         root = fs.roots[-1]
         values = np.full(n, root.r * np.exp(1j * root.phi))
         if pde:
@@ -285,7 +285,6 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
     seed_steady, note = [], None
     if cfg.system.kind == "fcgl":
         p = cfg.fcgl_params()
-        param = p.gamma
         problem = continuation.FcglSteadyProblem(p, cfg.grid.n, cfg.grid.length)
         z0 = problem.pack(build_seed(cfg).values)
         if c.classify and continuation.blas_thread_calls() is None:
@@ -293,7 +292,6 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
                     "default BLAS threads")
     else:
         mp = cfg.model_params()
-        param = mp.f
         problem = continuation.PdeHarmonicProblem(mp, cfg.grid.n,
                                                   cfg.grid.length)
         note = ("the forced model has no stability labels: its points are "
@@ -321,7 +319,7 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
         fileio.write_kv(os.path.join(out, "manifest.txt"), [("note", note)], mode="a")
     stalled = False
     try:
-        branch = continuation.trace_branch(problem, z0, param, c)
+        branch = continuation.trace_branch(problem, z0, problem.params.drive, c)
     except StalledBranchError as exc:
         branch, stalled = exc.branch, True
     if c.classify and cfg.system.kind == "fcgl":
@@ -471,6 +469,11 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, overrides)
         if cfg.seed.kind == "file" and args.command in ("simulate", "continue"):
             file_seed(cfg, args.command)
+        c, p = cfg.continuation, cfg.params
+        start = p.f if cfg.system.kind == "pde" else p.gamma
+        if args.command == "continue" and not c.param_min <= start <= c.param_max:
+            raise ConfigError(f"the branch would start at {start}, outside "
+                              f"[{c.param_min}, {c.param_max}]")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

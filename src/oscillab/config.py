@@ -114,9 +114,12 @@ class RunConfig:
                 else 200.0 * math.pi
 
     def fcgl_params(self) -> FcglParams:
+        """The run's slow-frame parameters, at Gamma = F / (4 eps^2) for pde."""
         p = self.params
+        gamma = self.scaling().to_gamma(p.f) if self.system.kind == "pde" \
+            else p.gamma
         return FcglParams(mu=p.mu, nu=p.nu, alpha=p.alpha, beta=p.beta,
-                          c_re=p.c_re, c_im=p.c_im, gamma=p.gamma)
+                          c_re=p.c_re, c_im=p.c_im, gamma=gamma)
 
     def scaling(self) -> ScalingMap:
         return ScalingMap(self.params.epsilon)

@@ -164,9 +164,9 @@ class _SteadyProblem:
     symbol plus the multipliers of params.multipliers at the samples.  The
     unknowns are even Fourier coefficients (pack), so only the dealiased
     product transforms.  The preconditioner is the inverse of the Jacobian
-    at the zero state, one block per wavenumber read off the Jacobian
-    itself, with singular values floored at PRECOND_FLOOR; it makes no
-    transform."""
+    at the zero state, one block per wavenumber written from the
+    multipliers as parity_block is, with singular values floored at
+    PRECOND_FLOOR; it makes no transform."""
 
     PRECOND_FLOOR = 1e-3
     times = 0.0                 # the forcing's time at the samples
@@ -251,21 +251,20 @@ class _SteadyProblem:
     def zero_state_blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """(B0, B1), (n/2 + 1, m, m) each: the Jacobian at the zero state is
         B0 + drive B1, one real block per wavenumber k on the m packed
-        components of k, (real, imaginary) part pairs harmonic by harmonic,
-        the forcing being linear in the drive.  It is constant-coefficient
-        in x, so its matvec of a comb, one component set at every k, is one
-        column of every block."""
-        nk = self.scale.size
-        m = self.size // nk
-        zero = np.zeros(self.size)
-        combs = np.repeat(np.eye(m).reshape(m, -1, 1, 2), nk, axis=2)
-
-        def blocks(drive):
-            jac = self.jacobian(zero, drive)
-            cols = np.stack([jac(comb.ravel()) for comb in combs], axis=-1)
-            return cols.reshape(-1, nk, 2, m).swapaxes(0, 1).reshape(nk, m, m)
-        b0 = blocks(0.0)
-        return b0, blocks(1.0) - b0
+        components of k, (real, imaginary) part pairs harmonic by harmonic:
+        parity_block's diagonal sub-blocks at z = 0.  B0 is the symbol, B1
+        the lag-0 term _real_form(A_hat[j - j'], B_hat[j + j']) of the
+        multipliers at drive 1, constant in x, so their hats are one time
+        FFT: the same block at every k but the Nyquist mode, where it is 0."""
+        nk, h = self.scale.size, self.harmonics.size
+        j, jp = self.harmonics[:, None], self.harmonics
+        a, b = self.params.multipliers(0.0, self.times, 1.0)
+        hat_a, hat_b = np.fft.fft(np.reshape([a, b], (2, -1))) / np.size(self.times)
+        b0, b1 = np.zeros((2, nk, h, 2, h, 2))
+        sym = self.symbol.reshape(h, -1)[:, :nk]
+        np.einsum("khphq->khpq", b0)[...] = _real_form(sym, 0.0).transpose(3, 2, 0, 1)
+        b1[:-1] = _real_form(hat_a[j - jp], hat_b[j + jp]).transpose(2, 0, 3, 1)
+        return b0.reshape(nk, 2 * h, 2 * h), b1.reshape(nk, 2 * h, 2 * h)
 
     def preconditioner(self, drive: float, stats: SolveStats | None = None):
         """z -> the inverse of the Jacobian at the zero state at drive, each

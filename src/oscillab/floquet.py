@@ -13,9 +13,9 @@ equivalent to the damped Mathieu equation
 The 2:1 subharmonic onset F_c is the smallest forcing with a non-trivial
 2*pi-periodic solution built from odd harmonics.  Two independent routes are
 provided.  Hill's method truncates the harmonics: the Hill matrix is the k = 0
-block of the forced model's harmonic Jacobian at the zero state
-(hill_problem), the operator the steady solver preconditions with, and F_c is
-the first positive forcing at which it is singular.  The monodromy route
+block of the forced model's harmonic Jacobian at the zero state, the operator
+the steady solver preconditions with, and F_c is the first positive forcing
+at which it is singular.  The monodromy route
 bisects on the Floquet multipliers over one forcing period pi, integrating
 the Mathieu equation with no code shared with the harmonic problem.
 """
@@ -93,31 +93,23 @@ class FloquetPair:
         return float(np.max(np.abs(res)))
 
 
-def hill_problem(p: ModelParams, harmonics) -> PdeHarmonicProblem:
-    """The forced model's harmonic problem on flat profiles over harmonics.
-
-    Its zero-state blocks at k = 0, B0 + F B1 on the coefficients U_m as
-    (real, imaginary) part pairs, are the Hill matrix of the flat
-    linearization (Deconinck & Kutz, J. Comput. Phys. 219, 2006); on length
-    2*pi, B0[0] - B0[1] is the diffusion alpha + i beta.
-    """
-    return PdeHarmonicProblem(p, n=4, length=2.0 * math.pi, harmonics=harmonics)
-
-
 def mathieu_critical(p: ModelParams, j_trunc: int = DEFAULT_HARMONICS) -> FloquetPair:
     """Smallest positive forcing with a 2*pi-periodic Mathieu solution.
 
     F_c is the first positive real generalized eigenvalue of the Hill matrix
-    B0 + F B1 on the odd harmonics up to 2 j_trunc + 1.  At F_c its right null
-    vector is U = p1 + i q1, and its left null vector Y has Im Y = p1_adj: the
-    adjoint of the first-order system reduces to the Mathieu adjoint (the
-    sign of the damping reversed) on its second component.
+    B0 + F B1 on the odd harmonics up to 2 j_trunc + 1 (Deconinck & Kutz,
+    J. Comput. Phys. 219, 2006), the k = 0 zero_state_blocks of a harmonic
+    problem on any grid.  At F_c its right null vector is U = p1 + i q1, and
+    its left null vector Y has Im Y = p1_adj: the adjoint of the first-order
+    system reduces to the Mathieu adjoint (the sign of the damping reversed)
+    on its second component.
     """
     import scipy.linalg
     if p.mu >= 0:
         raise ParameterError("subharmonic onset needs damping mu < 0")
     harmonics = np.arange(-(2 * j_trunc + 1), 2 * j_trunc + 2, 2)
-    b0, b1 = (b[0] for b in hill_problem(p, harmonics).zero_state_blocks)
+    hill = PdeHarmonicProblem(p, 2, 2.0 * math.pi, harmonics)
+    b0, b1 = (b[0] for b in hill.zero_state_blocks)
     vals = -scipy.linalg.eigvals(b0, b1)
     vals = vals[np.isfinite(vals)]
     real = vals[np.abs(vals.imag) <= 1e-8 * (1.0 + np.abs(vals.real))].real

@@ -21,11 +21,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .continuation import PdeHarmonicProblem
 from .core import FcglParams, ModelParams, ScalingMap, gamma_onset
 from .errors import (DegenerateReductionError, ExistenceError,
                      SingularReductionError)
 from .fields import ComplexField
-from .floquet import FloquetPair, hill_problem
+from .floquet import FloquetPair
 
 __all__ = [
     "AllenCahnCoeffs",
@@ -162,16 +163,16 @@ def strong_ac_coeffs(fp: FloquetPair, p: ModelParams) -> AllenCahnCoeffs:
 
     U = p1 + i q1 and Y = y1 + i p1_adj, y1 = (mu + d/dt) p1_adj / omega, are
     the right and left null vectors of the Hill matrix B0 + F_c B1 of
-    hill_problem.  With lam = F/F_c - 1, projecting the slow-amplitude
+    mathieu_critical.  With lam = F/F_c - 1, projecting the slow-amplitude
     hierarchy onto Y yields
 
         mass * B_T = f_c <Y, B1 U> lam B + <Y, (alpha + i beta) U> B_XX
                      + <Y, C |U|^2 U> B^3,
 
     where mass = <Y, U> and <., .> is the dot product of the harmonic
-    coefficients viewed as floats, the blocks' component order.  alpha + i
-    beta is B0[k=0] - B0[k=1], and C |U|^2 U the problem's residual at the
-    flat state U at F_c, where the linear part vanishes.
+    coefficients viewed as floats, the blocks' component order.  C |U|^2 U
+    is the problem's residual at the flat state U at F_c, where the linear
+    part vanishes; like B1, it is the same on any grid.
     """
     u = fp.u_coeffs.view(float)
     y = (((fp.mu + 1j * fp.harmonics) / fp.omega + 1j)
@@ -180,13 +181,14 @@ def strong_ac_coeffs(fp: FloquetPair, p: ModelParams) -> AllenCahnCoeffs:
     if abs(mass) < 1e-10:
         raise DegenerateReductionError("solvability mass inner product vanishes")
 
-    problem = hill_problem(p, fp.harmonics)
-    b0, b1 = problem.zero_state_blocks
+    problem = PdeHarmonicProblem(p, 2, 2.0 * math.pi, fp.harmonics)
+    b1 = problem.zero_state_blocks[1][0]
     flat = problem.pack(np.repeat(fp.u_coeffs[:, None], problem.n, axis=1))
     cubic = np.ascontiguousarray(
         problem.unpack(problem.residual(flat, fp.f_c))[:, 0]).view(float)
-    return AllenCahnCoeffs(lin=fp.f_c * float(y @ b1[0] @ u) / mass,
-                           diff=float(y @ (b0[0] - b0[1]) @ u) / mass,
+    diffused = (complex(p.alpha, p.beta) * fp.u_coeffs).view(float)
+    return AllenCahnCoeffs(lin=fp.f_c * float(y @ b1 @ u) / mass,
+                           diff=float(y @ diffused) / mass,
                            cub=float(y @ cubic) / mass)
 
 

@@ -62,6 +62,25 @@ def test_flatstates_pde_reports_forcing_scale(tmp_path):
     assert float(summary["f_onset_weak"]) == pytest.approx(0.04 * gamma0)
 
 
+def test_flatstates_pde_takes_the_mapped_forcing(tmp_path):
+    # the forced model's flat states are those at Gamma = F / (4 eps^2),
+    # the drive its flat seed takes, not the FCGL-only params.gamma
+    found = []
+    for f in (0.058, 0.07):
+        code, out = run(tmp_path / str(f), "flatstates", *_overrides(
+            "system.kind=pde", f"params.f={f}"))
+        assert code == 0
+        gamma = float(read_kv(out / "summary.txt")["gamma"])
+        assert gamma == pytest.approx(f / 0.04, rel=1e-15)
+        roots = flat_states(replace(load_config().fcgl_params(),
+                                    gamma=gamma)).roots
+        _, rows = fileio.read_csv(out / "flatstates.csv")
+        found.append([float(row[1]) for row in rows])
+        assert found[-1] == pytest.approx([root.r for root in roots],
+                                          rel=1e-12)
+    assert len(found[0]) == 2 and found[0] != found[1]
+
+
 def test_bad_override_is_config_error(tmp_path):
     code, _ = run(tmp_path, "flatstates", "--override", "params.bogus=1")
     assert code == 2
@@ -85,6 +104,10 @@ def test_bad_override_is_config_error(tmp_path):
     ("sweep", ["sweep.p_min=-1", "sweep.p_max=1", "sweep.p_count=2",
                "sweep.nu_count=1"]),
     ("sweep", ["sweep.p_min=1", "sweep.p_max=-1"]),
+    # a branch started outside its window writes only points outside it
+    ("continue", ["params.gamma=1.95", "continuation.param_max=1.9"]),
+    ("continue", ["system.kind=pde", "params.f=0.058",
+                  "continuation.param_min=0.06"]),
 ])
 def test_inert_or_crashing_inputs_are_config_errors(tmp_path, capsys,
                                                     command, overrides):

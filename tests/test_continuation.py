@@ -248,6 +248,34 @@ def test_parity_block_is_the_jacobian_on_its_parity(fcgl_params, weak_model,
             <= 1e-14 * np.max(np.abs(b0[k] + drive * b1[k]))
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda fcgl, model: ct.FcglSteadyProblem(
+        fcgl, n=32, length=LENGTH), id="fcgl"),
+    pytest.param(lambda fcgl, model: ct.PdeHarmonicProblem(
+        model, n=16, length=LENGTH), id="pde"),
+])
+def test_zero_state_blocks_are_the_lag_zero_parity_blocks(fcgl_params,
+                                                          weak_model, make):
+    # about the zero state, constant in x, the forcing's block is one block
+    # at every wavenumber the dealiased product reaches, and none at the
+    # Nyquist mode; B0 + drive B1 is each k's diagonal sub-block of the even
+    # parity block, both written from the multipliers
+    prob = make(fcgl_params, weak_model)
+    b0, b1 = prob.zero_state_blocks
+    nk = prob.n // 2 + 1
+    profiles = prob.size // (2 * nk)
+    assert b0.shape == b1.shape == (nk, 2 * profiles, 2 * profiles)
+    assert np.array_equal(b1[:-1], np.broadcast_to(b1[0], b1[:-1].shape))
+    assert np.any(b1[0]) and not np.any(b1[-1])
+    for drive in (0.0, 1.0):
+        block = prob.parity_block(np.zeros(prob.size), drive, 1.0)
+        block = block.reshape(profiles, nk, 2, profiles, nk, 2)
+        for k in range(nk):
+            sub = block[:, k, :, :, k, :].reshape(b0.shape[1:])
+            assert np.max(np.abs(sub - (b0[k] + drive * b1[k]))) \
+                <= 1e-15 * np.max(np.abs(sub))
+
+
 def test_model_block_has_the_floquet_exponents(weak_model):
     # About U = 0 the forced model's even block holds one Hill matrix per
     # wavenumber k, that of the flat linearization at (mu - alpha k^2,
