@@ -8,9 +8,10 @@ in a fresh interpreter on one BLAS thread (OPENBLAS_NUM_THREADS=1): the four
 benchmark workloads of CHANGE/perfbench/workloads.py at seed 1, read and not
 edited, the 59-point labelled FCGL branch, a labelled n = 64 forced-model
 branch, an n = 64 simulate with snapshots, reduce and flatstates for each
-system, floquet, and the default 36-probe sweep and its forced-model twin at
-n = 256.  For each output file it prints "byte-identical" or, for a changed
-header, both versions; for each numeric column that differs, the largest
+system, floquet, the default 36-probe sweep and its forced-model twin at
+n = 256, and a two-probe sweep in which one probe blows up.  For each
+output file it prints "byte-identical" or, for a changed header, both
+versions; for each numeric column that differs, the largest
 element-wise relative difference, the largest difference relative to the
 column's largest magnitude and the verdict of its bound in TOLERANCES; for
 key = value files such as stats.txt, each value that changed.  It then runs
@@ -63,6 +64,11 @@ def commands(tree: str) -> list[tuple[str, list[str], dict]]:
     cmds.append(("sweep-36", ["sweep"], {}))
     cmds.append(("pde-sweep-36", ["sweep"] + _overrides(
         "system.kind=pde", "grid.n=256", "sweep.t_probe=200"), {}))
+    # a focusing cubic: the Gamma = 5 probe blows up, the other is rerun
+    cmds.append(("sweep-blowup", ["sweep"] + _overrides(
+        "params.c_re=1.0", "grid.n=64", "sweep.nu_min=-3", "sweep.nu_max=-3",
+        "sweep.nu_count=1", "sweep.p_min=1", "sweep.p_max=5",
+        "sweep.p_count=2", "sweep.t_probe=60"), {}))
     return cmds
 
 

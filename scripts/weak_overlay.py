@@ -1,49 +1,35 @@
 #!/usr/bin/env python3
 """Trace the localized branches of the amplitude equation and of the forced
-model, rescale the latter, and report how well the two bifurcation diagrams
-overlay between their outer folds.
+model with `oscillab continue`, rescale the latter, and report how well the
+two bifurcation diagrams overlay between their outer folds.
 
-Writes branch_fcgl.csv, branch_pde.csv, and overlay.txt into --out.
+Writes the two run directories fcgl/ and pde/ into --out, and beside them
+branch_fcgl.csv, branch_pde.csv and overlay.txt.
 """
 
 import argparse
-import math
 import os
-from dataclasses import replace
+import shutil
 
-from oscillab import (FcglParams, ModelParams, ScalingMap, fileio,
-                      make_stepper)
-from oscillab import continuation as ct
-from oscillab.etd import run_to_steady
-from oscillab.reduction import weak_sech_fcgl, weak_sech_pde
-
-TWO_PI = 2.0 * math.pi
+from oscillab import ScalingMap, fileio
+from oscillab.cli import main as cli_main
+from oscillab.continuation import Branch, BranchPoint, overlay_mismatch
 
 
-def fcgl_branch(p: FcglParams, n: int, length: float) -> ct.Branch:
-    start = 1.95
-    problem = ct.FcglSteadyProblem(replace(p, gamma=start), n=n,
-                                   length=length)
-    seed = weak_sech_fcgl(p, start, center=length / 2).as_field(n, length)
-    controls = ct.ContinuationControls(ds0=0.01, ds_max=0.04,
-                                       param_min=1.35, param_max=2.05,
-                                       max_points=260)
-    return ct.trace_branch(problem, problem.pack(seed.values), start, controls)
+def read_branch(run: str) -> Branch:
+    """The branch of a `continue` run directory, from branch.csv and
+    folds.csv."""
+    _, rows = fileio.read_csv(os.path.join(run, "branch.csv"))
+    points = [BranchPoint(int(i), float(p), float(norm), z=None, stability=s,
+                          fold=flag == "1", leading_rate=float(rate))
+              for i, p, norm, s, flag, rate in rows]
+    _, folds = fileio.read_csv(os.path.join(run, "folds.csv"))
+    return Branch(points, [float(p) for _, p in folds])
 
 
-def pde_branch(mp: ModelParams, n: int, length: float) -> ct.Branch:
-    seed = weak_sech_pde(mp, center=length / 2).as_field(n, length, t=0.0)
-    stepper = make_stepper(seed, mp, TWO_PI / 208)
-    converged, periods, _ = run_to_steady(stepper, TWO_PI, tol=1e-9,
-                                          max_periods=900)
-    if not converged:
-        raise RuntimeError(f"seeding run did not settle in {periods} periods")
-    problem = ct.PdeHarmonicProblem(mp, n=n, length=length)
-    controls = ct.ContinuationControls(ds0=0.005, ds_max=0.02,
-                                       param_min=0.0545, param_max=0.0625,
-                                       max_points=150)
-    return ct.trace_branch(problem, problem.pack_cycle(stepper), mp.f,
-                           controls)
+def read_kv(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        return dict(line.rstrip("\n").split(" = ", 1) for line in fh)
 
 
 def main() -> int:
@@ -51,36 +37,46 @@ def main() -> int:
     ap.add_argument("--out", default="weak-overlay")
     ap.add_argument("--epsilon", type=float, default=0.1)
     args = ap.parse_args()
-    os.makedirs(args.out, exist_ok=True)
-
-    p = FcglParams(mu=-0.5, nu=2.0, alpha=1.0, beta=-2.0,
-                   c_re=-1.0, c_im=-2.5, gamma=1.496)
     eps = args.epsilon
-    # seed mid-window: relaxation slows critically next to the folds
-    mp = ScalingMap(eps).fcgl_to_pde(replace(p, gamma=1.45))
+    runs = {
+        "fcgl": ["params.gamma=1.95", "continuation.ds_max=0.04",
+                 "continuation.param_min=1.35", "continuation.param_max=2.05",
+                 "continuation.max_points=260"],
+        # seed mid-window: relaxation slows critically next to the folds
+        "pde": ["system.kind=pde", "grid.n=640", f"params.epsilon={eps!r}",
+                f"params.f={ScalingMap(eps).to_forcing(1.45)!r}",
+                "timestepping.max_periods=900", "continuation.ds0=0.005",
+                "continuation.ds_max=0.02", "continuation.param_min=0.0545",
+                "continuation.param_max=0.0625", "continuation.max_points=150"],
+    }
+    branches = []
+    for name, overrides in runs.items():
+        print(f"tracing the {name} branch ...")
+        run = os.path.join(args.out, name)
+        items = [*overrides, "continuation.classify=false"]
+        code = cli_main(["continue", "--out", run,
+                         *(arg for it in items for arg in ("--override", it))])
+        if code != 0:
+            return code
+        stats = read_kv(os.path.join(run, "stats.txt"))
+        if stats.get("seed_steady_converged") == "false":
+            raise RuntimeError("seeding run did not settle in "
+                               f"{stats['seed_steady_periods']} periods")
+        shutil.copyfile(os.path.join(run, "branch.csv"),
+                        os.path.join(args.out, f"branch_{name}.csv"))
+        b = read_branch(run)
+        branches.append(b)
+        print(f"  {len(b.points)} points, folds at "
+              f"{min(b.folds):.6f} / {max(b.folds):.6f}")
 
-    print("tracing amplitude-equation branch ...")
-    ba = fcgl_branch(p, n=512, length=20.0 * math.pi)
-    fileio.write_branch(os.path.join(args.out, "branch_fcgl.csv"), ba)
-    print(f"  {len(ba.points)} points, folds at "
-          f"{min(ba.folds):.6f} / {max(ba.folds):.6f}")
-
-    print("tracing forced-model branch (seeding run takes a few minutes) ...")
-    bb = pde_branch(mp, n=640, length=200.0 * math.pi)
-    fileio.write_branch(os.path.join(args.out, "branch_pde.csv"), bb)
-    print(f"  {len(bb.points)} points, folds at "
-          f"{min(bb.folds):.6f} / {max(bb.folds):.6f}")
-
-    worst, lo, hi = ct.overlay_mismatch(ba, bb, ScalingMap(eps))
-    report = [("epsilon", eps),
-              ("fcgl_fold_left", min(ba.folds)),
-              ("fcgl_fold_right", max(ba.folds)),
-              ("pde_fold_left", min(bb.folds)),
-              ("pde_fold_right", max(bb.folds)),
-              ("overlay_window_lo", lo),
-              ("overlay_window_hi", hi),
-              ("overlay_max_mismatch", worst)]
-    fileio.write_kv(os.path.join(args.out, "overlay.txt"), report)
+    ba, bb = branches
+    worst, lo, hi = overlay_mismatch(ba, bb, ScalingMap(eps))
+    fileio.write_kv(os.path.join(args.out, "overlay.txt"), [
+        ("epsilon", eps),
+        ("fcgl_fold_left", min(ba.folds)), ("fcgl_fold_right", max(ba.folds)),
+        ("pde_fold_left", min(bb.folds)), ("pde_fold_right", max(bb.folds)),
+        ("overlay_window_lo", lo), ("overlay_window_hi", hi),
+        ("overlay_max_mismatch", worst)])
     print(f"max overlay mismatch {100 * worst:.2f}% "
           f"over [{lo:.4f}, {hi:.4f}]")
     return 0

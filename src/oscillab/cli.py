@@ -305,9 +305,8 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
             m = problem.times.size
             steps = m * max(1, math.ceil(TWO_PI / cfg.timestepping.dt / m))
             stepper = etd.make_stepper(build_seed(cfg), mp, TWO_PI / steps)
-            tol = max(cfg.timestepping.steady_tol, 1e-9)
             converged, periods, _ = etd.run_to_steady(
-                stepper, TWO_PI, tol=tol,
+                stepper, TWO_PI, tol=cfg.timestepping.steady_tol,
                 max_periods=cfg.timestepping.max_periods)
             seed_steady = [("seed_steady_converged", converged),
                            ("seed_steady_periods", periods)]
@@ -478,8 +477,12 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out = args.out or f"oscillab-{args.command}"
-    os.makedirs(out, exist_ok=True)
-    fileio.write_manifest(out, __version__, args.command, cfg.items())
+    try:
+        os.makedirs(out, exist_ok=True)
+        fileio.write_manifest(out, __version__, args.command, cfg.items())
+    except OSError as exc:
+        print(f"config error: cannot write {out}: {exc}", file=sys.stderr)
+        return 2
     try:
         return COMMANDS[args.command](cfg, out)
     except OscillabError as exc:

@@ -140,27 +140,30 @@ class RunConfig:
 _SECTION_TYPES = {f.name: f.default_factory for f in fields(RunConfig)}
 
 
-def _convert(raw: str, kind: type, where: str):
-    raw = raw.strip()
+def _convert(raw: str, default, where: str):
+    """raw as default's type; a float is finite unless default is inf."""
+    raw, kind = raw.strip(), type(default)
     try:
         if kind is bool:
             return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-        value = kind(raw)          # float takes "inf" and "-inf"
-        if value == value:         # not NaN
+        value = kind(raw)
+        if kind is not float or math.isfinite(value) or \
+                abs(value) == abs(default) == math.inf:
             return value
     except (KeyError, ValueError):
         pass
-    raise ConfigError(f"{where}: cannot parse {raw!r} as {kind.__name__}")
+    what = "a finite float" if kind is float else kind.__name__
+    raise ConfigError(f"{where}: cannot parse {raw!r} as {what}")
 
 
 def _apply(cfg: RunConfig, section: str, key: str, raw: str) -> None:
     if section not in _SECTION_TYPES:
         raise ConfigError(f"unknown config section [{section}]")
     target = getattr(cfg, section)
-    if key not in {f.name for f in fields(target)}:
+    defaults = {f.name: f.default for f in fields(target)}
+    if key not in defaults:
         raise ConfigError(f"unknown key {key!r} in section [{section}]")
-    kind = type(getattr(target, key))
-    setattr(target, key, _convert(raw, kind, f"[{section}] {key}"))
+    setattr(target, key, _convert(raw, defaults[key], f"[{section}] {key}"))
 
 
 def _validate(cfg: RunConfig) -> None:

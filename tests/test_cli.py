@@ -108,6 +108,14 @@ def test_bad_override_is_config_error(tmp_path):
     ("continue", ["params.gamma=1.95", "continuation.param_max=1.9"]),
     ("continue", ["system.kind=pde", "params.f=0.058",
                   "continuation.param_min=0.06"]),
+    # an infinite value overflows a step count, breaks a solve or is silent
+    ("simulate", ["timestepping.t_end=inf"]),
+    ("sweep", ["sweep.t_probe=inf"]),
+    ("continue", ["continuation.ds0=inf", "continuation.ds_max=inf"]),
+    ("floquet", ["params.epsilon=inf"]),
+    ("flatstates", ["params.nu=inf"]),
+    ("simulate", ["grid.length=inf"]),
+    ("continue", ["continuation.newton_tol=inf"]),
 ])
 def test_inert_or_crashing_inputs_are_config_errors(tmp_path, capsys,
                                                     command, overrides):
@@ -115,6 +123,18 @@ def test_inert_or_crashing_inputs_are_config_errors(tmp_path, capsys,
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_out_that_cannot_be_written_is_config_error(tmp_path, capsys, below):
+    """An --out naming a file, or a path below one, is refused with exit 2,
+    and the file is left as it was."""
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n", encoding="utf-8")
+    out = blocker / "run" if below else blocker
+    assert main(["flatstates", "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert blocker.read_text(encoding="utf-8") == "kept\n"
 
 
 def test_floquet_weak(tmp_path):
@@ -481,19 +501,22 @@ def test_pde_continue_records_its_seed_trajectory(tmp_path, capsys):
 def test_pde_continue_steps_its_seed_through_run_to_steady(tmp_path,
                                                            monkeypatch):
     """The seed's run to its cycle is one call of the module attribute
-    etd.run_to_steady, whose periods stats.txt records."""
-    real, calls = etd.run_to_steady, []
+    etd.run_to_steady, at timestepping.steady_tol as given (below 1e-9
+    too), whose periods stats.txt records."""
+    real, calls, tols = etd.run_to_steady, [], []
 
     def record(*args, **kwargs):
+        tols.append(kwargs["tol"])
         calls.append(real(*args, **kwargs))
         return calls[-1]
 
     monkeypatch.setattr(etd, "run_to_steady", record)
     code, out = run(tmp_path, "continue", *_overrides(
         "system.kind=pde", "grid.n=64", "timestepping.max_periods=3",
-        "continuation.max_points=2", "continuation.classify=false"))
+        "timestepping.steady_tol=1e-10", "continuation.max_points=2",
+        "continuation.classify=false"))
     assert code == 0
-    assert len(calls) == 1
+    assert len(calls) == 1 and tols == [1e-10]
     stats = read_kv(out / "stats.txt")
     assert stats["seed_steady_periods"] == str(calls[0][1])
 
