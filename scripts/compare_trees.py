@@ -6,15 +6,18 @@
 Runs a fixed list of ``oscillab`` commands from each tree's ``src/``, each
 in a fresh interpreter on one BLAS thread (OPENBLAS_NUM_THREADS=1): the four
 benchmark workloads of CHANGE/perfbench/workloads.py at seed 1, read and not
-edited, the 59-point labelled FCGL branch, a labelled n = 64 forced-model
-branch, an n = 64 simulate with snapshots, reduce and flatstates for each
-system, floquet, the default 36-probe sweep and its forced-model twin at
-n = 256, and a two-probe sweep in which one probe blows up.  For each
-output file it prints "byte-identical" or, for a changed header, both
-versions; for each numeric column that differs, the largest
-element-wise relative difference, the largest difference relative to the
-column's largest magnitude and the verdict of its bound in TOLERANCES; for
-key = value files such as stats.txt, each value that changed.  It then runs
+edited, the two unlabelled branches of CHANGE/scripts/weak_overlay.py at
+its default epsilon (criterion 03's 197-point FCGL branch and criterion
+04's 39-point forced-model branch at n = 640), the 59-point labelled FCGL
+branch, a labelled n = 64 forced-model branch, an n = 64 simulate with
+snapshots, reduce and flatstates for each system, floquet, the default
+36-probe sweep and its forced-model twin at n = 256, and a two-probe sweep
+in which one probe blows up.  For each output file it prints
+"byte-identical" or, for a changed header, both versions; for each numeric
+column that differs, the largest element-wise relative difference, the
+largest difference relative to the column's largest magnitude and the
+verdict of its bound in TOLERANCES; for key = value files such as
+stats.txt, each value that changed.  It then runs
 ``pytest -q -s tests/test_acceptance.py`` in each tree the same way and
 prints "identical" or both versions of each [criterion NN] line.  Exits 1,
 naming each output not accepted, when a numeric column moves beyond its
@@ -36,16 +39,27 @@ def _overrides(*items):
     return [arg for item in items for arg in ("--override", item)]
 
 
+def _load(tree: str, folder: str, name: str):
+    """The module tree/folder/name.py."""
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(tree, folder, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module         # dataclasses look it up there
+    spec.loader.exec_module(module)
+    return module
+
+
 def commands(tree: str) -> list[tuple[str, list[str], dict]]:
     """(name, oscillab arguments without --out, extra environment) of each
-    command, the benchmark's read from tree/perfbench/workloads.py."""
-    spec = importlib.util.spec_from_file_location(
-        "workloads", os.path.join(tree, "perfbench", "workloads.py"))
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads      # dataclasses look it up there
-    spec.loader.exec_module(workloads)
+    command, the benchmark's read from tree/perfbench/workloads.py and the
+    two branch runs from tree/scripts/weak_overlay.py."""
+    workloads = _load(tree, "perfbench", "workloads")
     cmds = [(name, wl.argv(1), dict(wl.env))
             for name, wl in workloads.WORKLOADS.items()]
+    sys.path.insert(0, os.path.join(tree, "src"))   # weak_overlay's oscillab
+    overlay = _load(tree, "scripts", "weak_overlay")
+    cmds += [(f"{name}-overlay", ["continue"] + _overrides(*items), {})
+             for name, items in overlay.runs(overlay.EPSILON).items()]
     cmds.append(("fcgl-labelled-59", ["continue"] + _overrides(
         "params.gamma=1.95", "continuation.max_points=30"), {}))
     cmds.append(("pde-labelled-64", ["continue"] + _overrides(

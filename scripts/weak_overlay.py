@@ -27,6 +27,26 @@ def read_branch(run: str) -> Branch:
     return Branch(points, [float(p) for _, p in folds])
 
 
+EPSILON = 0.1
+
+
+def runs(eps: float) -> dict[str, list[str]]:
+    """The overrides of the unlabelled `continue` run of each system at
+    scaling epsilon eps, by run directory name."""
+    return {
+        "fcgl": ["params.gamma=1.95", "continuation.ds_max=0.04",
+                 "continuation.param_min=1.35", "continuation.param_max=2.05",
+                 "continuation.max_points=260", "continuation.classify=false"],
+        # seed mid-window: relaxation slows critically next to the folds
+        "pde": ["system.kind=pde", "grid.n=640", f"params.epsilon={eps!r}",
+                f"params.f={ScalingMap(eps).to_forcing(1.45)!r}",
+                "timestepping.max_periods=900", "continuation.ds0=0.005",
+                "continuation.ds_max=0.02", "continuation.param_min=0.0545",
+                "continuation.param_max=0.0625", "continuation.max_points=150",
+                "continuation.classify=false"],
+    }
+
+
 def read_kv(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         return dict(line.rstrip("\n").split(" = ", 1) for line in fh)
@@ -35,25 +55,13 @@ def read_kv(path: str) -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="weak-overlay")
-    ap.add_argument("--epsilon", type=float, default=0.1)
+    ap.add_argument("--epsilon", type=float, default=EPSILON)
     args = ap.parse_args()
     eps = args.epsilon
-    runs = {
-        "fcgl": ["params.gamma=1.95", "continuation.ds_max=0.04",
-                 "continuation.param_min=1.35", "continuation.param_max=2.05",
-                 "continuation.max_points=260"],
-        # seed mid-window: relaxation slows critically next to the folds
-        "pde": ["system.kind=pde", "grid.n=640", f"params.epsilon={eps!r}",
-                f"params.f={ScalingMap(eps).to_forcing(1.45)!r}",
-                "timestepping.max_periods=900", "continuation.ds0=0.005",
-                "continuation.ds_max=0.02", "continuation.param_min=0.0545",
-                "continuation.param_max=0.0625", "continuation.max_points=150"],
-    }
     branches = []
-    for name, overrides in runs.items():
+    for name, items in runs(eps).items():
         print(f"tracing the {name} branch ...")
         run = os.path.join(args.out, name)
-        items = [*overrides, "continuation.classify=false"]
         code = cli_main(["continue", "--out", run,
                          *(arg for it in items for arg in ("--override", it))])
         if code != 0:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, fields, replace
+import sys
+from dataclasses import astuple, dataclass, field, fields, replace
 
 from .continuation import ContinuationControls
 from .core import FcglParams, ModelParams, ScalingMap
@@ -20,6 +21,7 @@ TWO_PI = 2.0 * math.pi
 
 _SYSTEMS = ("fcgl", "pde")
 _SEED_KINDS = ("zero", "flat", "sech-weak", "sech-strong")
+MAX_STEPS = 10**8 - 1   # the most steps whose snapshot_{k:08d} names sort
 
 
 @dataclass
@@ -190,6 +192,11 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("[params] gamma must be >= 0")
     if p.f < 0:
         raise ConfigError("[params] f must be >= 0")
+    if not sys.float_info.min <= p.epsilon * p.epsilon < math.inf:
+        raise ConfigError("[params] epsilon must square to a normal float")
+    mapped = astuple(cfg.fcgl_params()) + astuple(cfg.model_params())
+    if not all(map(math.isfinite, mapped)):
+        raise ConfigError("[params] epsilon maps the parameters out of range")
     if cfg.grid.n < 0 or cfg.grid.n % 2:
         raise ConfigError("[grid] n must be a non-negative even integer")
     if cfg.grid.length < 0:
@@ -225,6 +232,11 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("[sweep] grid counts must be >= 1")
     if cfg.sweep.t_probe < cfg.timestepping.dt:
         raise ConfigError("[sweep] t_probe must be >= timestepping.dt")
+    for name, span in (("[timestepping] t_end", cfg.timestepping.t_end),
+                       ("[sweep] t_probe", cfg.sweep.t_probe)):
+        if span / cfg.timestepping.dt >= MAX_STEPS + 0.5:
+            raise ConfigError(f"{name} must be at most {MAX_STEPS} steps "
+                              "of timestepping.dt")
     if cfg.output.norm_stride < 1:
         raise ConfigError("[output] norm_stride must be >= 1")
     if cfg.output.snapshot_stride < 0:

@@ -75,16 +75,16 @@ def _arnoldi_step(apply, basis: np.ndarray, j: int):
 
 
 def _gmres(matvec, b: np.ndarray, psolve, rtol: float):
-    """Restarted GMRES (Saad & Schultz 1986) for A x = b from x = 0, left-
+    """Restarted GMRES (Saad & Schultz 1986) for A x = b from x = 0, right-
     preconditioned by psolve ~ A^-1; returns (x, info, matvecs), info 0 when
     ||b - A x|| <= rtol ||b|| within GMRES_CYCLES cycles, else GMRES_CYCLES.
 
-    The stopping rule is scipy's: each cycle stops once the preconditioned
-    residual estimate meets a tolerance that is adapted between cycles as in
-    scipy gh-8400, or on breakdown, and convergence is judged on the true
-    residual at the end of each cycle.  The Krylov basis is preallocated and
-    orthogonalised by CGS2; the Givens rotations act on Python floats and the
-    triangular solve runs once per cycle.
+    Each cycle runs Arnoldi on v -> A psolve(v) from the residual, so its
+    estimate is the true residual's (Saad 2003, sec. 9.3): it stops once the
+    estimate is within rtol ||b||, or on breakdown, and convergence is
+    judged on the true residual at its end.  The Krylov basis is
+    preallocated and orthogonalised by CGS2; the Givens rotations act on
+    Python floats and the triangular solve runs once per cycle.
     """
     b = np.asarray(b, dtype=float)
     x = np.zeros(b.size)
@@ -95,17 +95,13 @@ def _gmres(matvec, b: np.ndarray, psolve, rtol: float):
     m = min(GMRES_RESTART, b.size)
     basis = np.empty((m + 1, b.size))
     upper = np.zeros((m, m))    # R of the rotated Hessenberg matrix
-    ptol_factor = 1.0
-    v = psolve(b)
-    ptol = float(np.linalg.norm(v)) * min(1.0, atol / bnorm)
-    matvecs, presid = 0, 0.0
+    r, rnorm, matvecs = b, bnorm, 0
 
     def apply(v):
-        return psolve(matvec(v))
+        return matvec(psolve(v))
     for _ in range(GMRES_CYCLES):
-        beta = float(np.linalg.norm(v))
-        basis[0] = v * (1.0 / beta)
-        g = [beta]
+        basis[0] = r * (1.0 / rnorm)
+        g = [rnorm]
         rotations = []
         for j in range(m):
             h, h1 = _arnoldi_step(apply, basis, j)
@@ -120,8 +116,7 @@ def _gmres(matvec, b: np.ndarray, psolve, rtol: float):
             upper[:j + 1, j] = col
             g.append(-s * g[j])
             g[j] *= c
-            presid = abs(g[j + 1])
-            if presid <= ptol or breakdown:
+            if abs(g[j + 1]) <= atol or breakdown:
                 break
         k = j + 1
         y = np.array(g[:k])
@@ -131,18 +126,12 @@ def _gmres(matvec, b: np.ndarray, psolve, rtol: float):
             if y[i] != 0.0:
                 y[i] /= upper[i, i]
                 y[:i] -= y[i] * upper[:i, i]
-        x += y @ basis[:k]
+        x += psolve(y @ basis[:k])
         r = b - matvec(x)
         matvecs += 1
         rnorm = float(np.linalg.norm(r))
         if rnorm <= atol or breakdown:
             break
-        if presid <= ptol:
-            ptol_factor = max(_EPS, 0.25 * ptol_factor)
-        else:
-            ptol_factor = min(1.0, 1.5 * ptol_factor)
-        ptol = presid * min(ptol_factor, atol / rnorm)
-        v = psolve(r)
     return x, (0 if rnorm <= atol else GMRES_CYCLES), matvecs
 
 

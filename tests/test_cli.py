@@ -116,6 +116,15 @@ def test_bad_override_is_config_error(tmp_path):
     ("flatstates", ["params.nu=inf"]),
     ("simulate", ["grid.length=inf"]),
     ("continue", ["continuation.newton_tol=inf"]),
+    # an epsilon whose square overflows or is not a normal float crashes,
+    # misreads the damping or writes an infinite drive
+    ("floquet", ["params.epsilon=1e300"]),
+    ("continue", ["system.kind=pde", "params.epsilon=1e-200"]),
+    ("floquet", ["params.epsilon=1e-200"]),
+    ("flatstates", ["system.kind=pde", "params.epsilon=1e-160"]),
+    # more steps than snapshot names sort in, a loop that never returns
+    ("simulate", ["timestepping.t_end=1e300"]),
+    ("sweep", ["sweep.t_probe=1e300"]),
 ])
 def test_inert_or_crashing_inputs_are_config_errors(tmp_path, capsys,
                                                     command, overrides):

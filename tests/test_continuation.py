@@ -840,21 +840,19 @@ def test_steady_residuals_are_the_stepper_right_hand_side(fcgl_params,
 # ---- the Krylov kernel ----
 
 def scipy_gmres(matvec, b, psolve, rtol):
-    """The oracle: scipy's gmres on the same system, with the kernel's
-    restart and cycle count; returns (x, info, matvecs)."""
+    """The oracle: scipy's unpreconditioned gmres, with the kernel's restart
+    and cycle count, on the right-preconditioned operator v -> A psolve(v),
+    whose solution y gives x = psolve(y); returns (x, info, matvecs)."""
     def counted(v):
         counted.n += 1
-        return matvec(v)
+        return matvec(psolve(v))
     counted.n = 0
-
-    def op(fn):
-        return scipy.sparse.linalg.LinearOperator((b.size, b.size), matvec=fn,
-                                                  dtype=float)
-    x, info = scipy.sparse.linalg.gmres(op(counted), b, rtol=rtol, atol=0.0,
+    op = scipy.sparse.linalg.LinearOperator((b.size, b.size), matvec=counted,
+                                            dtype=float)
+    y, info = scipy.sparse.linalg.gmres(op, b, rtol=rtol, atol=0.0,
                                         restart=ct.GMRES_RESTART,
-                                        maxiter=ct.GMRES_CYCLES,
-                                        M=op(psolve))
-    return x, info, counted.n
+                                        maxiter=ct.GMRES_CYCLES)
+    return psolve(y), info, counted.n
 
 
 def preconditioned_system(n, seed, rho):
@@ -879,7 +877,7 @@ def test_gmres_matches_dense_solve_across_restarts(rho, rtol):
     exact = np.linalg.solve(a, b)
     cond = np.linalg.cond(a)
     assert np.linalg.norm(x - exact) <= cond * rtol * np.linalg.norm(exact)
-    # scipy's gmres with the same restart takes the same steps
+    # scipy's gmres on the right-preconditioned operator takes the same steps
     x_sp, info_sp, matvecs_sp = scipy_gmres(lambda v: a @ v, b, psolve, rtol)
     assert info_sp == 0
     assert abs(matvecs - matvecs_sp) <= 2
@@ -887,8 +885,8 @@ def test_gmres_matches_dense_solve_across_restarts(rho, rtol):
 
 
 def test_gmres_preconditions_once_per_matvec():
-    # b is preconditioned once, for the tolerance and the first cycle alike,
-    # and each later cycle's residual once, where the cycle before ends
+    # each Arnoldi step preconditions its vector once, and each cycle's
+    # update once, for the residual check that ends the cycle
     a, b, psolve = preconditioned_system(400, 12, 0.95)
 
     def counted(v):
@@ -934,7 +932,7 @@ def test_gmres_reports_cycles_run_out():
 def test_localized_branch_matvecs_per_solve(fcgl_params):
     # the first 50 points of the acceptance branch (criterion 03) at n = 128,
     # through both outer folds: the zero-state preconditioner leaves GMRES
-    # the localized core, 12.6 matvecs a solve (28.2 with the symbol alone)
+    # the localized core, 9.6 matvecs a solve (23.8 with the symbol alone)
     p = replace(fcgl_params, gamma=1.95)
     n = 128
     prob = ct.FcglSteadyProblem(p, n=n, length=LENGTH)
@@ -958,27 +956,47 @@ def localized_start(fcgl_params):
     return (prob, z, *ct._initial_tangent(prob, z, 1.95, ct.SolveStats()))
 
 
-def test_gmres_on_a_corrector_system_agrees_with_scipy(fcgl_params):
-    # the corrector's bordered matvec with the zero-state preconditioner on
-    # its z-block alone, so that GMRES runs long enough to be compared
+def corrector_system(fcgl_params):
+    """(matvec, psolve, precond, rhs): the corrector's first bordered system
+    a step of 0.04 from localized_start, psolve its block elimination and
+    precond the zero-state preconditioner of its z-block."""
     prob, z, tau_z, tau_p = localized_start(fcgl_params)
     z_pred, p_pred = z + 0.04 * tau_z, 1.95 + 0.04 * tau_p
     precond = prob.preconditioner(p_pred)
     count = 2 * prob.symbol.size
     row = math.sqrt(float(tau_z @ tau_z) / count**2 + tau_p**2)
-    matvec, _ = ct._bordered(prob, precond, z_pred, p_pred, tau_z, tau_p,
-                             count, row)
+    matvec, psolve = ct._bordered(prob, precond, z_pred, p_pred, tau_z,
+                                  tau_p, count, row)
+    rhs = -np.concatenate([prob.residual(z_pred, p_pred), [0.0]])
+    return matvec, psolve, precond, rhs
+
+
+def test_gmres_on_a_corrector_system_agrees_with_scipy(fcgl_params):
+    # the corrector's bordered matvec with the zero-state preconditioner on
+    # its z-block alone, so that GMRES runs long enough to be compared
+    matvec, _, precond, rhs = corrector_system(fcgl_params)
 
     def psolve(dy):
         return np.append(precond(dy[:-1]), dy[-1])
-    rhs = -np.concatenate([prob.residual(z_pred, p_pred), [0.0]])
-    for rtol in (1e-5, 1e-8):
+    for rtol in (1e-8, 1e-10):
         x, info, matvecs = ct._gmres(matvec, rhs, psolve, rtol)
         x_sp, info_sp, matvecs_sp = scipy_gmres(matvec, rhs, psolve, rtol)
         assert info == info_sp == 0
         assert matvecs > 10
         assert abs(matvecs - matvecs_sp) <= 2
         assert np.linalg.norm(x - x_sp) <= rtol * np.linalg.norm(x_sp)
+
+
+def test_gmres_converges_in_one_cycle_when_its_estimate_does(fcgl_params,
+                                                            monkeypatch):
+    # the Arnoldi estimate is the true residual, so a cycle that meets rtol
+    # by it passes the residual check that ends it: on a test system and on
+    # a corrector system with its own block-elimination psolve
+    monkeypatch.setattr(ct, "GMRES_CYCLES", 1)
+    a, b, psolve = preconditioned_system(400, 12, 0.9)
+    assert ct._gmres(lambda v: a @ v, b, psolve, 1e-5)[1] == 0
+    matvec, psolve, _, rhs = corrector_system(fcgl_params)
+    assert ct._gmres(matvec, rhs, psolve, 1e-8)[1] == 0
 
 
 def bordered_at(prob, precond, z, tau_z, tau_p):
