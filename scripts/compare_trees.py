@@ -11,8 +11,10 @@ its default epsilon (criterion 03's 197-point FCGL branch and criterion
 04's 39-point forced-model branch at n = 640), the 59-point labelled FCGL
 branch, a labelled n = 64 forced-model branch, an n = 64 simulate with
 snapshots, reduce and flatstates for each system, floquet, the default
-36-probe sweep and its forced-model twin at n = 256, and a two-probe sweep
-in which one probe blows up.  For each output file it prints
+36-probe sweep and its forced-model twin at n = 256, a two-probe sweep in
+which one probe blows up, and scripts/strong_case.py at its defaults (the
+Newton polish of the strong-damping seed on harmonics +-1...+-7), run from
+each tree's own scripts/.  For each output file it prints
 "byte-identical" or, for a changed header, both versions; for each numeric
 column that differs, the largest element-wise relative difference, the
 largest difference relative to the column's largest magnitude and the
@@ -49,10 +51,15 @@ def _load(tree: str, folder: str, name: str):
     return module
 
 
-def commands(tree: str) -> list[tuple[str, list[str], dict]]:
-    """(name, oscillab arguments without --out, extra environment) of each
-    command, the benchmark's read from tree/perfbench/workloads.py and the
-    two branch runs from tree/scripts/weak_overlay.py."""
+OSCILLAB = "oscillab"
+
+
+def commands(tree: str) -> list[tuple[str, str, list[str], dict]]:
+    """(name, program, arguments without --out, extra environment) of each
+    command, program OSCILLAB for an oscillab command or else a script's
+    path within the tree; the benchmark's read from
+    tree/perfbench/workloads.py and the two branch runs from
+    tree/scripts/weak_overlay.py."""
     workloads = _load(tree, "perfbench", "workloads")
     cmds = [(name, wl.argv(1), dict(wl.env))
             for name, wl in workloads.WORKLOADS.items()]
@@ -83,7 +90,8 @@ def commands(tree: str) -> list[tuple[str, list[str], dict]]:
         "params.c_re=1.0", "grid.n=64", "sweep.nu_min=-3", "sweep.nu_max=-3",
         "sweep.nu_count=1", "sweep.p_min=1", "sweep.p_max=5",
         "sweep.p_count=2", "sweep.t_probe=60"), {}))
-    return cmds
+    return [(name, OSCILLAB, argv, extra) for name, argv, extra in cmds] + [
+        ("strong-case", os.path.join("scripts", "strong_case.py"), [], {})]
 
 
 def _run(tree: str, args: list[str], extra=None, **kwargs):
@@ -95,11 +103,14 @@ def _run(tree: str, args: list[str], extra=None, **kwargs):
 
 
 def run_tree(tree: str, cmds, out_root: str) -> list[str]:
-    """Run each command from tree/src with its outputs in out_root/name;
-    returns the names of the commands that exited with an error code."""
+    """Run each command from tree/src, a script from tree, with its outputs
+    in out_root/name; returns the names of the commands that exited with an
+    error code."""
     failed = []
-    for name, argv, extra in cmds:
-        proc = _run(tree, ["-m", "oscillab.cli", *argv,
+    for name, program, argv, extra in cmds:
+        start = (["-m", "oscillab.cli"] if program == OSCILLAB
+                 else [os.path.join(tree, program)])
+        proc = _run(tree, [*start, *argv,
                            "--out", os.path.join(out_root, name)], extra)
         if proc.returncode != 0:
             failed.append(f"{name} (exit {proc.returncode})")
@@ -283,8 +294,8 @@ def main() -> int:
             for name in failed:
                 print(f"{side}: {name} failed")
                 same = False
-        for name, argv, _ in cmds:
-            print(f"== {name}: {' '.join(argv)}")
+        for name, program, argv, _ in cmds:
+            print(f"== {name}: {' '.join([program, *argv])}")
             dirs = [os.path.join(work, side, name)
                     for side in ("parent", "change")]
             if not all(os.path.isdir(d) for d in dirs):

@@ -229,35 +229,42 @@ def cmd_floquet(cfg: RunConfig, out: str) -> int:
 
 def cmd_reduce(cfg: RunConfig, out: str) -> int:
     n, length = cfg.grid.n, cfg.grid.length
-    if cfg.system.kind == "fcgl":
-        p = cfg.fcgl_params()
-        ac = weak_ac_coeffs(p)
-        gamma0 = gamma_onset(p.mu, p.nu)
-        items = [("regime", "weak"), ("lin", ac.lin), ("diff", ac.diff),
-                 ("cub", ac.cub), ("phi1", ac.phi), ("gamma0", gamma0),
-                 ("gamma", p.gamma),
-                 ("ineq_mu_negative", p.mu),
-                 ("ineq_subcritical_cubic", p.mu * p.c_re + p.nu * p.c_im),
-                 ("ineq_effective_diffusion", p.alpha * p.mu + p.beta * p.nu),
-                 ("ineq_below_onset", p.gamma - gamma0)]
-        make_profile = partial(weak_sech_fcgl, p, p.gamma)
-    else:
-        mp = cfg.model_params()
-        fp = mathieu_critical(mp, cfg.floquet.j_trunc)
-        ac = strong_ac_coeffs(fp, mp)
-        items = [("regime", "strong"), ("f_c", fp.f_c), ("lin", ac.lin),
-                 ("diff", ac.diff), ("cub", ac.cub), ("f", mp.f),
-                 ("lambda_scaled", mp.f / fp.f_c - 1.0)]
-        make_profile = partial(strong_sech_pde, ac, fp, mp.f)
+    path = os.path.join(out, "reduction.txt")
+    weak = cfg.system.kind == "fcgl"
+    try:
+        if weak:
+            p = cfg.fcgl_params()
+            ac = weak_ac_coeffs(p)
+            gamma0 = gamma_onset(p.mu, p.nu)
+            items = [("regime", "weak"), ("lin", ac.lin), ("diff", ac.diff),
+                     ("cub", ac.cub), ("phi1", ac.phi), ("gamma0", gamma0),
+                     ("gamma", p.gamma),
+                     ("ineq_mu_negative", p.mu),
+                     ("ineq_subcritical_cubic", p.mu * p.c_re + p.nu * p.c_im),
+                     ("ineq_effective_diffusion", p.alpha * p.mu + p.beta * p.nu),
+                     ("ineq_below_onset", p.gamma - gamma0)]
+            make_profile = partial(weak_sech_fcgl, p, p.gamma)
+        else:
+            mp = cfg.model_params()
+            fp = mathieu_critical(mp, cfg.floquet.j_trunc)
+            ac = strong_ac_coeffs(fp, mp)
+            items = [("regime", "strong"), ("f_c", fp.f_c), ("lin", ac.lin),
+                     ("diff", ac.diff), ("cub", ac.cub), ("f", mp.f),
+                     ("lambda_scaled", mp.f / fp.f_c - 1.0)]
+            make_profile = partial(strong_sech_pde, ac, fp, mp.f)
+    except OscillabError as exc:
+        fileio.write_kv(path, [("regime", "weak" if weak else "strong"),
+                               ("coefficients", f"unavailable: {exc}")])
+        raise
     try:
         profile = make_profile(center=length / 2.0)
     except ExistenceError as exc:
         items.append(("sech_seed", f"unavailable: {exc}"))
-        fileio.write_kv(os.path.join(out, "reduction.txt"), items)
+        fileio.write_kv(path, items)
         print(f"existence failure: {exc}", file=sys.stderr)
         return 3
     items += [("sech_amp", profile.amp), ("sech_inv_width", profile.inv_width)]
-    fileio.write_kv(os.path.join(out, "reduction.txt"), items)
+    fileio.write_kv(path, items)
     fileio.write_snapshot(os.path.join(out, "seed.txt"),
                           profile.as_field(n, length, t=0.0))
     return 0

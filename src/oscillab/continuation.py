@@ -434,38 +434,105 @@ class SolveStats:
         return list(asdict(self).items())
 
 
+class _CorrectorFailed(Exception):
+    """The Newton loop rejected its iterate; args[0] is the last residual's
+    max norm."""
+
+
+def _wnorm(problem, dz: np.ndarray, dp: float) -> float:
+    return math.sqrt(float(dz @ dz) / (2 * problem.symbol.size) + dp * dp)
+
+
+def _bordered(problem, precond, z, pm, tau_z, tau_p, count, row):
+    """Matvec and preconditioner of the arclength-bordered Jacobian at
+    (z, pm), [[J, r], [c, d]]: the residual's Jacobian J with its parameter
+    column r, closed by the row of _newton, c = tau_z/(count row) and
+    d = tau_p/row.  The preconditioner is block elimination with precond =
+    M ~ J^-1 (Govaerts 2000): with v = M r and the Schur scalar s = d - c v,
+    (f, g) -> (M f - v y, y), y = (g - c M f)/s, the exact inverse when M
+    is.  Where s is zero or not finite, it is M on the z-block alone."""
+    nz = z.size
+    jac = problem.jacobian(z, pm)
+    rp = problem.dparam(z, pm)
+    v, c = precond(rp), tau_z / (count * row)
+    s = tau_p / row - float(c @ v)
+    if not (math.isfinite(s) and s != 0.0):
+        v, c, s = np.zeros(nz), np.zeros(nz), 1.0
+
+    def matvec(dy):
+        dz, dp = dy[:nz], dy[nz]
+        out = np.empty(nz + 1)
+        out[:nz] = jac(dz)
+        out[:nz] += rp * dp
+        out[nz] = (float(tau_z @ dz) / count + tau_p * dp) / row
+        return out
+
+    def psolve(dy):
+        out = np.empty(nz + 1)
+        mf = precond(dy[:nz])
+        out[nz] = y = (dy[nz] - float(c @ mf)) / s
+        np.multiply(v, -y, out=out[:nz])
+        out[:nz] += mf
+        return out
+
+    return matvec, psolve
+
+
+def _newton(problem, z0, p0, tau_z, tau_p, tol: float, cap: int,
+            stats: SolveStats):
+    """Newton on the residual closed by the row tau (z - z0, p - p0) = 0 from
+    (z0, p0), counted in stats; returns (z, param, rn, corrections) once rn,
+    the residual's max norm, and the row are below tol.  Raises
+    _CorrectorFailed at the first iterate no better than the one before it
+    by both of Newton's measures, in the arclength metric: its correction is
+    no smaller, and its residual, taken with the row, is no smaller.  Either
+    alone can grow for an iterate from which Newton still converges within
+    the cap.  It also rejects, before solving, a residual or row that is not
+    finite, and the iterate after cap corrections."""
+    z, pm = z0.copy(), p0
+    precond = problem.preconditioner(p0, stats)
+    nz, count = z.size, 2 * problem.symbol.size
+    row = math.sqrt(float(tau_z @ tau_z) / count**2 + tau_p**2)
+    last_step = last_res = math.inf
+    # the last pass only checks whether the final update converged
+    for it in range(cap + 1):
+        r = problem.residual(z, pm)
+        cons = (float(tau_z @ (z - z0)) / count + tau_p * (pm - p0)) / row
+        rn = problem.max_norm(r)
+        if max(rn, abs(cons)) < tol:
+            return z, pm, rn, it
+        res = _wnorm(problem, r, cons)
+        if it == cap or not math.isfinite(res):
+            break
+        inner_rtol = 1e-5 if rn > 1e-5 else 1e-8
+        matvec, psolve = _bordered(problem, precond, z, pm, tau_z, tau_p, count, row)
+        stats.corrector_iterations += 1
+        dy = stats.solve(matvec, -np.concatenate([r, [cons]]), psolve,
+                         inner_rtol)
+        step = _wnorm(problem, dy[:nz], dy[nz])
+        if not (step < last_step or res < last_res):
+            break
+        last_step, last_res = step, res
+        z = z + dy[:nz]
+        pm += float(dy[nz])
+    raise _CorrectorFailed(rn)
+
+
 def newton_solve(problem, z0: np.ndarray, param: float, tol: float = 1e-10,
                  max_iter: int = 25, stats: SolveStats | None = None):
-    """Damped inexact Newton on the packed real system; returns (z, res, iters).
-    Its Krylov solves are counted in stats, when given.  Raises
-    DivergenceError when no damped step lowers the residual, and before any
-    solve when the starting residual is not finite."""
-    stats = stats if stats is not None else SolveStats()
-    precond = problem.preconditioner(param, stats)
+    """Inexact Newton at the fixed param: _newton closed by the row tau =
+    (0, 1), which holds the parameter exactly; returns (z, res, iters), iters
+    the corrections taken, at most max_iter.  Its Krylov solves are counted
+    in stats, when given.  Raises DivergenceError, with the last residual,
+    where _newton rejects, so before any solve on a non-finite residual."""
     z = np.asarray(z0, dtype=float)
-    r = problem.residual(z, param)
-    rn = problem.max_norm(r)
-    if not math.isfinite(rn):
-        raise DivergenceError(rn)
-    for it in range(max_iter):
-        if rn < tol:
-            return z, rn, it
-        inner_rtol = 1e-4 if rn > 1e-4 else 1e-8
-        dz = stats.solve(problem.jacobian(z, param), -r, precond, inner_rtol)
-        accepted = False
-        for scale in (1.0, 0.5, 0.25, 0.125):
-            z_try = z + scale * dz
-            r_try = problem.residual(z_try, param)
-            rn_try = problem.max_norm(r_try)
-            if rn_try < rn or rn_try < tol:
-                z, r, rn = z_try, r_try, rn_try
-                accepted = True
-                break
-        if not accepted:
-            raise DivergenceError(rn)
-    if rn < tol:
-        return z, rn, max_iter
-    raise DivergenceError(rn)
+    stats = stats if stats is not None else SolveStats()
+    try:
+        z, _, rn, iters = _newton(problem, z, param, np.zeros(z.size), 1.0, tol,
+                                  max_iter, stats)
+    except _CorrectorFailed as exc:
+        raise DivergenceError(exc.args[0]) from None
+    return z, rn, iters
 
 
 # ---- branches ----
@@ -513,89 +580,15 @@ class Branch:
         return np.array([pt.norm for pt in self.points])
 
 
-class _CorrectorFailed(Exception):
-    pass
-
-
-def _wnorm(problem, dz: np.ndarray, dp: float) -> float:
-    return math.sqrt(float(dz @ dz) / (2 * problem.symbol.size) + dp * dp)
-
-
-def _bordered(problem, precond, z, pm, tau_z, tau_p, count, row):
-    """Matvec and preconditioner of the arclength-bordered Jacobian at
-    (z, pm), [[J, r], [c, d]]: the residual's Jacobian J with its parameter
-    column r, closed by the arclength row of _corrector, c = tau_z/(count
-    row) and d = tau_p/row.  The preconditioner is block elimination with
-    precond = M ~ J^-1 (Govaerts 2000): with v = M r and the Schur scalar
-    s = d - c v, (f, g) -> (M f - v y, y), y = (g - c M f)/s, the exact
-    inverse when M is.  Where s is zero or not finite, it is M on the
-    z-block alone."""
-    nz = z.size
-    jac = problem.jacobian(z, pm)
-    rp = problem.dparam(z, pm)
-    v, c = precond(rp), tau_z / (count * row)
-    s = tau_p / row - float(c @ v)
-    if not (math.isfinite(s) and s != 0.0):
-        v, c, s = np.zeros(nz), np.zeros(nz), 1.0
-
-    def matvec(dy):
-        dz, dp = dy[:nz], dy[nz]
-        out = np.empty(nz + 1)
-        out[:nz] = jac(dz)
-        out[:nz] += rp * dp
-        out[nz] = (float(tau_z @ dz) / count + tau_p * dp) / row
-        return out
-
-    def psolve(dy):
-        out = np.empty(nz + 1)
-        mf = precond(dy[:nz])
-        out[nz] = y = (dy[nz] - float(c @ mf)) / s
-        np.multiply(v, -y, out=out[:nz])
-        out[:nz] += mf
-        return out
-
-    return matvec, psolve
-
-
 def _corrector(problem, z_pred, p_pred, tau_z, tau_p, controls,
                stats: SolveStats):
-    """Newton on the residual closed by the arclength row, from the predictor
-    (z_pred, p_pred); returns (z, param, iterations) once the residual and the
-    row are below controls.newton_tol.  Raises _CorrectorFailed, rejecting
-    the step, at the first iterate that is no better than the one before it
-    by both of Newton's measures, both in the arclength metric: its
-    correction is no smaller, and its residual, taken with the row, is no
-    smaller.  Either measure alone can grow for an iterate from which Newton
-    still converges within the cap.  It also rejects, before solving, a
-    residual or row that is not finite, and the step after MAX_CORRECTOR
-    corrections."""
-    z, pm = z_pred.copy(), p_pred
-    precond = problem.preconditioner(p_pred, stats)
-    nz, count = z.size, 2 * problem.symbol.size
-    row = math.sqrt(float(tau_z @ tau_z) / count**2 + tau_p**2)
-    last_step = last_res = math.inf
-    # the last pass only checks whether the final update converged
-    for it in range(1, MAX_CORRECTOR + 2):
-        r = problem.residual(z, pm)
-        cons = (float(tau_z @ (z - z_pred)) / count + tau_p * (pm - p_pred)) / row
-        rn = problem.max_norm(r)
-        if max(rn, abs(cons)) < controls.newton_tol:
-            return z, pm, min(it, MAX_CORRECTOR)
-        res = _wnorm(problem, r, cons)
-        if it > MAX_CORRECTOR or not math.isfinite(res):
-            break
-        inner_rtol = 1e-5 if rn > 1e-5 else 1e-8
-        matvec, psolve = _bordered(problem, precond, z, pm, tau_z, tau_p, count, row)
-        stats.corrector_iterations += 1
-        dy = stats.solve(matvec, -np.concatenate([r, [cons]]), psolve,
-                         inner_rtol)
-        step = _wnorm(problem, dy[:nz], dy[nz])
-        if not (step < last_step or res < last_res):
-            break
-        last_step, last_res = step, res
-        z = z + dy[:nz]
-        pm += float(dy[nz])
-    raise _CorrectorFailed
+    """_newton from the predictor (z_pred, p_pred) with the arclength row
+    along (tau_z, tau_p), to controls.newton_tol in MAX_CORRECTOR corrections;
+    returns (z, param, passes), passes the corrections plus one, at most
+    MAX_CORRECTOR.  Raises _CorrectorFailed, rejecting the step, as _newton."""
+    z, pm, _, k = _newton(problem, z_pred, p_pred, tau_z, tau_p,
+                          controls.newton_tol, MAX_CORRECTOR, stats)
+    return z, pm, min(k + 1, MAX_CORRECTOR)
 
 
 def _initial_tangent(problem, z, param, stats: SolveStats):

@@ -315,3 +315,36 @@ def test_criterion_11_subharmonic_invariance(report, oscillon_run):
     report(11, ok, f"one-period relative change {diff:.2e} "
                    f"(< 1e-6, settled after {periods} periods)")
     assert ok
+
+
+def test_criterion_12_off_plateau_gap_falls_as_eps_squared(report,
+                                                            fcgl_branch):
+    # the FCGL is the weak-forcing limit of the forced model: at two fixed
+    # Gamma between the outer folds, off the plateau, the norm gap
+    # N_model/(eps N_FCGL) - 1 of the model solved from the lifted FCGL
+    # point falls as eps^2
+    problem = ct.FcglSteadyProblem(FCGL, n=512, length=L_FCGL)
+    epsilons, ok, details = (0.1, 0.05, 0.025), True, []
+    for target in (1.442387, 1.471631):
+        pt = min(fcgl_branch.points, key=lambda b: abs(b.param - target))
+        gaps = []
+        for eps in epsilons:
+            scaling = ScalingMap(eps)
+            model = ct.PdeHarmonicProblem(
+                scaling.fcgl_to_pde(replace(FCGL, gamma=pt.param)), n=512,
+                length=L_FCGL / eps)
+            profiles = np.zeros((model.harmonics.size, 512), dtype=complex)
+            profiles[list(model.harmonics).index(1)] = scaling.lift(
+                problem.unpack(pt.z))
+            z, _, _ = ct.newton_solve(model, model.pack(profiles),
+                                      scaling.to_forcing(pt.param),
+                                      tol=1e-8 * eps**3)
+            gaps.append(model.norm_of(z) / (eps * pt.norm) - 1.0)
+        ratios = [a / b for a, b in zip(gaps, gaps[1:])]
+        ok = ok and all(abs(r - 4.0) <= 0.5 for r in ratios)
+        details.append(f"Gamma={pt.param:.6f}: gap/eps^2 " + "/".join(
+            f"{g / e**2:.4f}" for g, e in zip(gaps, epsilons))
+            + " (ratios " + "/".join(f"{r:.3f}" for r in ratios) + ")")
+    report(12, ok, "off-plateau norm gap at eps 0.1/0.05/0.025: "
+                   + "; ".join(details) + " (each halving 4 +- 0.5)")
+    assert ok

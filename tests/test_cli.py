@@ -192,6 +192,23 @@ def test_reduce_supercritical_fails_cleanly(tmp_path, capsys):
     assert "existence failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, regime, error", [
+    (["params.mu=0"], "weak", "SingularReductionError"),
+    (["system.kind=pde", "params.mu=0.5"], "strong", "ParameterError"),
+], ids=["weak-singular", "strong-undamped"])
+def test_failed_reduction_is_recorded(tmp_path, capsys, overrides, regime,
+                                      error):
+    code, out = run(tmp_path, "reduce",
+                    *[arg for item in overrides for arg in ("--override", item)])
+    assert code == 3
+    message = capsys.readouterr().err
+    assert message.startswith(f"numerical failure: {error}: ")
+    items = read_kv(out / "reduction.txt")
+    assert items == {"regime": regime, "coefficients": "unavailable: "
+                     + message.strip().split(": ", 2)[2]}
+    assert not (out / "seed.txt").exists()
+
+
 def test_simulate_zero_seed_stays_zero(tmp_path):
     code, out = run(tmp_path, "simulate", "--seed", "zero",
                     "--override", "grid.n=64",

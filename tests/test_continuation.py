@@ -342,6 +342,36 @@ def test_newton_divergence(fcgl_params):
         solve_fcgl(seed, 1.496, fcgl_params, max_iter=4)
 
 
+def test_newton_solve_holds_the_parameter(fcgl_params):
+    # the polish runs the corrector's loop with the row tau = (0, 1): every
+    # residual, Jacobian and parameter column is taken at gamma bit for bit,
+    # and iters is the loop's count of corrections
+    class Recorded(ct.FcglSteadyProblem):
+        def residual(self, z, gamma):
+            seen.append(gamma)
+            return super().residual(z, gamma)
+
+        def jacobian(self, z, gamma):
+            seen.append(gamma)
+            return super().jacobian(z, gamma)
+
+        def dparam(self, z, gamma):
+            seen.append(gamma)
+            return super().dparam(z, gamma)
+
+    seen, gamma = [], 1.95 + 2.0**-30
+    p = replace(fcgl_params, gamma=gamma)
+    prob = Recorded(p, n=128, length=LENGTH)
+    seed = weak_sech_fcgl(p, gamma, center=LENGTH / 2).as_field(128, LENGTH)
+    stats = ct.SolveStats()
+    z, rn, iters = ct.newton_solve(prob, prob.pack(seed.values), gamma,
+                                   stats=stats)
+    assert rn < 1e-10 and iters >= 2
+    assert iters == stats.corrector_iterations == stats.gmres_solves
+    assert len(seen) == 3 * iters + 1
+    assert all(q == gamma for q in seen)
+
+
 def finite_difference_check(problem, z, param, rng):
     dz = rng.standard_normal(z.size)
     dz /= np.linalg.norm(dz)
@@ -1064,15 +1094,17 @@ def test_unconverged_solve_is_counted(fcgl_params):
         def preconditioner(self, drive, stats=None):
             return lambda dz: dz
 
-    # n + 2 = 322 packed unknowns, more than one cycle of GMRES_RESTART
+    # n + 2 = 322 packed unknowns, more than one cycle of GMRES_RESTART;
+    # the first correction is taken, and the second, from the same residual,
+    # is rejected: both stalled solves are counted
     prob = Stalled(fcgl_params, n=320, length=LENGTH)
     stats = ct.SolveStats()
     with pytest.raises(DivergenceError):
         ct.newton_solve(prob, np.zeros(prob.size), 1.0, stats=stats)
     cycles = ct.GMRES_CYCLES
-    assert stats == ct.SolveStats(gmres_solves=1,
-                                  matvecs=cycles * (ct.GMRES_RESTART + 1),
-                                  gmres_unconverged=1)
+    assert stats == ct.SolveStats(gmres_solves=2,
+                                  matvecs=2 * cycles * (ct.GMRES_RESTART + 1),
+                                  gmres_unconverged=2, corrector_iterations=2)
 
 
 def test_branch_counts_its_solves(fcgl_params, monkeypatch):
