@@ -85,7 +85,7 @@ def commands(tree: str) -> list[tuple[str, str, list[str], dict]]:
     cmds.append(("sweep-36", ["sweep"], {}))
     cmds.append(("pde-sweep-36", ["sweep"] + _overrides(
         "system.kind=pde", "grid.n=256", "sweep.t_probe=200"), {}))
-    # a focusing cubic: the Gamma = 5 probe blows up, the other is rerun
+    # a focusing cubic: the Gamma = 5 probe blows up, the other steps on
     cmds.append(("sweep-blowup", ["sweep"] + _overrides(
         "params.c_re=1.0", "grid.n=64", "sweep.nu_min=-3", "sweep.nu_max=-3",
         "sweep.nu_count=1", "sweep.p_min=1", "sweep.p_max=5",

@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from . import __version__, continuation, etd, fileio, spectral
+from . import __version__, continuation, etd, fileio
 from .config import RunConfig, load_config
 from .core import (FcglParams, ScalingMap, flat_state_quadratic, flat_states,
                    gamma_onset)
@@ -122,16 +122,19 @@ def build_seed(cfg: RunConfig) -> ComplexField:
 
 # ---- simulate ----
 
+def settle_strobe(cfg: RunConfig) -> float:
+    """The span the settle test compares states over: the whole steps nearest
+    one time unit for the FCGL, the forcing period for the forced model."""
+    dt = cfg.timestepping.dt
+    return max(1, int(round(1.0 / dt))) * dt if cfg.system.kind == "fcgl" \
+        else TWO_PI
+
+
 def cmd_simulate(cfg: RunConfig, out: str) -> int:
     ts = cfg.timestepping
-    dt = ts.dt
+    dt, strobe = ts.dt, settle_strobe(cfg)
     seed = build_seed(cfg)
-    if cfg.system.kind == "fcgl":
-        p = cfg.fcgl_params()
-        strobe = max(1, int(round(1.0 / dt))) * dt
-    else:
-        p = cfg.model_params()
-        strobe = TWO_PI
+    p = cfg.fcgl_params() if cfg.system.kind == "fcgl" else cfg.model_params()
     stepper = etd.make_stepper(seed, p, dt, t0=seed.t)
     times, norms = [stepper.t], [stepper.norm]
     norm_every, snap_every = cfg.output.norm_stride, cfg.output.snapshot_stride
@@ -160,7 +163,7 @@ def cmd_simulate(cfg: RunConfig, out: str) -> int:
             if cfg.system.kind == "pde":
                 ref = stepper.u.copy()
                 stepper.run(etd.steps_in(strobe, dt))
-                diff = spectral.parseval_norm(stepper.u - ref)
+                (diff,) = etd.strobe_change(stepper.u, ref)
                 summary.append(("subharmonic_period_diff", diff))
                 summary.append(("subharmonic_rel_diff",
                                 diff / stepper.norm if stepper.norm > 0 else 0.0))
@@ -393,11 +396,16 @@ def _classify_endstate(field: ComplexField) -> str:
 
 
 def cmd_sweep(cfg: RunConfig, out: str) -> int:
-    """Step every probe as one row of a stacked state.  Rows are independent,
-    so when some blow up, the rest are stepped again from their seeds
-    without them, in another round."""
-    s, dt = cfg.sweep, cfg.timestepping.dt
-    steps = int(round(s.t_probe / dt))
+    """Step every probe as one row of a stacked state for at most t_probe.
+    A row leaves once it has settled, changing less than steady_tol over a
+    strobe (rows run to the cap when dt does not divide the strobe), and is
+    classified from its state then; a row that blows up leaves too."""
+    s, ts = cfg.sweep, cfg.timestepping
+    steps = int(round(s.t_probe / ts.dt))
+    try:
+        strobe = etd.steps_in(settle_strobe(cfg), ts.dt)
+    except ParameterError:
+        strobe = steps + 1      # never reached
     probes = [(i, j, float(nu), float(pv))
               for i, nu in enumerate(np.linspace(s.nu_min, s.nu_max, s.nu_count))
               for j, pv in enumerate(np.linspace(s.p_min, s.p_max, s.p_count))]
@@ -407,28 +415,42 @@ def cmd_sweep(cfg: RunConfig, out: str) -> int:
             live.append((k, *_probe_setup(cfg, nu, pv)))
         except OscillabError:
             pass
-    setup_failed, rounds, blown = len(probes) - len(live), 0, 0
-    ends = [None] * len(probes)
-    while live:
-        rounds += 1
-        keys, seeds, eqs = zip(*live)
-        stepper = etd.make_stepper(seeds, eqs, dt)
+    setup_failed, blown, settled, row_steps = len(probes) - len(live), 0, 0, 0
+    ends, keys = {}, [k for k, _, _ in live]    # keys: each row's probe
+    if live:
+        _, seeds, eqs = zip(*live)
+        stepper = etd.make_stepper(seeds, eqs, ts.dt)
+        prev = stepper.u.copy()
+
+    def end_states(rows):
+        for r in rows:
+            ends[keys[r]] = ComplexField(stepper.length,
+                                         np.fft.ifft(stepper.u[r]), stepper.t)
+    while keys and stepper.steps < steps:
         try:
-            stepper.run(steps)
+            stepper.step()
         except BlowUpError as exc:
-            blown += len(exc.rows)
-            live = [row for r, row in enumerate(live) if r not in exc.rows]
+            leave, blown = exc.rows, blown + len(exc.rows)
         else:
-            for k, u in zip(keys, stepper.u):
-                ends[k] = ComplexField(cfg.grid.length, np.fft.ifft(u))
-            live = []
-    rows = [_sweep_probe(*probe, end) for probe, end in zip(probes, ends)]
+            row_steps, leave = row_steps + len(keys), []
+            if stepper.steps % strobe == 0:
+                changes = etd.strobe_change(stepper.u, prev)
+                leave = [r for r, c in enumerate(changes) if c < ts.steady_tol]
+                settled += len(leave)
+                end_states(leave)
+                prev = stepper.u.copy()
+        if leave:
+            stay = [r for r in range(len(keys)) if r not in leave]
+            stepper.keep(stay)
+            keys, prev = [keys[r] for r in stay], prev[stay]
+    end_states(range(len(keys)))
+    rows = [_sweep_probe(*probe, ends.get(k)) for k, probe in enumerate(probes)]
     fileio.write_csv(os.path.join(out, "sweep.csv"), ["nu", "gamma", "outcome"],
                      [(nu, pv, outcome) for _, _, nu, pv, outcome in rows])
     outcomes = [row[-1] for row in rows]
     fileio.write_kv(os.path.join(out, "stats.txt"), [
         ("probes", len(probes)), ("steps_per_probe", steps),
-        ("rounds", rounds),
+        ("row_steps", row_steps), ("settled", settled),
         *((name, outcomes.count(name)) for name in SWEEP_OUTCOMES),
         ("indeterminate_setup", setup_failed),
         ("indeterminate_blowup", blown)])

@@ -14,7 +14,7 @@ direct formulas.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -85,9 +85,11 @@ class Etd2Stepper:
     spend hundreds of steps among the subnormals, where FFTs and products run
     several times slower."""
 
-    def __init__(self, scheme: EtdScheme, nonlinear: Callable, u0, t0: float = 0.0):
+    def __init__(self, scheme: EtdScheme, nonlinear: Callable | None, u0,
+                 t0: float = 0.0):
         self.scheme = scheme
-        self.nonlinear = nonlinear
+        if nonlinear is not None:       # else the subclass's method
+            self.nonlinear = nonlinear
         shape = np.broadcast_shapes(np.shape(u0), scheme.exp_dt.shape)
         self.u = np.array(np.broadcast_to(u0, shape), dtype=complex)
         self.t0 = float(t0)
@@ -132,12 +134,42 @@ class Etd2Stepper:
 
 
 class SpectralStepper(Etd2Stepper):
-    """ETD2 stepper whose state is the Fourier coefficients of a periodic
-    field, or of a stack of fields, one per row (field and norm need one)."""
+    """ETD2 for u' = ell u + system.nonlinear(u, t, drive) on the Fourier
+    coefficients of a periodic field, or of a stack of fields, one per row,
+    each with its own symbol and drive (field and norm need one row).  N is
+    formed on the dealiasing grid in blocks of rows, each as for one row."""
 
-    def __init__(self, scheme, nonlinear, length: float, values, t0: float = 0.0):
-        super().__init__(scheme, nonlinear, np.fft.fft(values), t0)
-        self.length = length
+    def __init__(self, scheme, system, length, values, drive, t0=0.0):
+        self.system, self.length = system, length
+        self._split(drive, np.shape(values)[-1])
+        super().__init__(scheme, None, np.fft.fft(values), t0)
+
+    def _split(self, drive, n: int) -> None:
+        """Take these drives, one a row, and form N's blocks of rows."""
+        m = spectral.padded_size(n)
+        rows = max(1, BLOCK_BYTES // (np.dtype(complex).itemsize * m))
+        self.drive, self._blocks = drive, [
+            (slice(r, r + rows), drive[r:r + rows] if np.ndim(drive) else drive)
+            for r in range(0, np.size(drive), rows)]
+
+    def nonlinear(self, u_hat, t, out) -> None:
+        n = u_hat.shape[-1]
+        u_rows, out_rows = u_hat.reshape(-1, n), out.reshape(-1, n)
+        for block, drive in self._blocks:
+            fine = spectral.to_fine(u_rows[block])
+            spectral.from_fine(self.system.nonlinear(fine, t, drive), n,
+                               out=out_rows[block])
+
+    def keep(self, rows) -> None:
+        """Go on with these rows of the stack alone, each bit for bit as in
+        the whole stack: it keeps its state and the N of its last step."""
+        s, size = self.scheme, 2 * len(rows) * self.u.shape[-1]
+        self.scheme = replace(s, **{name: getattr(s, name)[rows] for name in
+                                    ("ell", "exp_dt", "w_new", "w_old")})
+        for name in ("u", "_u_new", "_term", "_n_cur", "_n_prev"):
+            setattr(self, name, getattr(self, name)[rows])
+        self._mags, self._below_tiny = self._mags[:size], self._below_tiny[:size]
+        self._split(self.drive[rows], self.u.shape[-1])
 
     @property
     def field(self) -> ComplexField:
@@ -163,8 +195,7 @@ def make_stepper(field, p, dt: float, t0: float = 0.0) -> SpectralStepper:
     field and p may also be equal-length lists: row r of the stepper's
     (P, n) state is then field[r] under p[r], stepped bit for bit as
     make_stepper(field[r], p[r], dt) steps it.  The rows share the grid, the
-    system and C; each has its own symbol and drive.  N is formed in blocks
-    of rows, each the same arithmetic as the row alone."""
+    system and C; each has its own symbol and drive."""
     stack = not isinstance(field, ComplexField)
     fields, ps = (field, p) if stack else ([field], [p])
     first, n, length = ps[0], fields[0].n, fields[0].length
@@ -176,20 +207,8 @@ def make_stepper(field, p, dt: float, t0: float = 0.0) -> SpectralStepper:
     drive = np.array([[q.drive] for q in ps])
     if not stack:
         ell, values, drive = ell[0], values[0], first.drive
-    scheme = make_scheme(ell, dt)
-    m = spectral.padded_size(n)
-    rows = max(1, BLOCK_BYTES // (np.dtype(complex).itemsize * m))
-    blocks = [(slice(r, r + rows), drive[r:r + rows] if stack else drive)
-              for r in range(0, len(ps), rows)]
-
-    def nonlinear(u_hat, t, out):
-        u_rows, out_rows = u_hat.reshape(-1, n), out.reshape(-1, n)
-        for block, block_drive in blocks:
-            samples = spectral.to_fine(u_rows[block])
-            spectral.from_fine(first.nonlinear(samples, t, block_drive), n,
-                               out=out_rows[block])
-
-    return SpectralStepper(scheme, nonlinear, length, values, t0)
+    return SpectralStepper(make_scheme(ell, dt), first, length, values, drive,
+                           t0)
 
 
 def steps_in(span: float, dt: float) -> int:
@@ -200,17 +219,23 @@ def steps_in(span: float, dt: float) -> int:
     return steps
 
 
+def strobe_change(u, prev) -> list[float]:
+    """Each row's settle measure: the solution norm of its change from prev."""
+    return [spectral.parseval_norm(row)
+            for row in (u - prev).reshape(-1, u.shape[-1])]
+
+
 def run_to_steady(stepper: Etd2Stepper, period: float, tol: float = 1e-9,
                   max_periods: int = 10000):
-    """Advance whole periods until consecutive stroboscopic snapshots differ
-    by less than tol in the solution norm.  Returns (converged, periods, diffs).
-    """
+    """Advance whole periods of a one-row stepper until consecutive
+    stroboscopic snapshots differ by less than tol in the solution norm.
+    Returns (converged, periods, diffs)."""
     steps = steps_in(period, stepper.scheme.dt)
     diffs = []
     prev = stepper.u.copy()
     for k in range(max_periods):
         stepper.run(steps)
-        diff = spectral.parseval_norm(stepper.u - prev)
+        (diff,) = strobe_change(stepper.u, prev)
         diffs.append(diff)
         if diff < tol:
             return True, k + 1, diffs

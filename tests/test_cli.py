@@ -774,7 +774,9 @@ def test_runs_repeat_byte_for_byte(tmp_path, command, args):
 @pytest.mark.parametrize("kind", ["fcgl", "pde"])
 def test_sweep_rows_equal_probes_stepped_alone(tmp_path, monkeypatch, kind):
     """The sweep steps its probes as rows of one state; each row must end
-    bit for bit where the probe stepped alone ends."""
+    bit for bit where the probe stepped alone ends after as many steps, and
+    classify as the lone probe stepped to t_probe does.  The FCGL row at
+    (0.5, 2.2) settles and leaves the stack at T = 13.07."""
     p_min, p_max = {"fcgl": (1.2, 2.2), "pde": (1.0, 2.0)}[kind]
     settings = [f"system.kind={kind}", "grid.n=64", "sweep.nu_count=2",
                 "sweep.p_count=2", f"sweep.p_min={p_min}",
@@ -790,16 +792,55 @@ def test_sweep_rows_equal_probes_stepped_alone(tmp_path, monkeypatch, kind):
     assert main(["sweep", "--out", str(out), *_overrides(*settings)]) == 0
     cfg = load_config(overrides=settings)
     dt = cfg.timestepping.dt
-    rows = []
+    steps = round(cfg.sweep.t_probe / dt)
+    rows, retired = [], []
     for _, _, nu, param, end in calls:
         stepper = make_stepper(*cli._probe_setup(cfg, nu, param), dt)
-        stepper.run(round(cfg.sweep.t_probe / dt))
+        stepper.run(round(end.t / dt))
         assert np.array_equal(end.values, stepper.field.values)
+        if stepper.steps < steps:
+            retired.append((nu, param, round(end.t, 2)))
+        stepper.run(steps - stepper.steps)
         rows.append((nu, param, cli._classify_endstate(stepper.field)))
     assert [call[:2] for call in calls] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert retired == {"fcgl": [(0.5, 2.2, 13.07)], "pde": []}[kind]
     header, _ = fileio.read_csv(out / "sweep.csv")
     fileio.write_csv(tmp_path / "alone.csv", header, rows)
     assert (out / "sweep.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+
+def test_sweep_rows_that_settle_leave_with_their_outcome(tmp_path, monkeypatch):
+    """At nu = 0.5 the Gamma = 2.2 probe settles and leaves the stack, the
+    Gamma = 1.2 probe reaches t_probe.  The map is the one written when no
+    row can settle, and the state a row leaves with is a steady state."""
+    settings = ["grid.n=64", "sweep.nu_min=0.5", "sweep.nu_max=0.5",
+                "sweep.nu_count=1", "sweep.p_count=2", "sweep.t_probe=20"]
+    real, ends = cli._sweep_probe, []
+
+    def record(*args):
+        ends.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_sweep_probe", record)
+    code, out = run(tmp_path, "sweep", *_overrides(*settings))
+    assert code == 0
+    assert read_kv(out / "stats.txt")["settled"] == "1"
+    monkeypatch.setattr(cli, "_sweep_probe", real)
+    never = tmp_path / "never"
+    assert main(["sweep", "--out", str(never), *_overrides(
+        *settings, "timestepping.steady_tol=1e-300")]) == 0
+    assert read_kv(never / "stats.txt")["settled"] == "0"
+    assert (out / "sweep.csv").read_bytes() == (never / "sweep.csv").read_bytes()
+    cfg = load_config(overrides=settings)
+    t_probe = round(20 / cfg.timestepping.dt) * cfg.timestepping.dt
+    retired = [(nu, gamma, end) for _, _, nu, gamma, end in ends
+               if end.t < t_probe]
+    assert [row[:2] for row in retired] == [(0.5, 2.2)]
+    for nu, gamma, end in retired:
+        p = replace(cfg.fcgl_params(), nu=nu, gamma=gamma)
+        problem = continuation.FcglSteadyProblem(p, end.n, end.length)
+        z = problem.pack(end.values)
+        assert problem.max_norm(problem.residual(z, gamma)) < 1e-6
 
 
 def test_sweep_probe_that_blows_up_is_indeterminate(tmp_path):
@@ -812,10 +853,12 @@ def test_sweep_probe_that_blows_up_is_indeterminate(tmp_path):
     assert code == 0
     _, rows = fileio.read_csv(out / "sweep.csv")
     assert [r[2] for r in rows] == ["decayed", "indeterminate"]
-    # the survivor is stepped again alone, in a second round
+    # the Gamma = 5 row leaves at its 48th step, which blows up; the
+    # survivor steps on from there and settles after 32 strobes of 32 steps
     steps = round(60 / load_config().timestepping.dt)
     assert read_kv(out / "stats.txt") == {
-        "probes": "2", "steps_per_probe": str(steps), "rounds": "2",
+        "probes": "2", "steps_per_probe": str(steps),
+        "row_steps": str(47 + 32 * 32), "settled": "1",
         "decayed": "1", "localized": "0", "flat": "0", "indeterminate": "1",
         "indeterminate_setup": "0", "indeterminate_blowup": "1"}
 

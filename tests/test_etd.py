@@ -194,6 +194,41 @@ def test_stacked_blowup_names_its_rows():
     assert err.value.rows == [1]
     assert stepper.steps == err.value.step - 1
     assert np.all(np.isfinite(stepper.u))
+    # the finite row steps on from there as it steps alone
+    stepper.keep([0])
+    stepper.run(10)
+    alone = make_stepper(small, decaying, dt=0.1)
+    alone.run(stepper.steps)
+    assert np.array_equal(stepper.u[0], alone.u)
+    assert alone.u[0] != 0      # the decaying flat state is not yet gone
+
+
+@pytest.mark.parametrize("n, kept", [(64, [0, 2]), (512, [1, 5, 9, 10, 11])])
+def test_kept_rows_step_as_alone(fcgl_params, n, kept):
+    """Rows kept mid-run step on bit for bit as in the full stack and as
+    alone.  At n = 512 the 12 rows fill more than one block of N and the
+    kept ones fit in one, so keeping them changes the block split."""
+    count = 3 if n == 64 else 12
+    per_block = etd.BLOCK_BYTES // (16 * spectral.padded_size(n))
+    assert n == 64 or count > per_block >= len(kept)
+    length = 20 * math.pi
+    x = np.arange(n) * (length / n)
+    ps = [replace(fcgl_params, nu=0.5 + 0.1 * r, gamma=1.2 + 0.05 * r)
+          for r in range(count)]
+    fields = [ComplexField(length, (0.6 + 0.05 * r) / np.cosh(x - length / 2)
+                           + 0j) for r in range(count)]
+    full, part = (make_stepper(fields, ps, 0.05) for _ in range(2))
+    full.run(100)
+    part.run(50)
+    part.keep(kept)
+    part.run(50)
+    assert part.u.shape == (len(kept), n) and part.steps == 100
+    assert part.drive.ravel().tolist() == [ps[r].gamma for r in kept]
+    for r, row in zip(kept, part.u):
+        alone = make_stepper(fields[r], ps[r], 0.05)
+        alone.run(100)
+        assert np.array_equal(row, full.u[r])
+        assert np.array_equal(row, alone.u)
 
 
 def test_stacked_rows_must_share_c(fcgl_params):
