@@ -14,7 +14,9 @@ snapshots, reduce and flatstates for each system, floquet, the default
 36-probe sweep and its forced-model twin at n = 256, a two-probe sweep in
 which one probe blows up, and scripts/strong_case.py at its defaults (the
 Newton polish of the strong-damping seed on harmonics +-1...+-7), run from
-each tree's own scripts/.  For each output file it prints
+each tree's own scripts/.  It first prints both trees' source line totals,
+the lines of src/oscillab/*.py as ``wc -l`` counts them, on one
+informational line.  For each output file it prints
 "byte-identical" or, for a changed header, both versions; for each numeric
 column that differs, the largest element-wise relative difference, the
 largest difference relative to the column's largest magnitude and the
@@ -29,6 +31,7 @@ differs or a command fails.
 
 import argparse
 import csv
+import glob
 import importlib.util
 import math
 import os
@@ -92,6 +95,15 @@ def commands(tree: str) -> list[tuple[str, str, list[str], dict]]:
         "sweep.p_count=2", "sweep.t_probe=60"), {}))
     return [(name, OSCILLAB, argv, extra) for name, argv, extra in cmds] + [
         ("strong-case", os.path.join("scripts", "strong_case.py"), [], {})]
+
+
+def source_lines(tree: str) -> int:
+    """The newlines in tree/src/oscillab/*.py, the total of ``wc -l``."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "oscillab", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def _run(tree: str, args: list[str], extra=None, **kwargs):
@@ -286,6 +298,8 @@ def main() -> int:
     ap.add_argument("change", help="source tree of the change")
     args = ap.parse_args()
     cmds = commands(args.change)
+    print("== source lines of src/oscillab/*.py: parent "
+          f"{source_lines(args.parent)}, change {source_lines(args.change)}")
     same, rejected = True, []
     with tempfile.TemporaryDirectory() as work:
         for side, tree in (("parent", args.parent), ("change", args.change)):

@@ -11,15 +11,15 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 
 import numpy as np
 
 from . import __version__, continuation, etd, fileio
 from .config import RunConfig, load_config
-from .core import (FcglParams, ScalingMap, flat_state_quadratic, flat_states,
-                   gamma_onset)
+from .core import (TWO_PI, FcglParams, ScalingMap, flat_state_quadratic,
+                   flat_states, gamma_onset)
 from .errors import (
     BlowUpError,
     ConfigError,
@@ -39,8 +39,6 @@ from .reduction import (
     weak_sech_fcgl,
     weak_sech_pde,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 # ---- seeds ----
@@ -122,12 +120,17 @@ def build_seed(cfg: RunConfig) -> ComplexField:
 
 # ---- simulate ----
 
-def settle_strobe(cfg: RunConfig) -> float:
-    """The span the settle test compares states over: the whole steps nearest
-    one time unit for the FCGL, the forcing period for the forced model."""
+def settle_strobe(cfg: RunConfig) -> int:
+    """The steps the settle test compares states over: those nearest one
+    time unit for the FCGL, one forcing period for the forced model, or 0
+    where dt does not divide the period."""
     dt = cfg.timestepping.dt
-    return max(1, int(round(1.0 / dt))) * dt if cfg.system.kind == "fcgl" \
-        else TWO_PI
+    if cfg.system.kind == "fcgl":
+        return max(1, int(round(1.0 / dt)))
+    try:
+        return etd.steps_in(TWO_PI, dt)
+    except ParameterError:
+        return 0
 
 
 def cmd_simulate(cfg: RunConfig, out: str) -> int:
@@ -150,23 +153,22 @@ def cmd_simulate(cfg: RunConfig, out: str) -> int:
                 fileio.write_snapshot(
                     os.path.join(out, f"snapshot_{k:08d}.txt"), stepper.field)
         summary += [("final_time", stepper.t), ("final_norm", stepper.norm)]
-        try:
+        if strobe:
             converged, periods, diffs = etd.run_to_steady(
                 stepper, strobe, tol=ts.steady_tol, max_periods=ts.max_periods)
-        except ParameterError:
-            summary.append(("steady_converged",
-                            "skipped: dt does not divide period"))
-        else:
             summary += [("steady_converged", converged),
                         ("steady_periods", periods),
                         ("final_strobe_diff", diffs[-1] if diffs else math.nan)]
             if cfg.system.kind == "pde":
                 ref = stepper.u.copy()
-                stepper.run(etd.steps_in(strobe, dt))
+                stepper.run(strobe)
                 (diff,) = etd.strobe_change(stepper.u, ref)
                 summary.append(("subharmonic_period_diff", diff))
                 summary.append(("subharmonic_rel_diff",
                                 diff / stepper.norm if stepper.norm > 0 else 0.0))
+        else:
+            summary.append(("steady_converged",
+                            "skipped: dt does not divide period"))
     except BlowUpError as exc:
         # final.txt then holds the last finite state
         print(f"numerical failure: BlowUpError: {exc}", file=sys.stderr)
@@ -316,7 +318,7 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
             steps = m * max(1, math.ceil(TWO_PI / cfg.timestepping.dt / m))
             stepper = etd.make_stepper(build_seed(cfg), mp, TWO_PI / steps)
             converged, periods, _ = etd.run_to_steady(
-                stepper, TWO_PI, tol=cfg.timestepping.steady_tol,
+                stepper, steps, tol=cfg.timestepping.steady_tol,
                 max_periods=cfg.timestepping.max_periods)
             seed_steady = [("seed_steady_converged", converged),
                            ("seed_steady_periods", periods)]
@@ -337,7 +339,7 @@ def cmd_continue(cfg: RunConfig, out: str) -> int:
                 problem, pt.z, pt.param, branch.stats)
     _write_branch_outputs(out, branch, problem, c.snapshot_stride)
     fileio.write_kv(os.path.join(out, "stats.txt"),
-                    seed_steady + branch.stats.items())
+                    seed_steady + list(asdict(branch.stats).items()))
     if stalled:
         print("continuation stalled; partial branch written", file=sys.stderr)
         return 4
@@ -402,10 +404,7 @@ def cmd_sweep(cfg: RunConfig, out: str) -> int:
     classified from its state then; a row that blows up leaves too."""
     s, ts = cfg.sweep, cfg.timestepping
     steps = int(round(s.t_probe / ts.dt))
-    try:
-        strobe = etd.steps_in(settle_strobe(cfg), ts.dt)
-    except ParameterError:
-        strobe = steps + 1      # never reached
+    strobe = settle_strobe(cfg) or steps + 1      # else rows run to the cap
     probes = [(i, j, float(nu), float(pv))
               for i, nu in enumerate(np.linspace(s.nu_min, s.nu_max, s.nu_count))
               for j, pv in enumerate(np.linspace(s.p_min, s.p_max, s.p_count))]

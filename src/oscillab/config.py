@@ -14,10 +14,8 @@ import sys
 from dataclasses import astuple, dataclass, field, fields, replace
 
 from .continuation import ContinuationControls
-from .core import FcglParams, ModelParams, ScalingMap
+from .core import TWO_PI, FcglParams, ModelParams, ScalingMap
 from .errors import ConfigError
-
-TWO_PI = 2.0 * math.pi
 
 _SYSTEMS = ("fcgl", "pde")
 _SEED_KINDS = ("zero", "flat", "sech-weak", "sech-strong")

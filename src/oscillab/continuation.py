@@ -22,19 +22,17 @@ import glob
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import etd, spectral
-from .core import ModelParams, ScalingMap
+from .core import TWO_PI, ModelParams, ScalingMap
 from .errors import (DivergenceError, InvalidFieldError, OscillabError,
                      ParameterError, StalledBranchError)
 from .fields import ComplexField, solution_norm
-
-TWO_PI = 2.0 * math.pi
 
 
 GMRES_RESTART = 150     # Krylov vectors per cycle
@@ -373,7 +371,7 @@ class PdeHarmonicProblem(_SteadyProblem):
         t0 = stepper.t on, which the steps must divide, projected and moved to
         t = 0 by U_j e^{-i j t0}.  The stepper ends one period later."""
         t0, m = stepper.t, self.times.size
-        sub = etd.steps_in(TWO_PI / m, stepper.scheme.dt)
+        sub = etd.steps_in(TWO_PI / m, stepper.dt)
         snapshots = []
         for _ in range(m):
             snapshots.append(stepper.field.values)
@@ -429,9 +427,6 @@ class SolveStats:
         self.matvecs += matvecs
         self.gmres_unconverged += int(info != 0)
         return x
-
-    def items(self) -> list[tuple[str, int]]:
-        return list(asdict(self).items())
 
 
 class _CorrectorFailed(Exception):

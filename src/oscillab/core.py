@@ -25,6 +25,8 @@ import numpy as np
 
 from .errors import ParameterError
 
+TWO_PI = 2.0 * math.pi
+
 __all__ = [
     "ModelParams",
     "FcglParams",

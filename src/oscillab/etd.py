@@ -14,7 +14,6 @@ direct formulas.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -50,34 +49,24 @@ def etd2_weights(z: np.ndarray):
     return g1, g0
 
 
-@dataclass
-class EtdScheme:
-    """Precomputed per-mode propagator and quadrature weights."""
-
-    dt: float
-    ell: np.ndarray
-    exp_dt: np.ndarray
-    w_new: np.ndarray
-    w_old: np.ndarray
-
-
-def make_scheme(ell, dt: float) -> EtdScheme:
+def make_scheme(ell, dt: float):
+    """ETD2's propagator e^z and weights dt g1(z), dt g0(z) at z = ell dt."""
     if dt <= 0:
         raise ParameterError("time step dt must be positive")
-    ell = np.atleast_1d(np.asarray(ell, dtype=complex))
-    z = ell * dt
+    z = np.atleast_1d(np.asarray(ell, dtype=complex)) * dt
     g1, g0 = etd2_weights(z)
-    return EtdScheme(dt=dt, ell=ell, exp_dt=np.exp(z),
-                     w_new=dt * g1, w_old=dt * g0)
+    return np.exp(z), dt * g1, dt * g0
 
 
 class Etd2Stepper:
     """Advance coefficient vectors with ETD2; representation-agnostic.
 
-    nonlinear(u, t, out) must write the non-stiff part at (u, t) into out, an
-    array of u's shape and representation.  N at (u0, t0) stands in for the
-    evaluation before the first step.  The stepper writes every step into
-    buffers it reuses, u among them: copy u to keep a state.
+    The stepper holds its step dt, the propagator exp_dt and the weights
+    w_new and w_old of make_scheme(ell, dt).  nonlinear(u, t, out) must
+    write the non-stiff part at (u, t) into out, an array of u's shape and
+    representation.  N at (u0, t0) stands in for the evaluation before the
+    first step.  The stepper writes every step into buffers it reuses, u
+    among them: copy u to keep a state.
 
     Each step flushes to zero every real and imaginary part of the new state
     below the smallest normal float.  A mode that decays geometrically, such
@@ -85,12 +74,13 @@ class Etd2Stepper:
     spend hundreds of steps among the subnormals, where FFTs and products run
     several times slower."""
 
-    def __init__(self, scheme: EtdScheme, nonlinear: Callable | None, u0,
+    def __init__(self, ell, dt: float, nonlinear: Callable | None, u0,
                  t0: float = 0.0):
-        self.scheme = scheme
+        self.dt = dt
+        self.exp_dt, self.w_new, self.w_old = make_scheme(ell, dt)
         if nonlinear is not None:       # else the subclass's method
             self.nonlinear = nonlinear
-        shape = np.broadcast_shapes(np.shape(u0), scheme.exp_dt.shape)
+        shape = np.broadcast_shapes(np.shape(u0), self.exp_dt.shape)
         self.u = np.array(np.broadcast_to(u0, shape), dtype=complex)
         self.t0 = float(t0)
         self.steps = 0
@@ -103,20 +93,19 @@ class Etd2Stepper:
 
     @property
     def t(self) -> float:
-        return self.t0 + self.steps * self.scheme.dt
+        return self.t0 + self.steps * self.dt
 
     def step(self) -> None:
         """One step, committed only when the new state is finite: a blow-up
         raises BlowUpError, naming the non-finite rows, and leaves u, t and
         steps at the last finite state."""
-        s, u_new, term = self.scheme, self._u_new, self._term
-        n_cur = self._n_cur
+        u_new, term, n_cur = self._u_new, self._term, self._n_cur
         # overflow on the way to a blow-up is expected and caught below
         with np.errstate(over="ignore", invalid="ignore"):
             self.nonlinear(self.u, self.t, n_cur)
-            np.multiply(s.exp_dt, self.u, out=u_new)
-            u_new += np.multiply(s.w_new, n_cur, out=term)
-            u_new += np.multiply(s.w_old, self._n_prev, out=term)
+            np.multiply(self.exp_dt, self.u, out=u_new)
+            u_new += np.multiply(self.w_new, n_cur, out=term)
+            u_new += np.multiply(self.w_old, self._n_prev, out=term)
         parts = u_new.view(float).ravel()
         mags = np.abs(parts, out=self._mags)
         if not mags[mags.argmax()] <= HUGE:     # argmax finds a NaN first
@@ -139,37 +128,31 @@ class SpectralStepper(Etd2Stepper):
     each with its own symbol and drive (field and norm need one row).  N is
     formed on the dealiasing grid in blocks of rows, each as for one row."""
 
-    def __init__(self, scheme, system, length, values, drive, t0=0.0):
-        self.system, self.length = system, length
-        self._split(drive, np.shape(values)[-1])
-        super().__init__(scheme, None, np.fft.fft(values), t0)
-
-    def _split(self, drive, n: int) -> None:
-        """Take these drives, one a row, and form N's blocks of rows."""
-        m = spectral.padded_size(n)
-        rows = max(1, BLOCK_BYTES // (np.dtype(complex).itemsize * m))
-        self.drive, self._blocks = drive, [
-            (slice(r, r + rows), drive[r:r + rows] if np.ndim(drive) else drive)
-            for r in range(0, np.size(drive), rows)]
+    def __init__(self, ell, dt, system, length, values, drive, t0=0.0):
+        self.system, self.length, self.drive = system, length, drive
+        per_row = np.dtype(complex).itemsize * spectral.padded_size(
+            np.shape(values)[-1])
+        self._rows = max(1, BLOCK_BYTES // per_row)
+        super().__init__(ell, dt, None, np.fft.fft(values), t0)
 
     def nonlinear(self, u_hat, t, out) -> None:
-        n = u_hat.shape[-1]
+        n, rows, drive = u_hat.shape[-1], self._rows, self.drive
         u_rows, out_rows = u_hat.reshape(-1, n), out.reshape(-1, n)
-        for block, drive in self._blocks:
+        for r in range(0, len(u_rows), rows):
+            block = slice(r, r + rows)
             fine = spectral.to_fine(u_rows[block])
-            spectral.from_fine(self.system.nonlinear(fine, t, drive), n,
-                               out=out_rows[block])
+            spectral.from_fine(self.system.nonlinear(
+                fine, t, drive[block] if np.ndim(drive) else drive), n,
+                out=out_rows[block])
 
     def keep(self, rows) -> None:
         """Go on with these rows of the stack alone, each bit for bit as in
         the whole stack: it keeps its state and the N of its last step."""
-        s, size = self.scheme, 2 * len(rows) * self.u.shape[-1]
-        self.scheme = replace(s, **{name: getattr(s, name)[rows] for name in
-                                    ("ell", "exp_dt", "w_new", "w_old")})
-        for name in ("u", "_u_new", "_term", "_n_cur", "_n_prev"):
+        for name in ("exp_dt", "w_new", "w_old", "drive", "u", "_u_new",
+                     "_term", "_n_cur", "_n_prev"):
             setattr(self, name, getattr(self, name)[rows])
+        size = 2 * self.u.size
         self._mags, self._below_tiny = self._mags[:size], self._below_tiny[:size]
-        self._split(self.drive[rows], self.u.shape[-1])
 
     @property
     def field(self) -> ComplexField:
@@ -207,8 +190,7 @@ def make_stepper(field, p, dt: float, t0: float = 0.0) -> SpectralStepper:
     drive = np.array([[q.drive] for q in ps])
     if not stack:
         ell, values, drive = ell[0], values[0], first.drive
-    return SpectralStepper(make_scheme(ell, dt), first, length, values, drive,
-                           t0)
+    return SpectralStepper(ell, dt, first, length, values, drive, t0)
 
 
 def steps_in(span: float, dt: float) -> int:
@@ -225,12 +207,11 @@ def strobe_change(u, prev) -> list[float]:
             for row in (u - prev).reshape(-1, u.shape[-1])]
 
 
-def run_to_steady(stepper: Etd2Stepper, period: float, tol: float = 1e-9,
+def run_to_steady(stepper: Etd2Stepper, steps: int, tol: float = 1e-9,
                   max_periods: int = 10000):
-    """Advance whole periods of a one-row stepper until consecutive
+    """Advance a one-row stepper by strobes of steps steps until consecutive
     stroboscopic snapshots differ by less than tol in the solution norm.
     Returns (converged, periods, diffs)."""
-    steps = steps_in(period, stepper.scheme.dt)
     diffs = []
     prev = stepper.u.copy()
     for k in range(max_periods):

@@ -8,6 +8,7 @@ through module-scoped fixtures.
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -69,7 +70,7 @@ def oscillon_run():
     """Forced-model oscillon converged to its subharmonic cycle at F=0.058."""
     seed = weak_sech_pde(WEAK, center=L_PDE / 2).as_field(640, L_PDE, t=0.0)
     stepper = make_stepper(seed, WEAK, TWO_PI / 208)
-    converged, periods, _ = run_to_steady(stepper, TWO_PI, tol=1e-9,
+    converged, periods, _ = run_to_steady(stepper, 208, tol=1e-9,
                                           max_periods=900)
     return stepper, converged, periods
 
@@ -317,34 +318,81 @@ def test_criterion_11_subharmonic_invariance(report, oscillon_run):
     assert ok
 
 
-def test_criterion_12_off_plateau_gap_falls_as_eps_squared(report,
+def lifted(model, scaling, a):
+    """The model's unknowns with the slow-frame samples a lifted into
+    harmonic +1, the other harmonics zero."""
+    profiles = np.zeros((model.harmonics.size, a.size), dtype=complex)
+    profiles[list(model.harmonics).index(1)] = scaling.lift(a)
+    return model.pack(profiles)
+
+
+def test_criterion_12_gap_to_the_model_falls_as_eps_squared(report,
                                                             fcgl_branch):
-    # the FCGL is the weak-forcing limit of the forced model: at two fixed
-    # Gamma between the outer folds, off the plateau, the norm gap
-    # N_model/(eps N_FCGL) - 1 of the model solved from the lifted FCGL
-    # point falls as eps^2
+    # the FCGL is the weak-forcing limit of the forced model: solved from
+    # the lifted FCGL state, the model's gap to it falls as eps^2.  Off the
+    # plateau, at two fixed Gamma between the outer folds, the gap is the
+    # norm's N_model/(eps N_FCGL) - 1.  On the plateau, at the point where
+    # the branch is steepest in Gamma, the corrector holds the arclength row
+    # along the lifted secant through the point's neighbours, and the gap is
+    # Gamma's.  At the upper flat state it is the norm's again.
     problem = ct.FcglSteadyProblem(FCGL, n=512, length=L_FCGL)
-    epsilons, ok, details = (0.1, 0.05, 0.025), True, []
-    for target in (1.442387, 1.471631):
-        pt = min(fcgl_branch.points, key=lambda b: abs(b.param - target))
-        gaps = []
-        for eps in epsilons:
-            scaling = ScalingMap(eps)
-            model = ct.PdeHarmonicProblem(
-                scaling.fcgl_to_pde(replace(FCGL, gamma=pt.param)), n=512,
-                length=L_FCGL / eps)
-            profiles = np.zeros((model.harmonics.size, 512), dtype=complex)
-            profiles[list(model.harmonics).index(1)] = scaling.lift(
-                problem.unpack(pt.z))
-            z, _, _ = ct.newton_solve(model, model.pack(profiles),
-                                      scaling.to_forcing(pt.param),
-                                      tol=1e-8 * eps**3)
-            gaps.append(model.norm_of(z) / (eps * pt.norm) - 1.0)
+    pts, epsilons = fcgl_branch.points, (0.1, 0.05, 0.025)
+
+    def model_at(gamma, n, eps):
+        scaling = ScalingMap(eps)
+        return scaling, ct.PdeHarmonicProblem(
+            scaling.fcgl_to_pde(replace(FCGL, gamma=gamma)), n=n,
+            length=L_FCGL / eps)
+
+    def off_plateau(pt, eps):
+        scaling, model = model_at(pt.param, 512, eps)
+        z, _, _ = ct.newton_solve(model, lifted(model, scaling,
+                                                problem.unpack(pt.z)),
+                                  scaling.to_forcing(pt.param),
+                                  tol=1e-8 * eps**3)
+        return model.norm_of(z) / (eps * pt.norm) - 1.0
+
+    def steepness(i):
+        dz, dp = pts[i + 1].z - pts[i - 1].z, pts[i + 1].param - pts[i - 1].param
+        return abs(dp) / ct._wnorm(problem, dz, dp)
+    steep = min(range(1, len(pts) - 1), key=steepness)
+
+    def plateau(eps):
+        before, pt, after = pts[steep - 1:steep + 2]
+        gamma = pt.param
+        scaling, model = model_at(gamma, 512, eps)
+        tau_z = lifted(model, scaling, problem.unpack(after.z - before.z))
+        tau_p = scaling.to_forcing(after.param - before.param)
+        scale = ct._wnorm(model, tau_z, tau_p)
+        _, f, _ = ct._corrector(
+            model, lifted(model, scaling, problem.unpack(pt.z)),
+            scaling.to_forcing(gamma), tau_z / scale, tau_p / scale,
+            ct.ContinuationControls(newton_tol=1e-8 * eps**3), ct.SolveStats())
+        return scaling.to_gamma(f) - gamma
+
+    root = flat_states(replace(FCGL, gamma=1.6)).roots[-1]
+
+    def flat(eps):
+        scaling, model = model_at(1.6, 8, eps)
+        z, _, _ = ct.newton_solve(
+            model, lifted(model, scaling, np.full(8, root.r * np.exp(
+                1j * root.phi))), scaling.to_forcing(1.6), tol=1e-8 * eps**3)
+        return model.norm_of(z) / (eps * math.sqrt(2.0) * root.r) - 1.0
+
+    near = [min(pts, key=lambda b: abs(b.param - g)) for g in (1.442387,
+                                                               1.471631)]
+    parts = [*((f"off-plateau norm at Gamma={pt.param:.6f}",
+                partial(off_plateau, pt)) for pt in near),
+             (f"plateau Gamma at Gamma={pts[steep].param:.6f}", plateau),
+             ("upper flat norm at Gamma=1.6", flat)]
+    ok, details = True, []
+    for label, gap in parts:
+        gaps = [gap(eps) for eps in epsilons]
         ratios = [a / b for a, b in zip(gaps, gaps[1:])]
         ok = ok and all(abs(r - 4.0) <= 0.5 for r in ratios)
-        details.append(f"Gamma={pt.param:.6f}: gap/eps^2 " + "/".join(
+        details.append(f"{label}: gap/eps^2 " + "/".join(
             f"{g / e**2:.4f}" for g, e in zip(gaps, epsilons))
             + " (ratios " + "/".join(f"{r:.3f}" for r in ratios) + ")")
-    report(12, ok, "off-plateau norm gap at eps 0.1/0.05/0.025: "
-                   + "; ".join(details) + " (each halving 4 +- 0.5)")
+    report(12, ok, "gap at eps 0.1/0.05/0.025, " + "; ".join(details)
+                   + " (each halving 4 +- 0.5)")
     assert ok

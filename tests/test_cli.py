@@ -237,6 +237,18 @@ def test_simulate_counts_its_steps(tmp_path, kind, strobe, extra):
         "steps": str(159 + periods * strobe + extra)}
 
 
+def test_simulate_skips_the_settle_test_where_dt_does_not_divide_the_period(
+        tmp_path):
+    code, out = run(tmp_path, "simulate", *_overrides(
+        "system.kind=pde", "grid.n=64", "timestepping.dt=0.03",
+        "timestepping.t_end=3.0"))
+    assert code == 0
+    summary = read_kv(out / "summary.txt")
+    assert summary["steady_converged"] == "skipped: dt does not divide period"
+    assert "steady_periods" not in summary
+    assert read_kv(out / "stats.txt") == {"steps": "100"}
+
+
 def test_simulate_blowup_writes_last_finite_state(tmp_path, capsys):
     code, out = run(tmp_path, "simulate", "--override", "params.c_re=1.0",
                     "--override", "timestepping.t_end=50")
@@ -841,6 +853,23 @@ def test_sweep_rows_that_settle_leave_with_their_outcome(tmp_path, monkeypatch):
         problem = continuation.FcglSteadyProblem(p, end.n, end.length)
         z = problem.pack(end.values)
         assert problem.max_norm(problem.residual(z, gamma)) < 1e-6
+
+
+@pytest.mark.parametrize("dt, settled", [(2 * math.pi / 200, 2), (0.03, 0)])
+def test_forced_sweep_rows_settle_only_where_dt_divides_the_period(
+        tmp_path, dt, settled):
+    # every row passes a settle test this loose at its first strobe, so a
+    # forced row runs to the cap only where there is no strobe
+    code, out = run(tmp_path, "sweep", *_overrides(
+        "system.kind=pde", "grid.n=64", f"timestepping.dt={dt!r}",
+        "timestepping.steady_tol=1e3", "sweep.nu_count=1", "sweep.p_count=2",
+        "sweep.t_probe=20"))
+    assert code == 0
+    stats = read_kv(out / "stats.txt")
+    steps = round(20 / dt)
+    row_steps = 2 * (200 if settled else steps)
+    assert (stats["steps_per_probe"], stats["row_steps"], stats["settled"]) == (
+        str(steps), str(row_steps), str(settled))
 
 
 def test_sweep_probe_that_blows_up_is_indeterminate(tmp_path):

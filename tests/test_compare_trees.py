@@ -130,3 +130,16 @@ def test_columns_without_a_bound_must_keep_their_values(tmp_path):
                                         tmp_path / "b" / "norms.csv")
     assert note.startswith("norm: ") and note.endswith("no stated bound")
     assert not ok
+
+
+def test_source_lines_counts_the_package_modules_as_wc_does(tmp_path):
+    compare = load_script()
+    package = tmp_path / "src" / "oscillab"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n\ny = 2\n", encoding="utf-8")
+    # wc counts newlines, so a last line without one is not counted
+    (package / "b.py").write_text("z = 3\nw = 4", encoding="utf-8")
+    (package / "notes.txt").write_text("not\ncounted\n", encoding="utf-8")
+    (package / "sub" / "c.py").write_text("not counted\n", encoding="utf-8")
+    assert compare.source_lines(tmp_path) == 4
+    assert compare.source_lines(tmp_path / "missing") == 0

@@ -40,8 +40,7 @@ def test_weights_match_series_small_z():
 
 def test_linear_exactness():
     ell = np.array([-1.0 + 0.7j, 0.2 - 2.0j])
-    scheme = make_scheme(ell, 0.1)
-    stepper = Etd2Stepper(scheme, lambda u, t, out: out.fill(0.0),
+    stepper = Etd2Stepper(ell, 0.1, lambda u, t, out: out.fill(0.0),
                           np.array([1.0 + 0j, 2.0 - 1.0j]))
     stepper.run(50)
     exact = np.array([1.0 + 0j, 2.0 - 1.0j]) * np.exp(ell * 5.0)
@@ -49,8 +48,8 @@ def test_linear_exactness():
 
 
 def test_decay_to_e_inverse():
-    scheme = make_scheme(np.array([-1.0 + 0j]), 0.25)
-    stepper = Etd2Stepper(scheme, lambda u, t, out: out.fill(0.0),
+    stepper = Etd2Stepper(np.array([-1.0 + 0j]), 0.25,
+                          lambda u, t, out: out.fill(0.0),
                           np.array([1.0 + 0j]))
     stepper.run(4)
     assert stepper.u[0] == pytest.approx(math.exp(-1.0), rel=1e-14)
@@ -62,8 +61,8 @@ def test_second_order_on_scalar_cubic():
         np.negative(u**3, out=out)
 
     def final(dt):
-        scheme = make_scheme(np.array([1.0 + 0j]), dt)
-        st = Etd2Stepper(scheme, nonlinear, np.array([0.1 + 0j]))
+        st = Etd2Stepper(np.array([1.0 + 0j]), dt, nonlinear,
+                         np.array([0.1 + 0j]))
         st.run(int(round(2.0 / dt)))
         return st.u[0]
 
@@ -104,8 +103,8 @@ def test_flat_state_is_fixed_point(fcgl_params):
 
 
 def test_time_property_and_observer():
-    scheme = make_scheme(np.array([-1.0 + 0j]), 0.5)
-    stepper = Etd2Stepper(scheme, lambda u, t, out: out.fill(0.0),
+    stepper = Etd2Stepper(np.array([-1.0 + 0j]), 0.5,
+                          lambda u, t, out: out.fill(0.0),
                           np.array([1.0 + 0j]), t0=2.0)
     seen = []
     for _ in range(3):
@@ -141,18 +140,17 @@ def test_run_to_steady_converges(fcgl_params):
     vals = np.full(64, 0.9 * root.r * np.exp(1j * root.phi))
     stepper = make_stepper(ComplexField(20 * math.pi, vals),
                            fcgl_params, dt=0.01)
-    converged, periods, diffs = run_to_steady(stepper, 1.0, tol=1e-10,
+    converged, periods, diffs = run_to_steady(stepper, 100, tol=1e-10,
                                               max_periods=2000)
     assert converged
     assert diffs[-1] < 1e-10
     assert len(diffs) == periods
 
 
-def test_run_to_steady_rejects_bad_period(fcgl_params):
-    field = ComplexField(20 * math.pi, np.zeros(16, dtype=complex))
-    stepper = make_stepper(field, fcgl_params, dt=0.3)
+def test_steps_in_rejects_a_step_that_does_not_divide_the_span():
+    assert etd.steps_in(2 * math.pi, 2 * math.pi / 200) == 200
     with pytest.raises(ParameterError):
-        run_to_steady(stepper, 1.0)
+        etd.steps_in(1.0, 0.3)
 
 
 def test_make_scheme_rejects_bad_dt():
